@@ -19,7 +19,7 @@ import numpy as np
 from .data import load_collection, serialize_collection
 from .errors import LsgtError
 from .forecast import simulate_paths
-from .harness import RunConfig, run_benchmark
+from .harness import FORECAST_STREAM, RunConfig, run_benchmark
 from .model import NON_SEASONAL, SEASONAL, PriorConfig, SeasonalPrior
 from .rng import RngStream
 from .sampler import fit as fit_series
@@ -134,7 +134,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     run_cfg = _run_config({**opts, "out": opts.get("out", "out")})
     prior = run_cfg.prior_config()
     samples = fit_series(series, prior, run_cfg.sampler_config(run_cfg.seed))
-    rng = RngStream(run_cfg.seed, stream=1_000_000).generator()
+    rng = RngStream(run_cfg.seed, stream=FORECAST_STREAM).generator()
     fc = simulate_paths(samples, series, h=series.h, paths_per_draw=run_cfg.paths_per_draw,
                         rng=rng, seed=run_cfg.seed, levels=run_cfg.quantile_levels)
 

@@ -42,11 +42,13 @@ def sample_inverse_gamma(rng, shape, scale, size=None):
 
     ``scale`` may be an array for a batch of independent draws.
     """
+    if size is None and isinstance(shape, (float, int)) and isinstance(scale, (float, int)):
+        if not (shape > 0 and scale > 0 and math.isfinite(shape) and math.isfinite(scale)):
+            raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
+        return 1.0 / rng.gamma(shape, 1.0 / scale)
     shape_arr = np.asarray(shape, dtype=float)
     scale_arr = np.asarray(scale, dtype=float)
-    if np.any(shape_arr <= 0) or np.any(scale_arr <= 0) or not (
-        np.all(np.isfinite(shape_arr)) and np.all(np.isfinite(scale_arr))
-    ):
+    if not (_positive_finite(shape_arr) and _positive_finite(scale_arr)):
         raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
     if size is None and scale_arr.ndim > 0:
         size = scale_arr.shape
@@ -55,6 +57,11 @@ def sample_inverse_gamma(rng, shape, scale, size=None):
     if size is None and np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _positive_finite(arr: np.ndarray) -> bool:
+    # a NaN makes min() NaN, which fails the comparison
+    return arr.size == 0 or (arr.min() > 0 and arr.max() < math.inf)
 
 
 def sample_normal(rng, mean, variance, size=None):
@@ -83,13 +90,15 @@ def sample_categorical(rng, weights) -> int:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError("weights must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    if not w.min() >= 0:
         raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
-    if total <= 0:
+    cum = w.cumsum()
+    total = cum[-1]
+    if not total < math.inf:
+        raise ValueError("weights must be finite and non-negative")
+    if not total > 0:
         raise ValueError("at least one weight must be positive")
-    cum = np.cumsum(w)
-    u = rng.random() * cum[-1]
+    u = rng.random() * total
     return int(np.searchsorted(cum, u, side="right"))
 
 

@@ -21,6 +21,20 @@ zero.
 All recursions here are pure scalar loops: they are the single source of
 truth that the sampler's incremental refreshes and the vectorised grid
 evaluations must agree with.
+
+The loops run over Python floats (``ndarray.tolist()``) and write each
+result array back once; indexing numpy arrays element by element costs
+several times more.  They must stay bit-exact, because the incremental
+refreshes are checked for equality against the full recursion and every MH
+acceptance reads these values.  So each power, exp, log and log1p goes
+through libm (``**`` and ``math``), never through numpy's vectorised
+``np.power``/``np.exp``, whose SIMD kernels differ from libm in the last
+bit for a few percent of inputs; and sums accumulate one term at a time
+in index order (no ``np.sum``, no ``math.fsum``).  A lone elementwise +,
+-, * or / is correctly rounded either way and may stay vectorised.
+Python floats raise ``ZeroDivisionError``/``OverflowError`` where float64
+scalars return inf or nan, so every such site maps the exception to what
+the float64 result would have led to.
 """
 
 from __future__ import annotations
@@ -181,7 +195,9 @@ class ParameterDraw:
 
     def proposal_clone(self) -> "ParameterDraw":
         """Shallow copy for MH trials: scalars are replaced, arrays shared."""
-        return replace(self)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
 
     def validate(self) -> None:
         if abs(float(np.sum(self.log_s_init))) > SEASONAL_SUM_TOL:
@@ -252,7 +268,8 @@ def run_recursion(y, theta: ParameterDraw, cfg: PriorConfig) -> StatePaths:
 
     Pure function of its inputs.  Levels are floored at ``LEVEL_FLOOR``
     before being raised to fractional powers (the clamp count is recorded);
-    any non-finite intermediate raises ``StateRecursionError`` carrying the
+    any non-finite intermediate, or an arithmetic error (including one in
+    the level seed, step 0), raises ``StateRecursionError`` carrying the
     step index, which samplers treat as -inf log-likelihood.
     """
     y = np.asarray(y, dtype=float)
@@ -266,53 +283,54 @@ def run_recursion(y, theta: ParameterDraw, cfg: PriorConfig) -> StatePaths:
 
     alpha, beta, zeta = theta.alpha, theta.beta, theta.zeta
     gamma, rho = theta.gamma, theta.rho
-    chi2, phi, tau = theta.chi2, theta.phi, theta.tau
+    chi2 = theta.chi2
+    phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * theta.tau
     lam = effective_lam(theta, cfg)
 
-    log_s = np.zeros(T)
+    ys = y.tolist()
+    log_s = [0.0] * T
     if seasonal:
-        log_s[:m] = theta.log_s_init
-
-    l = np.empty(T)
-    b = np.empty(T)
-    yhat = np.empty(T - 1)
-    sigma2hat = np.empty(T - 1)
-    e = np.empty(T - 1)
+        log_s[:m] = theta.log_s_init.tolist()
+    l = [0.0] * T
+    b = [0.0] * T
+    yhat = [0.0] * (T - 1)
+    sigma2hat = [0.0] * (T - 1)
     clamps = 0
 
-    l_prev = initial_level(y, m, cfg.model_kind, theta.log_s_init)
-    b_prev = theta.b1
-    l[0] = l_prev
-    b[0] = b_prev
-
+    t = 0
     try:
+        l_prev = initial_level(ys, m, cfg.model_kind, log_s)
+        b_prev = theta.b1
+        l[0] = l_prev
+        b[0] = b_prev
         for t in range(1, T):
-            a_t = math.exp(log_s[applied_index(t, m)]) if seasonal else 1.0
+            a_t = math.exp(log_s[t - m if t >= m else t]) if seasonal else 1.0
             lp = l_prev
             if lp < LEVEL_FLOOR:
                 lp = LEVEL_FLOOR
                 clamps += 1
             yh = (l_prev + gamma * lp ** rho + lam * b_prev) * a_t
-            s2 = chi2 * (phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau))
-            l_t = alpha * (y[t] / a_t) + (1.0 - alpha) * l_prev
+            s2 = chi2 * (phi2 + q2 * lp ** p2)
+            l_t = alpha * (ys[t] / a_t) + (1.0 - alpha) * l_prev
             b_t = beta * (l_t - l_prev) + (1.0 - beta) * b_prev
             if seasonal and t >= m:
-                log_s[t] = zeta * math.log(y[t] / l_t) + (1.0 - zeta) * log_s[t - m]
+                log_s[t] = zeta * math.log(ys[t] / l_t) + (1.0 - zeta) * log_s[t - m]
                 if not math.isfinite(log_s[t]):
                     raise StateRecursionError(t)
             if not (math.isfinite(yh) and math.isfinite(s2) and math.isfinite(l_t) and math.isfinite(b_t)):
                 raise StateRecursionError(t)
             yhat[t - 1] = yh
             sigma2hat[t - 1] = s2
-            e[t - 1] = y[t] - yh
             l[t] = l_t
             b[t] = b_t
             l_prev = l_t
             b_prev = b_t
-    except (OverflowError, ValueError) as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise StateRecursionError(t) from exc
 
-    return StatePaths(l=l, b=b, log_s=log_s, yhat=yhat, sigma2hat=sigma2hat, e=e, clamp_events=clamps)
+    yhat_arr = np.array(yhat)
+    return StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s), yhat=yhat_arr,
+                      sigma2hat=np.array(sigma2hat), e=y[1:] - yhat_arr, clamp_events=clamps)
 
 
 def applied_factors(log_s: np.ndarray, m: int, seasonal: bool) -> np.ndarray:
@@ -325,42 +343,57 @@ def applied_factors(log_s: np.ndarray, m: int, seasonal: bool) -> np.ndarray:
     return np.exp(log_s[idx])
 
 
+def applied_factor_list(log_s: list, m: int, seasonal: bool) -> list:
+    """``applied_factors`` through libm ``math.exp``, as a list for the scalar loops."""
+    if not seasonal:
+        return [1.0] * (len(log_s) - 1)
+    # applied_index(t, m) for t = 1..T-1
+    return [math.exp(v) for v in log_s[1:m] + log_s[: len(log_s) - m]]
+
+
 def recompute_trend_path(paths: StatePaths, theta: ParameterDraw) -> None:
     """Refresh b in place after a change of b1 (or beta); l is unchanged."""
     beta = theta.beta
-    l = paths.l
-    b = paths.b
-    b[0] = theta.b1
-    for t in range(1, l.shape[0]):
-        b[t] = beta * (l[t] - l[t - 1]) + (1.0 - beta) * b[t - 1]
+    l = paths.l.tolist()
+    b_prev = theta.b1
+    b = [b_prev]
+    for l_prev, l_t in zip(l, l[1:]):
+        b_prev = beta * (l_t - l_prev) + (1.0 - beta) * b_prev
+        b.append(b_prev)
+    paths.b[:] = b
 
 
 def recompute_yhat(y, paths: StatePaths, theta: ParameterDraw, cfg: PriorConfig) -> None:
     """Refresh yhat and e in place after a change of gamma, rho, lam or b."""
-    seasonal = cfg.model_kind == SEASONAL
-    m = theta.m if seasonal else 1
     gamma, rho = theta.gamma, theta.rho
     lam = effective_lam(theta, cfg)
-    l, b, log_s = paths.l, paths.b, paths.log_s
-    for t in range(1, l.shape[0]):
-        a_t = math.exp(log_s[applied_index(t, m)]) if seasonal else 1.0
-        lp = l[t - 1]
+    l = paths.l.tolist()
+    b = paths.b.tolist()
+    a = applied_factor_list(paths.log_s.tolist(), theta.m, cfg.model_kind == SEASONAL)
+    yhat = []
+    for l_prev, b_prev, a_t in zip(l, b, a):
+        lp = l_prev
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
-        yh = (l[t - 1] + gamma * lp ** rho + lam * b[t - 1]) * a_t
-        paths.yhat[t - 1] = yh
-        paths.e[t - 1] = y[t] - yh
+        yhat.append((l_prev + gamma * lp ** rho + lam * b_prev) * a_t)
+    paths.yhat[:] = yhat
+    np.subtract(np.asarray(y, dtype=float)[1:], paths.yhat, out=paths.e)
 
 
 def recompute_sigma2(paths: StatePaths, theta: ParameterDraw) -> None:
     """Refresh sigma2hat in place after a change of chi2, phi or tau."""
-    chi2, phi, tau = theta.chi2, theta.phi, theta.tau
-    l = paths.l
-    for t in range(1, l.shape[0]):
-        lp = l[t - 1]
+    chi2 = theta.chi2
+    phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * theta.tau
+    s2 = []
+    for lp in paths.l[:-1].tolist():
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
-        paths.sigma2hat[t - 1] = chi2 * (phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau))
+        try:
+            pw = lp ** p2
+        except OverflowError:  # a float64 power overflows to inf
+            pw = math.inf
+        s2.append(chi2 * (phi2 + q2 * pw))
+    paths.sigma2hat[:] = s2
 
 
 def negative_log_likelihood(paths: StatePaths, nu: float) -> float:
@@ -372,14 +405,12 @@ def negative_log_likelihood(paths: StatePaths, nu: float) -> float:
     """
     if not nu > 0:
         raise ValueError(f"nu must be positive, got {nu}")
-    e = paths.e
-    s2 = paths.sigma2hat
-    n = e.shape[0]
+    n = paths.e.shape[0]
+    half_nu1 = 0.5 * (nu + 1.0)
     acc = 0.0
     try:
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for t in range(n):
-                acc += 0.5 * (nu + 1.0) * math.log1p(e[t] * e[t] / (nu * s2[t])) + 0.5 * math.log(s2[t])
+        for et, s2t in zip(paths.e.tolist(), paths.sigma2hat.tolist()):
+            acc += half_nu1 * math.log1p(et * et / (nu * s2t)) + 0.5 * math.log(s2t)
     except (ValueError, OverflowError, ZeroDivisionError):
         return math.inf
     const = 0.5 * math.log(nu * math.pi) + math.lgamma(0.5 * nu) - math.lgamma(0.5 * (nu + 1.0))

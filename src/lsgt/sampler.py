@@ -152,10 +152,10 @@ def conjugate_normal_posterior(spec: ConjugateNormalSpec) -> tuple[float, float]
     """Posterior (mean, variance) of the weight w."""
     if not spec.prior_variance > 0:
         raise NumericalError(f"prior variance {spec.prior_variance} must be positive")
-    var = 1.0 / (float(np.sum(spec.x ** 2 * spec.s ** 2 / spec.sigma2)) + 1.0 / spec.prior_variance)
+    var = 1.0 / (float((spec.x ** 2 * spec.s ** 2 / spec.sigma2).sum()) + 1.0 / spec.prior_variance)
     if not (var > 0 and math.isfinite(var)):
         raise NumericalError(f"conjugate posterior variance {var} invalid")
-    mu = var * float(np.sum(spec.x * spec.s * (spec.y - spec.c * spec.s) / spec.sigma2))
+    mu = var * float((spec.x * spec.s * (spec.y - spec.c * spec.s) / spec.sigma2).sum())
     if not math.isfinite(mu):
         raise NumericalError(f"conjugate posterior mean {mu} invalid")
     return mu, var
@@ -231,7 +231,7 @@ def chi2_conditional(state: ChainState) -> tuple[float, float]:
     th = state.theta
     lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
     g = th.phi ** 2 + (1.0 - th.phi) ** 2 * lp ** (2.0 * th.tau)
-    scale = float(np.sum(state.paths.e ** 2 / (2.0 * th.omega2 * g)))
+    scale = float((state.paths.e ** 2 / (2.0 * th.omega2 * g)).sum())
     shape = 0.5 * (state.T - 1)
     if state.prior.chi2_prior is not None:
         a0, b0 = state.prior.chi2_prior
@@ -321,10 +321,10 @@ def b1_conditional(state: ChainState) -> tuple[float, float]:
     sigma2 = th.omega2 * paths.sigma2hat
     x_b1 = th.lam * np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
     prior_var = th.xi_b1_2 * state.s_b1 ** 2
-    var_b = 1.0 / (float(np.sum(x_b1 ** 2 / sigma2)) + 1.0 / prior_var)
+    var_b = 1.0 / (float((x_b1 ** 2 / sigma2).sum()) + 1.0 / prior_var)
     if not (var_b > 0 and math.isfinite(var_b)):
         raise NumericalError(f"initial-trend posterior variance {var_b} invalid")
-    mu_b = var_b * float(np.sum((x_b1 ** 2 * th.b1 + x_b1 * paths.e) / sigma2))
+    mu_b = var_b * float(((x_b1 ** 2 * th.b1 + x_b1 * paths.e) / sigma2).sum())
     return mu_b, var_b
 
 
@@ -361,9 +361,7 @@ def psi2_conditional(theta: ParameterDraw) -> tuple[float, np.ndarray]:
 def delta2_conditional(theta: ParameterDraw) -> tuple[float, float]:
     # shape m/2 = 1/2 (prior) + (m-1)/2: the m seeds carry m-1 free
     # dimensions under the zero-sum constraint, while all m enter the scale
-    return 0.5 * theta.m, 1.0 / theta.eta_delta + 0.5 * float(
-        np.sum(theta.log_s_init ** 2 / theta.psi2)
-    )
+    return 0.5 * theta.m, 1.0 / theta.eta_delta + 0.5 * float((theta.log_s_init ** 2 / theta.psi2).sum())
 
 
 def eta_s_conditional(theta: ParameterDraw) -> tuple[float, np.ndarray]:
@@ -392,7 +390,9 @@ def _categorical_from_nll(rng, nll: np.ndarray) -> int:
     """Draw a grid index with weights exp(-nll), log-sum-exp stabilised."""
     nll = np.asarray(nll, dtype=float)
     finite = np.isfinite(nll)
-    if not np.any(finite):
+    if finite.all():
+        return sample_categorical(rng, np.exp(-(nll - nll.min())))
+    if not finite.any():
         raise DegenerateSeriesError("all grid candidates have non-finite posterior")
     w = np.zeros(nll.shape[0])
     w[finite] = np.exp(-(nll[finite] - nll[finite].min()))
@@ -402,8 +402,8 @@ def _categorical_from_nll(rng, nll: np.ndarray) -> int:
 def nu_grid_nll(nu: np.ndarray, omega2: np.ndarray) -> np.ndarray:
     """Negative log conditional of the df over grid candidates."""
     n = omega2.shape[0]
-    a = float(np.sum(np.log(omega2)))
-    b = float(np.sum(1.0 / omega2))
+    a = float(np.log(omega2).sum())
+    b = float((1.0 / omega2).sum())
     half = 0.5 * nu
     return -n * half * np.log(half) + n * gammaln(half) + 0.5 * (nu + 1.0) * a + half * b
 
@@ -590,7 +590,7 @@ def update_smoothing_mh(state: ChainState, rng, step: StepSizeState,
 
     accept_prob = 0.0
     accepted = False
-    if np.all(cur_star > 0.0) and np.all(cur_star < 1.0):
+    if (cur_star > 0.0).all() and (cur_star < 1.0).all():
         trial = th.proposal_clone()
         for n, v in zip(names, cur_star):
             setattr(trial, n, float(v))
@@ -606,8 +606,8 @@ def update_smoothing_mh(state: ChainState, rng, step: StepSizeState,
             nll_cur = negative_log_likelihood(state.paths, th.nu)
             a, b = state.prior.beta_a, state.prior.beta_b
             # beta prior plus logit jacobian
-            lp_cur = float(np.sum(a * np.log(cur) + b * np.log(1.0 - cur)))
-            lp_star = float(np.sum(a * np.log(cur_star) + b * np.log(1.0 - cur_star)))
+            lp_cur = float((a * np.log(cur) + b * np.log(1.0 - cur)).sum())
+            lp_star = float((a * np.log(cur_star) + b * np.log(1.0 - cur_star)).sum())
             log_r = (
                 (-nll_star + lp_star)
                 - (-nll_cur + lp_cur)
@@ -771,8 +771,8 @@ def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorCon
     """Log prior of all m seed log factors given the shrinkage latents."""
     sp = prior.seasonal_prior
     if sp.kind == "horseshoe":
-        return -0.5 * float(np.sum(seeds ** 2 / (theta.psi2 * theta.delta2)))
-    return -float(np.sum(np.log1p((seeds / sp.scale) ** 2)))
+        return -0.5 * float((seeds ** 2 / (theta.psi2 * theta.delta2)).sum())
+    return -float(np.log1p((seeds / sp.scale) ** 2).sum())
 
 
 def update_seasonals_mh(state: ChainState, rng, step: StepSizeState,
@@ -791,7 +791,7 @@ def update_seasonals_mh(state: ChainState, rng, step: StepSizeState,
     eps = step.eps
     z = rng.standard_normal(m - 1)
     free_star = free - 0.5 * eps * eps * g + eps * z
-    seeds_star = np.append(free_star, -float(np.sum(free_star)))
+    seeds_star = np.append(free_star, -float(free_star.sum()))
 
     trial = th.proposal_clone()
     trial.log_s_init = seeds_star

@@ -16,7 +16,7 @@ from lsgt.sampler import ChainState, Grids, make_grids
 TEST_NU_GRID_SIZE = 12
 
 
-def test_prior(seasonal=False, hetero=True, seasonal_prior="horseshoe", chi2_prior=None):
+def make_prior(seasonal=False, hetero=True, seasonal_prior="horseshoe", chi2_prior=None):
     return PriorConfig(
         model_kind=SEASONAL if seasonal else NON_SEASONAL,
         variance_mode=HETEROSCEDASTIC if hetero else HOMOSCEDASTIC,
@@ -30,7 +30,7 @@ def random_state(rng, T=9, seasonal=False, m=1, hetero=True, prior=None, **theta
     """A small, fully randomised but valid ChainState."""
     y = np.abs(rng.normal(25.0, 5.0, size=T)) + 5.0
     if prior is None:
-        prior = test_prior(seasonal=seasonal, hetero=hetero)
+        prior = make_prior(seasonal=seasonal, hetero=hetero)
     seeds = np.zeros(m)
     if seasonal:
         seeds = rng.normal(0.0, 0.2, size=m)

@@ -59,6 +59,20 @@ def reference_nll(e, sig2, nu):
     return total
 
 
+def sequential_nll(e, sig2, nu):
+    """Student-t negative log likelihood summed term by term in index order.
+
+    Same terms as ``reference_nll`` but written in the log1p form with one
+    scalar accumulator, so a production sum with the same order and libm
+    calls must match it bit for bit.
+    """
+    acc = 0.0
+    for et, s2 in zip(map(float, e), map(float, sig2)):
+        acc += 0.5 * (nu + 1.0) * math.log1p(et * et / (nu * s2)) + 0.5 * math.log(s2)
+    const = 0.5 * math.log(nu * math.pi) + math.lgamma(0.5 * nu) - math.lgamma(0.5 * (nu + 1.0))
+    return acc + len(e) * const
+
+
 def quad_moments_positive(log_density, transform=None, u_lo=-60.0, u_hi=60.0):
     """(mean, variance) of ``transform(x)`` under an unnormalised density on
     (0, inf), integrated in log space (x = e^u) for robustness.

@@ -50,7 +50,7 @@ from lsgt.sampler import (
 )
 from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, run_sbc
 
-from .helpers import random_state, test_prior
+from .helpers import make_prior, random_state
 from .oracles import (
     fd_gradient,
     ig_moments,
@@ -335,7 +335,7 @@ def test_criterion_6_horseshoe_robustness():
     params.lam = 0.3
     params.chi2 = 0.8
     params.nu = 20.0
-    gen_prior = test_prior(seasonal=False)
+    gen_prior = make_prior(seasonal=False)
     base = generate_series(RngStream(606, 0).generator(), params, gen_prior, T=48, y1=40.0)
     series = TimeSeries(id=base.id, values=base.values, m=4, h=4)
 
@@ -346,8 +346,8 @@ def test_criterion_6_horseshoe_robustness():
         stats = [float(np.max(np.abs(d.log_s_init))) for d in samples.draws]
         return float(np.median(stats))
 
-    hs = median_max_seed(test_prior(seasonal=True, seasonal_prior="horseshoe"))
-    cauchy = median_max_seed(test_prior(seasonal=True, seasonal_prior="cauchy:4.0"))
+    hs = median_max_seed(make_prior(seasonal=True, seasonal_prior="horseshoe"))
+    cauchy = median_max_seed(make_prior(seasonal=True, seasonal_prior="cauchy:4.0"))
     assert hs < 0.05, f"horseshoe did not shrink spurious seasonality: {hs}"
     assert cauchy > hs, f"wide-tailed prior should shrink less: {cauchy} vs {hs}"
     report("6 horseshoe-robustness", f"median max|log seed| horseshoe {hs:.4f} < cauchy {cauchy:.4f}", t0)
@@ -406,7 +406,7 @@ def test_criterion_8_determinism(tmp_path):
         params.gamma = 0.3
         params.chi2 = 1.0
         series.append(generate_series(RngStream(808 + i, 0).generator(), params,
-                                      test_prior(), T=40, series_id=f"D{i + 1}", h=4,
+                                      make_prior(), T=40, series_id=f"D{i + 1}", h=4,
                                       category="synthetic"))
     data = tmp_path / "collection.json"
     serialize_collection(series, data)

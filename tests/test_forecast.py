@@ -8,7 +8,7 @@ from lsgt.model import NON_SEASONAL, SEASONAL, ParameterDraw, PriorConfig
 from lsgt.rng import RngStream
 from lsgt.sampler import PosteriorSamples
 
-from .helpers import test_prior
+from .helpers import make_prior
 
 
 def make_draw(T, m=1, **overrides):
@@ -22,7 +22,7 @@ def make_draw(T, m=1, **overrides):
 
 
 def make_samples(draws, prior=None, m=1):
-    return PosteriorSamples(draws=draws, diagnostics=[], prior=prior or test_prior(), m=m)
+    return PosteriorSamples(draws=draws, diagnostics=[], prior=prior or make_prior(), m=m)
 
 
 @pytest.fixture
@@ -77,9 +77,9 @@ def test_seasonal_m1_equals_non_seasonal_pipeline(series):
     # produce identical paths given identical draws and seeds
     draw_s = make_draw(series.length, m=1, lam=0.0, zeta=1e-300)
     draw_n = make_draw(series.length, m=1, lam=0.0, zeta=1e-300)
-    seas = simulate_paths(make_samples([draw_s], prior=test_prior(seasonal=True), m=1),
+    seas = simulate_paths(make_samples([draw_s], prior=make_prior(seasonal=True), m=1),
                           series, h=5, rng=RngStream(6, 0).generator(), seed=6)
-    nons = simulate_paths(make_samples([draw_n], prior=test_prior(seasonal=False), m=1),
+    nons = simulate_paths(make_samples([draw_n], prior=make_prior(seasonal=False), m=1),
                           series, h=5, rng=RngStream(6, 0).generator(), seed=6)
     assert np.array_equal(seas.point, nons.point)
     for q in seas.quantiles:
@@ -122,7 +122,7 @@ def test_seasonal_forecast_rolls_factors():
     values = base * np.exp(np.tile(seeds, T // m))
     series = TimeSeries(id="s", values=tuple(values), m=m, h=8)
     draw = make_draw(T, m=m, log_s_init=seeds, lam=0.0, zeta=0.2, chi2=1e-10, phi=1.0)
-    samples = make_samples([draw], prior=test_prior(seasonal=True), m=m)
+    samples = make_samples([draw], prior=make_prior(seasonal=True), m=m)
     res = simulate_paths(samples, series, h=8, rng=RngStream(9, 0).generator(), seed=9)
     # horizons a full period apart share the seasonal direction: their ratio
     # pattern repeats approximately
@@ -148,7 +148,7 @@ def test_interval_coverage_calibration():
         params.lam = 0.3
         params.chi2 = 1.5
         params.nu = 12.0
-        prior = test_prior()
+        prior = make_prior()
         full = generate_series(RngStream(7000 + rep, 0).generator(), params, prior,
                                T=44 + h, y1=40.0)
         train = TimeSeries(id=full.id, values=full.values[:44], m=1, h=h)

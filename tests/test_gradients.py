@@ -103,3 +103,21 @@ def test_seasonal_gradient_m2_single_direction(rng):
     assert grad.shape == (1,)
     # constraint: the second seed always mirrors the first
     assert theta.log_s_init[1] == -theta.log_s_init[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_zero_scale_gives_non_finite_gradient_not_an_exception(rng):
+    # float64 semantics: a division by a zero scale yields inf/nan, which
+    # makes the MH proposal reject; it must not raise ZeroDivisionError
+    for seasonal in (False, True):
+        m = 4 if seasonal else 1
+        T = 12
+        y = random_series(rng, T)
+        theta = random_theta(rng, T, m=m, seasonal=seasonal)
+        cfg = PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL)
+        paths = run_recursion(y, theta, cfg)
+        paths.sigma2hat[3] = 0.0
+        ga, gb = smoothing_gradient(y, theta, cfg, paths)
+        assert not np.isfinite(ga)
+        if seasonal:
+            assert not np.isfinite(seasonal_gradient(y, theta, cfg, paths)).all()

@@ -25,9 +25,9 @@ def write_collection(path, n=3, T=36, h=4, constant_idx=None):
         params = default_params(T=T + h)
         params.gamma = 0.4
         params.chi2 = 1.0
-        from .helpers import test_prior
+        from .helpers import make_prior
 
-        s = generate_series(RngStream(40 + i, 0).generator(), params, test_prior(),
+        s = generate_series(RngStream(40 + i, 0).generator(), params, make_prior(),
                             T=T + h, series_id=f"S{i + 1}", h=h, category="synthetic")
         series.append(s)
     serialize_collection(series, path)

@@ -6,6 +6,7 @@ import pytest
 from lsgt.errors import StateRecursionError
 from lsgt.model import (
     HETEROSCEDASTIC,
+    LEVEL_FLOOR,
     HOMOSCEDASTIC,
     NON_SEASONAL,
     SEASONAL,
@@ -19,7 +20,7 @@ from lsgt.model import (
     run_recursion,
 )
 
-from .oracles import reference_nll, reference_recursion
+from .oracles import reference_nll, reference_recursion, sequential_nll
 
 
 def make_theta(T, m=1, **overrides):
@@ -94,22 +95,31 @@ def test_recursion_bit_exact_vs_reference(rng):
 
 def test_incremental_refreshes_match_full_recursion(rng):
     T = 30
-    y = np.abs(rng.normal(100, 15, size=T)) + 10
-    theta = make_theta(T)
-    cfg = PriorConfig(model_kind=NON_SEASONAL)
-    paths = run_recursion(y, theta, cfg)
+    cases = [
+        (np.abs(rng.normal(100, 15, size=T)) + 10, 1),
+        (np.abs(rng.normal(100, 15, size=T)) + 10, 4),
+        # levels below LEVEL_FLOOR: every refresh takes the floor branch
+        (1e-12 * (1.0 + np.abs(rng.normal(0, 1, size=T))), 1),
+    ]
+    for y, m in cases:
+        seasonal = m > 1
+        theta = make_theta(T, m=m, log_s_init=seasonal_seeds(m, rng) if seasonal else np.zeros(1))
+        cfg = PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL)
+        paths = run_recursion(y, theta, cfg)
 
-    theta.gamma, theta.rho, theta.lam = -0.2, 0.8, 0.1
-    theta.b1 = -0.4
-    theta.chi2, theta.phi, theta.tau = 2.0, 0.3, 0.9
-    recompute_trend_path(paths, theta)
-    recompute_yhat(y, paths, theta, cfg)
-    recompute_sigma2(paths, theta)
-    full = run_recursion(y, theta, cfg)
-    assert paths.b.tolist() == full.b.tolist()
-    assert paths.yhat.tolist() == full.yhat.tolist()
-    assert paths.sigma2hat.tolist() == full.sigma2hat.tolist()
-    assert paths.e.tolist() == full.e.tolist()
+        theta.gamma, theta.rho, theta.lam = -0.2, 0.8, 0.1
+        theta.b1 = -0.4
+        theta.chi2, theta.phi, theta.tau = 2.0, 0.3, 0.9
+        recompute_trend_path(paths, theta)
+        recompute_yhat(y, paths, theta, cfg)
+        recompute_sigma2(paths, theta)
+        full = run_recursion(y, theta, cfg)
+        assert paths.b.tolist() == full.b.tolist()
+        assert paths.yhat.tolist() == full.yhat.tolist()
+        assert paths.sigma2hat.tolist() == full.sigma2hat.tolist()
+        assert paths.e.tolist() == full.e.tolist()
+        if y.max() < LEVEL_FLOOR:
+            assert full.clamp_events == T - 1
 
 
 def test_seasonal_with_unit_factors_equals_non_seasonal(rng):
@@ -185,6 +195,20 @@ def test_nll_matches_density_oracle(rng):
         assert negative_log_likelihood(paths, nu) == pytest.approx(
             reference_nll(paths.e, paths.sigma2hat, nu), rel=1e-10, abs=1e-10
         )
+
+
+def test_nll_bit_exact_vs_sequential_sum(rng):
+    # the likelihood is a plain left-to-right sum of libm terms; MH
+    # acceptance and the recorded draws depend on every bit of it
+    for seasonal, scale in ((False, 20.0), (True, 20.0), (False, 1e-12)):
+        m = 4 if seasonal else 1
+        T = 24
+        y = scale * (np.abs(rng.normal(1.0, 0.2, size=T)) + 0.1)
+        theta = make_theta(T, m=m, log_s_init=seasonal_seeds(m, rng) if seasonal else np.zeros(1),
+                           lam=0.0 if seasonal else 0.5)
+        paths = run_recursion(y, theta, PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL))
+        for nu in (1.0, 3.7, 250.0):
+            assert negative_log_likelihood(paths, nu) == sequential_nll(paths.e, paths.sigma2hat, nu)
 
 
 def test_nll_non_finite_sentinel():

@@ -10,7 +10,7 @@ from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
 from lsgt.synth import default_params, generate_series
 
-from .helpers import TEST_NU_GRID_SIZE, test_prior
+from .helpers import TEST_NU_GRID_SIZE, make_prior
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -19,7 +19,7 @@ def synthetic_series(seed=11, T=40, m=1, seasonal=False, **param_overrides):
     params = default_params(m=m, model_kind=SEASONAL if seasonal else NON_SEASONAL, T=T)
     for k, v in param_overrides.items():
         setattr(params, k, v)
-    prior = test_prior(seasonal=seasonal)
+    prior = make_prior(seasonal=seasonal)
     rng = RngStream(seed, 0).generator()
     return generate_series(rng, params, prior, T=T, y1=40.0), params
 
@@ -45,7 +45,7 @@ def small_cfg(**overrides):
 
 def test_fixed_seed_bit_identical():
     series, _ = synthetic_series()
-    prior = test_prior()
+    prior = make_prior()
     s1 = fit(series, prior, small_cfg())
     s2 = fit(series, prior, small_cfg())
     assert len(s1.draws) == len(s2.draws) == 120
@@ -54,7 +54,7 @@ def test_fixed_seed_bit_identical():
 
 def test_different_seed_differs():
     series, _ = synthetic_series()
-    prior = test_prior()
+    prior = make_prior()
     s1 = fit(series, prior, small_cfg())
     s2 = fit(series, prior, small_cfg(seed=8))
     assert not all(draws_equal(a, b) for a, b in zip(s1.draws, s2.draws))
@@ -62,7 +62,7 @@ def test_different_seed_differs():
 
 def test_every_draw_satisfies_invariants():
     series, _ = synthetic_series(seasonal=True, m=4, T=44)
-    samples = fit(series, test_prior(seasonal=True), small_cfg())
+    samples = fit(series, make_prior(seasonal=True), small_cfg())
     for d in samples.draws:
         d.validate()
         assert abs(float(np.sum(d.log_s_init))) <= 1e-12
@@ -70,19 +70,19 @@ def test_every_draw_satisfies_invariants():
 
 def test_thinning_and_burn_in_counts():
     series, _ = synthetic_series()
-    samples = fit(series, test_prior(), small_cfg(iterations=100, burn_in=40, thinning=3, chains=1))
+    samples = fit(series, make_prior(), small_cfg(iterations=100, burn_in=40, thinning=3, chains=1))
     assert len(samples.draws) == 20
 
 
 def test_homoscedastic_keeps_phi_one():
     series, _ = synthetic_series()
-    samples = fit(series, test_prior(hetero=False), small_cfg(chains=1))
+    samples = fit(series, make_prior(hetero=False), small_cfg(chains=1))
     assert all(d.phi == 1.0 for d in samples.draws)
 
 
 def test_grid_parameters_stay_on_grid():
     series, _ = synthetic_series()
-    prior = test_prior()
+    prior = make_prior()
     samples = fit(series, prior, small_cfg(chains=1))
     from lsgt.sampler import make_grids
 
@@ -98,7 +98,7 @@ def test_grid_parameters_stay_on_grid():
 
 def test_acceptance_rate_in_band():
     series, _ = synthetic_series(T=50)
-    samples = fit(series, test_prior(), SamplerConfig(iterations=1200, burn_in=600, chains=1, seed=5))
+    samples = fit(series, make_prior(), SamplerConfig(iterations=1200, burn_in=600, chains=1, seed=5))
     rate = samples.diagnostics[0].accept_rate_smoothing
     assert 0.4 <= rate <= 0.7
 
@@ -106,7 +106,7 @@ def test_acceptance_rate_in_band():
 def test_gamma_recovery_pure_level():
     # level-only data: the trend coefficient posterior should cover zero
     series, _ = synthetic_series(seed=21, T=60, gamma=0.0, lam=0.0, b1=0.0, chi2=4.0)
-    samples = fit(series, test_prior(), SamplerConfig(iterations=600, burn_in=300, chains=1, seed=9))
+    samples = fit(series, make_prior(), SamplerConfig(iterations=600, burn_in=300, chains=1, seed=9))
     g = samples.parameter_array("gamma")
     assert abs(g.mean()) <= 2.0 * g.std()
 
@@ -115,7 +115,7 @@ def test_seasonal_fallback_warns(caplog):
     short = TimeSeries(id="short", values=tuple(float(v + 1) for v in range(7)), m=4, h=2)
     prior_eff, m_eff = None, None
     with caplog.at_level(logging.WARNING):
-        prior_eff, m_eff = effective_prior(short, test_prior(seasonal=True))
+        prior_eff, m_eff = effective_prior(short, make_prior(seasonal=True))
     assert m_eff == 1
     assert prior_eff.model_kind == NON_SEASONAL
     assert any("non-seasonal" in r.message for r in caplog.records)
@@ -124,13 +124,13 @@ def test_seasonal_fallback_warns(caplog):
 def test_constant_series_degenerate():
     const = TimeSeries(id="flat", values=(5.0,) * 12, m=1, h=2)
     with pytest.raises(DegenerateSeriesError) as err:
-        fit(const, test_prior(), small_cfg())
+        fit(const, make_prior(), small_cfg())
     assert "flat" in str(err.value)
 
 
 def test_seasonal_cauchy_prior_runs():
     series, _ = synthetic_series(seasonal=True, m=4, T=40)
-    prior = test_prior(seasonal=True, seasonal_prior="cauchy:1.0")
+    prior = make_prior(seasonal=True, seasonal_prior="cauchy:1.0")
     samples = fit(series, prior, small_cfg(chains=1))
     # shrinkage hierarchy untouched under the cauchy prior
     assert all(np.all(d.psi2 == 1.0) for d in samples.draws)
@@ -155,7 +155,7 @@ def test_lambda_b1_recovery_coverage():
         params.chi2 = 1.0
         params.nu = 30.0
         params.phi = 1.0
-        prior = test_prior()
+        prior = make_prior()
         series = generate_series(RngStream(2900 + rep, 0).generator(), params, prior, T=120, y1=80.0)
         samples = fit(series, prior, SamplerConfig(iterations=500, burn_in=250, chains=1, seed=rep))
         lam = samples.parameter_array("lam")
