@@ -34,9 +34,9 @@ def main() -> int:
     ranks = run_sbc(n_replications=n_rep, T=40, iterations=iters, seed=seed,
                     prior=prior, thin=thin, burn_in=iters * 3 // 5)
     n_kept = len(range(0, iters - iters * 3 // 5, thin))
-    print(f"{n_rep} replications, {iters} iterations, {n_kept - 1} kept draws per fit")
+    print(f"{n_rep} replications, {iters} iterations, {n_kept} kept draws per fit")
     for name, r in ranks.items():
-        p = rank_uniformity_pvalue(r, n_kept - 1, 13)
+        p = rank_uniformity_pvalue(r, n_kept, 13)
         hist, _ = np.histogram(r, bins=np.linspace(0, n_kept, 14))
         print(f"{name:>6}: p = {p:.3f}   ranks {hist}")
     return 0

@@ -18,11 +18,9 @@ import numpy as np
 
 from .data import load_collection, serialize_collection
 from .errors import LsgtError
-from .forecast import simulate_paths
-from .harness import FORECAST_STREAM, RunConfig, run_benchmark
+from .harness import RunConfig, fit_and_forecast, run_benchmark
 from .model import NON_SEASONAL, SEASONAL, PriorConfig, SeasonalPrior
 from .rng import RngStream
-from .sampler import fit as fit_series
 from .synth import default_params, generate_series
 
 logger = logging.getLogger(__name__)
@@ -132,11 +130,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     series = next((s for s in collection if s.id == wanted), collection[0]) if wanted else collection[0]
 
     run_cfg = _run_config({**opts, "out": opts.get("out", "out")})
-    prior = run_cfg.prior_config()
-    samples = fit_series(series, prior, run_cfg.sampler_config(run_cfg.seed))
-    rng = RngStream(run_cfg.seed, stream=FORECAST_STREAM).generator()
-    fc = simulate_paths(samples, series, h=series.h, paths_per_draw=run_cfg.paths_per_draw,
-                        rng=rng, seed=run_cfg.seed, levels=run_cfg.quantile_levels)
+    samples, _, forecast = fit_and_forecast(series, run_cfg, run_cfg.seed)
 
     def summary_of(name):
         arr = samples.parameter_array(name)
@@ -155,11 +149,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
             name: summary_of(name)
             for name in ("alpha", "beta", "zeta", "gamma", "rho", "lam", "chi2", "nu", "phi", "tau", "b1")
         },
-        "forecast": {
-            "point": fc.point.tolist(),
-            "mean": fc.mean.tolist(),
-            "quantiles": {str(q): fc.quantiles[q].tolist() for q in run_cfg.quantile_levels},
-        },
+        "forecast": forecast,
         "diagnostics": [vars(d) for d in samples.diagnostics],
     }
     out_dir = Path(opts.get("out", "out"))

@@ -202,10 +202,6 @@ class NuGrid:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.candidates)
 
-    def nearest(self, value: float) -> float:
-        arr = self.as_array()
-        return float(arr[int(np.argmin(np.abs(arr - value)))])
-
 
 _NU_GRID_CACHE: dict[tuple[float, float, int], NuGrid] = {}
 

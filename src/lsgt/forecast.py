@@ -46,12 +46,13 @@ class ForecastResult:
             raise ForecastError(f"quantile level {exc} not simulated") from exc
 
 
-def _simulate_one_path(rng, y, theta: ParameterDraw, cfg: PriorConfig,
-                       l0: float, b0: float, log_s: np.ndarray, h: int):
+def _simulate_path(rng, y, theta: ParameterDraw, cfg: PriorConfig,
+                   l0: float, b0: float, log_s: np.ndarray, h: int, floor: bool):
     """Roll the recursions h steps ahead with simulated observations.
 
-    Returns (values, None) on success or (None, step) when a non-positive
-    observation was drawn at ``step``.
+    Returns (values, floor count), or None when a non-positive observation
+    is drawn and ``floor`` is off; with ``floor`` on, such draws are
+    replaced by ``SIM_FLOOR`` and counted.
     """
     seasonal = cfg.model_kind == SEASONAL
     m = theta.m
@@ -64,6 +65,7 @@ def _simulate_one_path(rng, y, theta: ParameterDraw, cfg: PriorConfig,
     l_cur, b_cur = l0, b0
     logs_ext = list(log_s)
     out = np.empty(h)
+    floors = 0
     for k in range(h):
         t = T + k
         a_t = math.exp(logs_ext[t - m]) if seasonal else 1.0
@@ -72,48 +74,15 @@ def _simulate_one_path(rng, y, theta: ParameterDraw, cfg: PriorConfig,
         s2 = chi2 * (phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau))
         y_star = yh + rng.standard_t(theta.nu) * math.sqrt(s2)
         if not (y_star > 0.0):
-            return None, k
+            if not floor:
+                return None
+            y_star = SIM_FLOOR
+            floors += 1
         l_new = alpha * (y_star / a_t) + (1.0 - alpha) * l_cur
         b_new = beta * (l_new - l_cur) + (1.0 - beta) * b_cur
         if seasonal:
             logs_ext.append(zeta * math.log(y_star / l_new) + (1.0 - zeta) * logs_ext[t - m])
         if not (math.isfinite(l_new) and math.isfinite(b_new) and math.isfinite(y_star)):
-            raise ForecastError(f"non-finite simulated state at step {k + 1}")
-        out[k] = y_star
-        l_cur, b_cur = l_new, b_new
-    return out, None
-
-
-def _simulate_path_with_retries(rng, y, theta, cfg, l0, b0, log_s, h):
-    """Retry non-positive paths; on exhaustion floor the offending draws."""
-    for _ in range(RETRY_CAP):
-        vals, bad = _simulate_one_path(rng, y, theta, cfg, l0, b0, log_s, h)
-        if vals is not None:
-            return vals, 0
-    # final attempt: floor non-positive draws and keep going
-    seasonal = cfg.model_kind == SEASONAL
-    m = theta.m
-    T = len(y)
-    lam = effective_lam(theta, cfg)
-    l_cur, b_cur = l0, b0
-    logs_ext = list(log_s)
-    out = np.empty(h)
-    floors = 0
-    for k in range(h):
-        t = T + k
-        a_t = math.exp(logs_ext[t - m]) if seasonal else 1.0
-        lp = l_cur if l_cur >= LEVEL_FLOOR else LEVEL_FLOOR
-        yh = (l_cur + theta.gamma * lp ** theta.rho + lam * b_cur) * a_t
-        s2 = theta.chi2 * (theta.phi ** 2 + (1.0 - theta.phi) ** 2 * lp ** (2.0 * theta.tau))
-        y_star = yh + rng.standard_t(theta.nu) * math.sqrt(s2)
-        if not (y_star > 0.0):
-            y_star = SIM_FLOOR
-            floors += 1
-        l_new = theta.alpha * (y_star / a_t) + (1.0 - theta.alpha) * l_cur
-        b_new = theta.beta * (l_new - l_cur) + (1.0 - theta.beta) * b_cur
-        if seasonal:
-            logs_ext.append(theta.zeta * math.log(y_star / l_new) + (1.0 - theta.zeta) * logs_ext[t - m])
-        if not (math.isfinite(l_new) and math.isfinite(b_new)):
             raise ForecastError(f"non-finite simulated state at step {k + 1}")
         out[k] = y_star
         l_cur, b_cur = l_new, b_new
@@ -154,7 +123,13 @@ def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int,
         l0 = float(paths.l[-1])
         b0 = float(paths.b[-1])
         for _ in range(paths_per_draw):
-            vals, floors = _simulate_path_with_retries(rng, y, theta, cfg, l0, b0, paths.log_s, h)
+            # non-positive paths are redrawn; the last attempt floors them instead
+            for attempt in range(RETRY_CAP + 1):
+                path = _simulate_path(rng, y, theta, cfg, l0, b0, paths.log_s, h,
+                                      floor=attempt == RETRY_CAP)
+                if path is not None:
+                    break
+            vals, floors = path
             floor_events += floors
             sims[row] = vals
             row += 1

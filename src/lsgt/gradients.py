@@ -27,7 +27,6 @@ from .model import (
     PriorConfig,
     StatePaths,
     applied_factor_list,
-    applied_index,
     effective_lam,
 )
 
@@ -89,60 +88,6 @@ def _smoothing_pass(theta: ParameterDraw, cfg: PriorConfig, a, y, l, b, e, s2):
         dl_prev, dba_prev, dbb_prev = dl_t, dba_t, dbb_t
 
     return g_alpha, g_beta
-
-
-def trend_block_gradient(y, theta: ParameterDraw, cfg: PriorConfig, paths: StatePaths):
-    """(dL/dalpha, dL/dbeta, dL/dlam, dL/db1) for joint trend-block moves.
-
-    The two coefficients enter the forecasts linearly: the local trend
-    multiplies the smoothed trend path, and the initial trend propagates as
-    lam * (1-beta)^(t-1).  Neither touches the conditional scale.
-    """
-    T = len(y)
-    seasonal = cfg.model_kind == SEASONAL
-    m = theta.m if seasonal else 1
-    alpha, beta = theta.alpha, theta.beta
-    gamma, rho, tau = theta.gamma, theta.rho, theta.tau
-    nu = theta.nu
-    lam = effective_lam(theta, cfg)
-    het = 2.0 * tau * theta.chi2 * (1.0 - theta.phi) ** 2
-
-    l, b, log_s = paths.l, paths.b, paths.log_s
-    e, s2 = paths.e, paths.sigma2hat
-
-    dl_prev = 0.0
-    dba_prev = 0.0
-    dbb_prev = 0.0
-    pw_prev = 1.0  # (1-beta)^(t-1) at the previous state
-    g_alpha = g_beta = g_lam = g_b1 = 0.0
-
-    for t in range(1, T):
-        a_t = math.exp(log_s[applied_index(t, m)]) if seasonal else 1.0
-        lp = l[t - 1]
-        if lp < LEVEL_FLOOR:
-            lp = LEVEL_FLOOR
-        dyhat_a = ((1.0 + gamma * rho * lp ** (rho - 1.0)) * dl_prev + lam * dba_prev) * a_t
-        dyhat_b = lam * dbb_prev * a_t
-        dyhat_l = b[t - 1] * a_t
-        dyhat_1 = lam * pw_prev * a_t
-        dsig2_a = het * lp ** (2.0 * tau - 1.0) * dl_prev
-
-        et = e[t - 1]
-        s2t = s2[t - 1]
-        denom = nu * s2t + et * et
-        common = 0.5 * (nu + 1.0) / denom
-        g_alpha += -0.5 * nu * dsig2_a / s2t + common * (nu * dsig2_a - 2.0 * et * dyhat_a)
-        g_beta += common * (-2.0 * et * dyhat_b)
-        g_lam += common * (-2.0 * et * dyhat_l)
-        g_b1 += common * (-2.0 * et * dyhat_1)
-
-        dl_t = y[t] / a_t - l[t - 1] + (1.0 - alpha) * dl_prev
-        dba_t = beta * (dl_t - dl_prev) + (1.0 - beta) * dba_prev
-        dbb_t = (l[t] - l[t - 1]) - b[t - 1] + (1.0 - beta) * dbb_prev
-        dl_prev, dba_prev, dbb_prev = dl_t, dba_t, dbb_t
-        pw_prev *= 1.0 - beta
-
-    return g_alpha, g_beta, g_lam, g_b1
 
 
 def seed_gradient_matrix(m: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import json
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +45,7 @@ class RunConfig:
     seasonal_prior: str = "horseshoe"
     iterations: int = 5000
     burn_in: int = 2500
-    thinning: int = 1
     chains: int = 2
-    mh_target_acceptance: float = 0.55
-    step_size_init: float = 0.1
     seed: int = 0
     workers: int = 1
     first_n: int | None = None
@@ -77,10 +74,7 @@ class RunConfig:
         return SamplerConfig(
             iterations=self.iterations,
             burn_in=self.burn_in,
-            thinning=self.thinning,
             chains=self.chains,
-            mh_target_acceptance=self.mh_target_acceptance,
-            step_size_init=self.step_size_init,
             seed=seed,
         )
 
@@ -143,6 +137,27 @@ def evaluate_forecast(series: TimeSeries, test, result, levels) -> EvalRecord:
     )
 
 
+def fit_and_forecast(series: TimeSeries, cfg: RunConfig, seed: int):
+    """Fit one series and forecast its horizon; the CLI's fit and the benchmark share this.
+
+    Returns (samples, forecast result, record of the point, mean and
+    quantile forecasts).  The forecast draws on its own stream of ``seed``,
+    so the forecast does not depend on how many draws the fit consumed.
+    """
+    samples = fit(series, cfg.prior_config(), cfg.sampler_config(seed))
+    result = simulate_paths(
+        samples, series, h=series.h, paths_per_draw=cfg.paths_per_draw,
+        rng=RngStream(seed, stream=FORECAST_STREAM).generator(), seed=seed,
+        levels=cfg.quantile_levels,
+    )
+    forecast = {
+        "point": result.point.tolist(),
+        "mean": result.mean.tolist(),
+        "quantiles": {str(q): result.quantiles[q].tolist() for q in cfg.quantile_levels},
+    }
+    return samples, result, forecast
+
+
 def process_series(series: TimeSeries, index: int, cfg: RunConfig, nu_grid=None) -> dict:
     """Fit, forecast and evaluate one series.  Runs inside worker processes."""
     prior = cfg.prior_config()
@@ -153,12 +168,7 @@ def process_series(series: TimeSeries, index: int, cfg: RunConfig, nu_grid=None)
         parts = split(series)
         series_seed = derive_seed(cfg.seed, index)
         t0 = time.perf_counter()
-        samples = fit(parts.train, prior, cfg.sampler_config(series_seed))
-        forecast_rng = RngStream(series_seed, stream=FORECAST_STREAM).generator()
-        result = simulate_paths(
-            samples, parts.train, h=series.h, paths_per_draw=cfg.paths_per_draw,
-            rng=forecast_rng, seed=series_seed, levels=cfg.quantile_levels,
-        )
+        samples, result, forecast = fit_and_forecast(parts.train, cfg, series_seed)
         runtime = time.perf_counter() - t0
 
         record = {
@@ -169,9 +179,7 @@ def process_series(series: TimeSeries, index: int, cfg: RunConfig, nu_grid=None)
             "model_kind": samples.prior.model_kind,
             "n_draws": len(samples.draws),
             "seed": series_seed,
-            "point": result.point.tolist(),
-            "mean": result.mean.tolist(),
-            "quantiles": {str(q): result.quantiles[q].tolist() for q in cfg.quantile_levels},
+            **forecast,
         }
         ev = evaluate_forecast(parts.train, parts.test, result, cfg.quantile_levels)
         ev.runtime_seconds = runtime

@@ -251,11 +251,6 @@ def effective_lam(theta: ParameterDraw, cfg: PriorConfig) -> float:
     return 0.0 if cfg.model_kind == SEASONAL else theta.lam
 
 
-def applied_index(t: int, m: int) -> int:
-    """Index into log_s of the factor applied at step t (0-based)."""
-    return t - m if t >= m else t
-
-
 def initial_level(y, m: int, model_kind: str, log_s_init) -> float:
     """Level seed: the first observation, deseasonalised by its seed factor."""
     if model_kind != SEASONAL:
@@ -334,7 +329,7 @@ def run_recursion(y, theta: ParameterDraw, cfg: PriorConfig) -> StatePaths:
 
 
 def applied_factors(log_s: np.ndarray, m: int, seasonal: bool) -> np.ndarray:
-    """Factors multiplying yhat[1..T-1]: a[j] = exp(log_s at the applied index)."""
+    """Factors multiplying yhat[1..T-1]: step t applies exp(log_s[t - m]), or exp(log_s[t]) for t < m."""
     T = log_s.shape[0]
     if not seasonal:
         return np.ones(T - 1)
@@ -347,7 +342,7 @@ def applied_factor_list(log_s: list, m: int, seasonal: bool) -> list:
     """``applied_factors`` through libm ``math.exp``, as a list for the scalar loops."""
     if not seasonal:
         return [1.0] * (len(log_s) - 1)
-    # applied_index(t, m) for t = 1..T-1
+    # log_s[t] for t = 1..m-1, then log_s[t - m] for t = m..T-1
     return [math.exp(v) for v in log_s[1:m] + log_s[: len(log_s) - m]]
 
 

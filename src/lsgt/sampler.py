@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import gammaln
@@ -63,6 +63,9 @@ logger = logging.getLogger(__name__)
 B1_LO = float(np.nextafter(B1_RANGE[0], 0.0))
 B1_HI = float(np.nextafter(B1_RANGE[1], 0.0))
 
+TREND_REPEATS = 4             # inner iterations of the local-trend conjugate pair
+MH_TARGET_ACCEPTANCE = 0.55   # Robbins-Monro target of both MH step sizes
+
 
 @dataclass(frozen=True)
 class SamplerConfig:
@@ -70,10 +73,7 @@ class SamplerConfig:
     burn_in: int = 2500
     thinning: int = 1
     chains: int = 2
-    mh_target_acceptance: float = 0.55
     step_size_init: float = 0.1
-    mh_repeats: int = 1      # MH kernel applications per sweep; >1 trades time for mixing
-    trend_repeats: int = 4   # inner iterations of the local-trend conjugate pair
     seed: int = 0
 
     def __post_init__(self):
@@ -81,12 +81,8 @@ class SamplerConfig:
             raise ValueError("need 0 < burn_in < iterations")
         if self.thinning < 1 or self.chains < 1:
             raise ValueError("thinning and chains must be >= 1")
-        if not 0.0 < self.mh_target_acceptance < 1.0:
-            raise ValueError("target acceptance must lie in (0, 1)")
         if not self.step_size_init > 0:
             raise ValueError("step_size_init must be positive")
-        if self.mh_repeats < 1 or self.trend_repeats < 1:
-            raise ValueError("mh_repeats and trend_repeats must be >= 1")
 
 
 @dataclass
@@ -328,17 +324,17 @@ def b1_conditional(state: ChainState) -> tuple[float, float]:
     return mu_b, var_b
 
 
-def update_lambda_b1(state: ChainState, rng, inner: int = 1) -> tuple[float, float, float, float]:
+def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float]:
     """Local trend coefficient and initial trend (non-seasonal fits only).
 
     Both are conjugate normals truncated to their declared ranges
     (resample-until-inside, then clamp).  Only their product is well
     identified when the smoothed trend is nearly constant, so the block is
-    optionally iterated (``inner``) to equilibrate along that ridge within
+    iterated ``TREND_REPEATS`` times to equilibrate along that ridge within
     one sweep.
     """
     th = state.theta
-    for _ in range(inner):
+    for _ in range(TREND_REPEATS):
         mu, var = lambda_conditional(state)
         th.lam, clamped = sample_truncated_normal(rng, mu, var, *LAM_RANGE)
         state.trunc_events += clamped
@@ -628,145 +624,6 @@ def update_smoothing_mh(state: ChainState, rng, step: StepSizeState,
     return accepted
 
 
-@dataclass
-class BlockStepState:
-    """Step size plus per-coordinate scales for a joint MH block.
-
-    Scales follow running coordinate variances collected during burn-in
-    (Welford) and freeze afterwards, keeping the post-burn-in kernel fixed.
-    """
-
-    log_eps: float
-    dim: int
-    n_adapt: int = 0
-    proposals: int = 0
-    accepted: int = 0
-    _n_obs: int = 0
-    _mean: np.ndarray | None = None
-    _m2: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self._mean is None:
-            self._mean = np.zeros(self.dim)
-        if self._m2 is None:
-            self._m2 = np.zeros(self.dim)
-
-    @property
-    def eps(self) -> float:
-        return math.exp(self.log_eps)
-
-    @property
-    def scales(self) -> np.ndarray:
-        if self._n_obs < 10:
-            return np.ones(self.dim)
-        var = self._m2 / (self._n_obs - 1)
-        return np.maximum(var, 1e-6)
-
-    def observe(self, x: np.ndarray) -> None:
-        self._n_obs += 1
-        delta = x - self._mean
-        self._mean += delta / self._n_obs
-        self._m2 += delta * (x - self._mean)
-
-    def adapt(self, accept_prob: float, target: float) -> None:
-        self.n_adapt += 1
-        self.log_eps += self.n_adapt ** -0.6 * (accept_prob - target)
-
-    def record(self, accepted: bool) -> None:
-        self.proposals += 1
-        self.accepted += int(accepted)
-
-    @property
-    def rate(self) -> float | None:
-        return self.accepted / self.proposals if self.proposals else None
-
-
-def _scaled_langevin_logq(dest, src, grad_src, eps: float, scales) -> float:
-    d = dest - (src - 0.5 * eps * eps * scales * grad_src)
-    return -0.5 * float(np.sum(d * d / scales)) / (eps * eps)
-
-
-def update_trend_block_mh(state: ChainState, rng, step: BlockStepState,
-                          adapting: bool, target: float) -> bool:
-    """Joint MH over smoothing weights and both trend coefficients.
-
-    The level weight and the local-trend pair sit on a joint ridge that
-    coordinate-wise draws walk extremely slowly; this block proposes all
-    four together along the likelihood gradient.  Non-seasonal fits only
-    (the seasonal variant pins the local trend to zero).  Range limits on
-    the coefficients act as hard rejections, exactly matching their
-    truncated priors.
-    """
-    from .gradients import trend_block_gradient
-
-    th = state.theta
-    cur = np.array([th.alpha, th.beta])
-    x = np.concatenate([_logit(cur), [th.lam, th.b1]])
-    ga, gb, gl, g1 = trend_block_gradient(state.y, th, state.prior, state.paths)
-    g = np.array([ga * cur[0] * (1.0 - cur[0]), gb * cur[1] * (1.0 - cur[1]), gl, g1])
-
-    eps = step.eps
-    scales = step.scales
-    z = rng.standard_normal(4)
-    x_star = x - 0.5 * eps * eps * scales * g + eps * np.sqrt(scales) * z
-    cur_star = _sigmoid(x_star[:2])
-    lam_star = float(x_star[2])
-    b1_star = float(x_star[3])
-
-    accept_prob = 0.0
-    accepted = False
-    in_range = (
-        np.all(cur_star > 0.0) and np.all(cur_star < 1.0)
-        and LAM_RANGE[0] <= lam_star <= LAM_RANGE[1]
-        and B1_RANGE[0] < b1_star < B1_RANGE[1]
-    )
-    if in_range:
-        trial = th.proposal_clone()
-        trial.alpha, trial.beta = float(cur_star[0]), float(cur_star[1])
-        trial.lam, trial.b1 = lam_star, b1_star
-        try:
-            paths_star = run_recursion(state.y, trial, state.prior)
-            nll_star = negative_log_likelihood(paths_star, th.nu)
-        except StateRecursionError:
-            paths_star = None
-            nll_star = math.inf
-        if math.isfinite(nll_star):
-            ga_s, gb_s, gl_s, g1_s = trend_block_gradient(state.y, trial, state.prior, paths_star)
-            g_star = np.array([
-                ga_s * cur_star[0] * (1.0 - cur_star[0]),
-                gb_s * cur_star[1] * (1.0 - cur_star[1]),
-                gl_s, g1_s,
-            ])
-            nll_cur = negative_log_likelihood(state.paths, th.nu)
-            a, b = state.prior.beta_a, state.prior.beta_b
-            var_lam = th.xi_lambda2 * state.s_lambda ** 2
-            var_b1 = th.xi_b1_2 * state.s_b1 ** 2
-            lp_cur = float(np.sum(a * np.log(cur) + b * np.log(1.0 - cur))) \
-                - th.lam ** 2 / (2.0 * var_lam) - th.b1 ** 2 / (2.0 * var_b1)
-            lp_star = float(np.sum(a * np.log(cur_star) + b * np.log(1.0 - cur_star))) \
-                - lam_star ** 2 / (2.0 * var_lam) - b1_star ** 2 / (2.0 * var_b1)
-            log_r = (
-                (-nll_star + lp_star)
-                - (-nll_cur + lp_cur)
-                + _scaled_langevin_logq(x, x_star, g_star, eps, scales)
-                - _scaled_langevin_logq(x_star, x, g, eps, scales)
-            )
-            accept_prob = 1.0 if log_r >= 0 else math.exp(max(log_r, -745.0))
-            if math.log(rng.random()) < log_r:
-                th.alpha, th.beta = float(cur_star[0]), float(cur_star[1])
-                th.lam, th.b1 = lam_star, b1_star
-                state.set_paths(paths_star)
-                accepted = True
-
-    if adapting:
-        step.adapt(accept_prob, target)
-        cur_now = np.array([th.alpha, th.beta])
-        step.observe(np.concatenate([_logit(cur_now), [th.lam, th.b1]]))
-    else:
-        step.record(accepted)
-    return accepted
-
-
 def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorConfig) -> float:
     """Log prior of all m seed log factors given the shrinkage latents."""
     sp = prior.seasonal_prior
@@ -848,7 +705,12 @@ def initial_draw(y: np.ndarray, m: int, prior: PriorConfig, grids: Grids) -> Par
     hetero = prior.variance_mode == HETEROSCEDASTIC
     chi2_0 = float(np.var(np.diff(y)))
     if not (chi2_0 > 0 and math.isfinite(chi2_0)):
-        chi2_0 = max(1e-8 * float(np.mean(y)) ** 2, 1e-12)
+        level = float(np.mean(y))
+        try:
+            chi2_0 = max(1e-8 * level ** 2, 1e-12)
+        except OverflowError as exc:
+            raise DegenerateSeriesError(
+                f"mean level {level} too large for a starting error variance") from exc
     nu0 = float(grids.nu[int(np.argmin(np.abs(grids.nu - 10.0)))])
     return ParameterDraw(
         nu=nu0,
@@ -867,8 +729,8 @@ def initial_draw(y: np.ndarray, m: int, prior: PriorConfig, grids: Grids) -> Par
     )
 
 
-def sweep(state: ChainState, rng, cfg: SamplerConfig,
-          smooth_step: StepSizeState, seas_step: StepSizeState, adapting: bool) -> None:
+def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSizeState,
+          adapting: bool) -> None:
     """One full Gibbs sweep over the chain state.
 
     The t-mixture variances are refreshed before anything conditions on
@@ -885,12 +747,10 @@ def sweep(state: ChainState, rng, cfg: SamplerConfig,
     # ridge-coupled, and grouping is the standard remedy
     update_rho_gamma_grouped(state, rng)
     if not state.seasonal:
-        update_lambda_b1(state, rng, inner=cfg.trend_repeats)
-    for _ in range(cfg.mh_repeats):
-        update_smoothing_mh(state, rng, smooth_step, adapting, cfg.mh_target_acceptance)
+        update_lambda_b1(state, rng)
+    update_smoothing_mh(state, rng, smooth_step, adapting, MH_TARGET_ACCEPTANCE)
     if state.seasonal:
-        for _ in range(cfg.mh_repeats):
-            update_seasonals_mh(state, rng, seas_step, adapting, cfg.mh_target_acceptance)
+        update_seasonals_mh(state, rng, seas_step, adapting, MH_TARGET_ACCEPTANCE)
         if state.prior.seasonal_prior.kind == "horseshoe":
             update_horseshoe(state, rng)
     update_rho_grid(state, rng)
@@ -911,7 +771,7 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
     draws: list[ParameterDraw] = []
     for it in range(cfg.iterations):
         adapting = it < cfg.burn_in
-        sweep(state, rng, cfg, smooth_step, seas_step, adapting)
+        sweep(state, rng, smooth_step, seas_step, adapting)
         if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
             draws.append(state.theta.copy())
 

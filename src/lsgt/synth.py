@@ -11,7 +11,6 @@ alone, so posterior calibration is unaffected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,17 +22,10 @@ from .model import (
     ParameterDraw,
     PriorConfig,
     effective_lam,
-    initial_level,
 )
 from .sampler import Grids, make_grids
 
 Y_CAP = 1e12
-
-
-@dataclass
-class GeneratedSeries:
-    series: TimeSeries
-    params: ParameterDraw
 
 
 def default_params(m: int = 1, model_kind: str = "non_seasonal", T: int = 0) -> ParameterDraw:
@@ -162,7 +154,7 @@ def prior_predictive_series(rng, prior: PriorConfig, grids: Grids, T: int,
 
 def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
             prior: PriorConfig, thin: int = 10, burn_in: int | None = None,
-            step_size_init: float = 0.5, mh_repeats: int = 1,
+            step_size_init: float = 0.5,
             params: tuple[str, ...] = ("alpha", "gamma", "chi2")) -> dict[str, np.ndarray]:
     """Rank statistics of true parameters among their posterior draws.
 
@@ -186,7 +178,7 @@ def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
         series, truth = prior_predictive_series(gen_rng, prior, grids, T, scales)
         samples = fit(series, prior, SamplerConfig(
             iterations=iterations, burn_in=burn_in, chains=1,
-            step_size_init=step_size_init, mh_repeats=mh_repeats,
+            step_size_init=step_size_init,
             seed=derive_seed(seed, rep, 1),
         ))
         for p in params:
@@ -200,11 +192,14 @@ def rank_uniformity_pvalue(ranks: np.ndarray, n_kept: int, n_bins: int) -> float
 
     Ranks live on the integers 0..n_kept; expected bin counts follow the
     exact number of integers falling in each bin, so any (n_kept, n_bins)
-    pairing is tested correctly.
+    pairing is tested correctly.  A rank outside 0..n_kept raises
+    ``ValueError``: it means ``n_kept`` does not match the fits.
     """
     from scipy.stats import chisquare
 
     ranks = np.asarray(ranks)
+    if ranks.size and (ranks.min() < 0 or ranks.max() > n_kept):
+        raise ValueError(f"ranks span {ranks.min()}..{ranks.max()}, outside 0..{n_kept}")
     edges = np.linspace(-0.5, n_kept + 0.5, n_bins + 1)
     counts, _ = np.histogram(ranks, bins=edges)
     support = np.arange(n_kept + 1)

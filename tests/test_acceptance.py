@@ -303,6 +303,7 @@ def test_criterion_4_nu_grid():
 # 5. simulation-based calibration
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_calibration():
     t0 = time.time()
     prior = PriorConfig(

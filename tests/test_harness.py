@@ -6,8 +6,15 @@ import pytest
 
 from lsgt.cli import main as cli_main
 from lsgt.cli import parse_config_file
-from lsgt.data import TimeSeries, serialize_collection
-from lsgt.harness import MARKDOWN_COLUMNS, RunConfig, RunSummary, emit_report, run_benchmark
+from lsgt.data import TimeSeries, load_collection, serialize_collection
+from lsgt.harness import (
+    MARKDOWN_COLUMNS,
+    RunConfig,
+    RunSummary,
+    emit_report,
+    fit_and_forecast,
+    run_benchmark,
+)
 from lsgt.model import NON_SEASONAL
 from lsgt.rng import RngStream
 from lsgt.synth import default_params, generate_series
@@ -178,6 +185,11 @@ def test_cli_fit(tmp_path):
     assert payload["id"] == "S1"
     assert "alpha" in payload["parameters"]
     assert len(payload["forecast"]["point"]) == 3
+    # the CLI's fit runs the benchmark's fit-and-forecast pipeline
+    cfg = RunConfig(input_path=str(data), out_dir=str(tmp_path / "fitout"),
+                    iterations=60, burn_in=30, chains=1)
+    _, _, forecast = fit_and_forecast(load_collection(data)[0], cfg, cfg.seed)
+    assert payload["forecast"] == forecast
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):

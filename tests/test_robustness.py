@@ -32,6 +32,7 @@ ADVERSARIAL = [
     ("drop", (1e6,) * 8 + (1e-6,) * 8, 1),
     ("pattern4", (1.0, 2.0, 3.0, 4.0) * 2, 4),
     ("pattern12", tuple(float(v) for v in range(1, 13)) * 2, 12),
+    ("level1e160", (1e160, 1.2e160, 1.1e160, 1.3e160, 1.25e160, 1.4e160), 1),
 ]
 
 

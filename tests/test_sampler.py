@@ -8,7 +8,7 @@ from lsgt.errors import DegenerateSeriesError
 from lsgt.model import HOMOSCEDASTIC, NON_SEASONAL, SEASONAL, PriorConfig, SeasonalPrior
 from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
-from lsgt.synth import default_params, generate_series
+from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue
 
 from .helpers import TEST_NU_GRID_SIZE, make_prior
 
@@ -166,3 +166,12 @@ def test_lambda_b1_recovery_coverage():
             hits_b1 += 1
     assert hits_lam >= 0.8 * n_rep
     assert hits_b1 >= 0.8 * n_rep
+
+
+def test_rank_uniformity_rejects_ranks_outside_support():
+    ranks = np.arange(21)  # 20 kept draws give ranks 0..20
+    assert rank_uniformity_pvalue(ranks, 20, 13) > 0.99
+    with pytest.raises(ValueError, match="outside 0..19"):
+        rank_uniformity_pvalue(ranks, 19, 13)
+    with pytest.raises(ValueError, match="outside 0..20"):
+        rank_uniformity_pvalue(ranks - 1, 20, 13)
