@@ -126,8 +126,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("fit requires --input", file=sys.stderr)
         return 2
     collection = load_collection(opts["input"])
-    wanted = opts.get("series_id")
-    series = next((s for s in collection if s.id == wanted), collection[0]) if wanted else collection[0]
+    wanted = str(opts.get("series_id", collection[0].id))
+    series = next((s for s in collection if s.id == wanted), None)
+    if series is None:
+        raise LsgtError(f"no series with id {wanted!r} in {opts['input']}")
 
     run_cfg = _run_config({**opts, "out": opts.get("out", "out")})
     samples, _, forecast = fit_and_forecast(series, run_cfg, run_cfg.seed)
@@ -173,6 +175,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = default_params(m=m, model_kind=model_kind, T=T)
     for spec in opts.get("param", []) or []:
         name, value = spec.split("=", 1)
+        if not isinstance(getattr(params, name, None), float):
+            raise LsgtError(f"--param {spec!r}: {name!r} is not a scalar generator parameter")
         setattr(params, name, float(value))
     prior = PriorConfig(model_kind=model_kind, seasonal_prior=SeasonalPrior())
     collection = []

@@ -115,7 +115,8 @@ def load_collection(path: str | Path, format: str | None = None) -> list[TimeSer
     """Load a collection file, preserving record order.
 
     ``format`` is ``"csv"`` or ``"json"``; when omitted it is inferred from
-    the file suffix.
+    the file suffix.  Series ids name the record files of a benchmark run,
+    so each must be unique and a plain file name.
     """
     path = Path(path)
     if format is None:
@@ -131,17 +132,25 @@ def load_collection(path: str | Path, format: str | None = None) -> list[TimeSer
             raise DataFormatError(f"invalid JSON: {exc}", record_index=None) from exc
         if not isinstance(raw, list):
             raise DataFormatError("top-level JSON value must be an array")
-        return [_series_from_record(rec, i) for i, rec in enumerate(raw)]
+        records = raw
+    else:
+        records = csv.DictReader(text.splitlines())
+        expected = {"id", "category", "m", "h", "values"}
+        if records.fieldnames is None or set(records.fieldnames) != expected:
+            raise DataFormatError(
+                f"CSV header must be exactly {sorted(expected)}, got {records.fieldnames}"
+            )
 
     out: list[TimeSeries] = []
-    reader = csv.DictReader(text.splitlines())
-    expected = {"id", "category", "m", "h", "values"}
-    if reader.fieldnames is None or set(reader.fieldnames) != expected:
-        raise DataFormatError(
-            f"CSV header must be exactly {sorted(expected)}, got {reader.fieldnames}"
-        )
-    for i, row in enumerate(reader):
-        out.append(_series_from_record(row, i))
+    seen: set[str] = set()
+    for i, rec in enumerate(records):
+        series = _series_from_record(rec, i)
+        if series.id in (".", "..") or "/" in series.id or "\\" in series.id:
+            raise DataFormatError(f"series id {series.id!r} is not a plain file name", record_index=i)
+        if series.id in seen:
+            raise DataFormatError(f"duplicate series id {series.id!r}", record_index=i)
+        seen.add(series.id)
+        out.append(series)
     return out
 
 

@@ -1,15 +1,16 @@
-"""Random sampling helpers, Student-t densities and the df candidate grid.
+"""Random sampling helpers, the symmetric KL between t densities and the df grid.
 
-Everything the sampler draws from lives here: inverse-gamma, normal, beta,
-uniform and categorical draws (thin, validating wrappers over
-``numpy.random.Generator``), the Student-t log density, a numerical
-symmetric KL divergence between t distributions, and the construction of a
-degrees-of-freedom grid whose consecutive candidates are equidistant in
-symmetric KL.
+Everything the sampler draws from lives here: inverse-gamma, normal,
+truncated-normal and categorical draws (thin, validating wrappers over
+``numpy.random.Generator``), a numerical symmetric KL divergence between
+unit Student-t densities, and the construction of a degrees-of-freedom grid
+whose consecutive candidates are equidistant in symmetric KL.  The grid is
+built by one root-find on the common gap and cached per process.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -21,15 +22,11 @@ from .errors import GridConstructionError, QuadratureError
 __all__ = [
     "sample_inverse_gamma",
     "sample_normal",
-    "sample_beta",
-    "sample_uniform",
     "sample_categorical",
     "sample_truncated_normal",
-    "student_t_log_density",
     "symmetric_kl_t",
     "NuGrid",
     "build_nu_grid",
-    "uniform_grid",
 ]
 
 
@@ -71,20 +68,6 @@ def sample_normal(rng, mean, variance, size=None):
     return float(out) if size is None else out
 
 
-def sample_beta(rng, a, b, size=None):
-    if not (a > 0 and b > 0):
-        raise ValueError(f"beta requires positive parameters, got {a}, {b}")
-    out = rng.beta(a, b, size=size)
-    return float(out) if size is None else out
-
-
-def sample_uniform(rng, lo, hi, size=None):
-    if not (hi > lo):
-        raise ValueError(f"uniform requires hi > lo, got {lo}, {hi}")
-    out = rng.uniform(lo, hi, size=size)
-    return float(out) if size is None else out
-
-
 def sample_categorical(rng, weights) -> int:
     """Index drawn with probability proportional to ``weights``."""
     w = np.asarray(weights, dtype=float)
@@ -102,14 +85,17 @@ def sample_categorical(rng, weights) -> int:
     return int(np.searchsorted(cum, u, side="right"))
 
 
-def sample_truncated_normal(rng, mean, variance, lo, hi, max_tries: int = 100):
+TRUNCATION_TRIES = 100
+
+
+def sample_truncated_normal(rng, mean, variance, lo, hi):
     """Normal draw restricted to [lo, hi] by rejection.
 
-    After ``max_tries`` rejections the draw is clamped to the nearest bound
-    and the second element of the returned tuple is True.
+    After ``TRUNCATION_TRIES`` rejections the draw is clamped to the nearest
+    bound and the second element of the returned tuple is True.
     """
     sd = math.sqrt(variance)
-    for _ in range(max_tries):
+    for _ in range(TRUNCATION_TRIES):
         x = rng.normal(mean, sd)
         if lo <= x <= hi:
             return float(x), False
@@ -117,37 +103,25 @@ def sample_truncated_normal(rng, mean, variance, lo, hi, max_tries: int = 100):
 
 
 # ---------------------------------------------------------------------------
-# Student-t density and symmetric KL divergence
+# Symmetric KL divergence between unit Student-t densities
 # ---------------------------------------------------------------------------
 
-def student_t_log_density(x, nu, location=0.0, scale=1.0):
-    """Exact log density of the Student-t, normalising constant included."""
-    if not (nu > 0 and scale > 0):
-        raise ValueError(f"require nu > 0 and scale > 0, got {nu}, {scale}")
-    z = (x - location) / scale
-    return (
-        math.lgamma(0.5 * (nu + 1.0))
-        - math.lgamma(0.5 * nu)
-        - 0.5 * math.log(nu * math.pi)
-        - math.log(scale)
-        - 0.5 * (nu + 1.0) * math.log1p(z * z / nu)
-    )
+KL_NODES = 1200        # Gauss-Legendre nodes of symmetric_kl_t
+KL_CHECK_TOL = 2e-5    # largest relative change allowed at half the nodes
+_GRID_NODES = 600      # nodes of the per-pair solves inside build_nu_grid
 
 
 def _t_log_density_vec(x: np.ndarray, nu: float) -> np.ndarray:
+    """Log density of the unit, zero-location Student-t, constant included."""
     c = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
     return c - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)
 
 
-_QUAD_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.cache
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n not in _QUAD_NODES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        # map [-1, 1] -> (-pi/2, pi/2)
-        _QUAD_NODES[n] = (0.5 * math.pi * x, 0.5 * math.pi * w)
-    return _QUAD_NODES[n]
+    x, w = np.polynomial.legendre.leggauss(n)
+    # map [-1, 1] -> (-pi/2, pi/2)
+    return 0.5 * math.pi * x, 0.5 * math.pi * w
 
 
 def _kl_t(nu_p: float, nu_q: float, n_nodes: int) -> float:
@@ -164,23 +138,23 @@ def _kl_t(nu_p: float, nu_q: float, n_nodes: int) -> float:
     return float(np.sum(w * np.exp(lp) * (lp - lq) * jac))
 
 
-def symmetric_kl_t(nu1: float, nu2: float, n_nodes: int = 1200, check_tol: float = 2e-5) -> float:
+def symmetric_kl_t(nu1: float, nu2: float) -> float:
     """KL(p||q) + KL(q||p) between unit Student-t densities.
 
     Raises ``QuadratureError`` when halving the node count moves the result
-    by more than ``check_tol`` relative.
+    by more than ``KL_CHECK_TOL`` relative.
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValueError(f"degrees of freedom must be positive, got {nu1}, {nu2}")
     if nu1 == nu2:
         return 0.0
-    val = _kl_t(nu1, nu2, n_nodes) + _kl_t(nu2, nu1, n_nodes)
-    coarse = _kl_t(nu1, nu2, n_nodes // 2) + _kl_t(nu2, nu1, n_nodes // 2)
+    val = _kl_t(nu1, nu2, KL_NODES) + _kl_t(nu2, nu1, KL_NODES)
+    coarse = _kl_t(nu1, nu2, KL_NODES // 2) + _kl_t(nu2, nu1, KL_NODES // 2)
     denom = max(abs(val), 1e-300)
-    if abs(val - coarse) / denom > check_tol:
+    if abs(val - coarse) / denom > KL_CHECK_TOL:
         raise QuadratureError(
             f"symmetric KL quadrature unstable for ({nu1}, {nu2}): "
-            f"{val} vs {coarse} at half resolution (rel tol {check_tol})"
+            f"{val} vs {coarse} at half resolution (rel tol {KL_CHECK_TOL})"
         )
     return val
 
@@ -195,24 +169,15 @@ class NuGrid:
 
     candidates: tuple[float, ...]
 
-    @property
-    def size(self) -> int:
-        return len(self.candidates)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.candidates)
-
-
-_NU_GRID_CACHE: dict[tuple[float, float, int], NuGrid] = {}
 
 _NU_SEARCH_CAP = 1e9
 
 
-def _next_candidate(nu: float, gap: float, n_nodes: int = 600) -> float | None:
+def _next_candidate(nu: float, gap: float) -> float | None:
     """Solve skl(nu, x) = gap for x > nu; None when no solution below the cap."""
 
     def f(x):
-        return _kl_t(nu, x, n_nodes) + _kl_t(x, nu, n_nodes) - gap
+        return _kl_t(nu, x, _GRID_NODES) + _kl_t(x, nu, _GRID_NODES) - gap
 
     lo = nu * (1.0 + 1e-12)
     hi = nu * 1.5
@@ -224,44 +189,41 @@ def _next_candidate(nu: float, gap: float, n_nodes: int = 600) -> float | None:
     return None
 
 
-def _grid_end(nu_l: float, gap: float, steps: int) -> float:
-    nu = nu_l
+def _chain(nu_l: float, gap: float, steps: int) -> list[float]:
+    """``nu_l`` and up to ``steps`` successors, each ``gap`` above the last.
+
+    A chain that escapes the search cap ends at ``_NU_SEARCH_CAP``.
+    """
+    chain = [float(nu_l)]
     for _ in range(steps):
-        nxt = _next_candidate(nu, gap)
+        nxt = _next_candidate(chain[-1], gap)
         if nxt is None:
-            return math.inf
-        nu = nxt
-    return nu
+            chain.append(_NU_SEARCH_CAP)
+            break
+        chain.append(nxt)
+    return chain
 
 
+@functools.cache
 def build_nu_grid(nu_l: float, nu_u: float, q: int) -> NuGrid:
     """Build ``q`` df candidates on [nu_l, nu_u] with equal symmetric-KL gaps.
 
-    An outer root-find chooses the common gap so that the greedy chain of
-    per-pair solves lands exactly on ``nu_u``; results are cached per
-    process.
+    One root-find on the log of the common gap makes the greedy chain of
+    per-pair solves land exactly on ``nu_u``; results are cached per
+    process, and forked workers inherit the cache.
     """
     if not (0 < nu_l < nu_u):
         raise ValueError(f"require 0 < nu_l < nu_u, got {nu_l}, {nu_u}")
     if q < 2:
         raise ValueError(f"grid size must be >= 2, got {q}")
-    key = (float(nu_l), float(nu_u), int(q))
-    cached = _NU_GRID_CACHE.get(key)
-    if cached is not None:
-        return cached
     if q == 2:
-        grid = NuGrid(candidates=(float(nu_l), float(nu_u)))
-        _NU_GRID_CACHE[key] = grid
-        return grid
+        return NuGrid(candidates=(float(nu_l), float(nu_u)))
+
+    @functools.cache  # brentq re-evaluates both bracket ends
+    def overshoot(log_gap):
+        return math.log(_chain(nu_l, math.exp(log_gap), q - 1)[-1] / nu_u)
 
     total = symmetric_kl_t(nu_l, nu_u)
-
-    def overshoot(log_gap):
-        end = _grid_end(nu_l, math.exp(log_gap), q - 1)
-        if math.isinf(end):
-            return math.inf
-        return end - nu_u
-
     hi = math.log(total)
     if not overshoot(hi) >= 0:
         raise GridConstructionError(
@@ -276,21 +238,11 @@ def build_nu_grid(nu_l: float, nu_u: float, q: int) -> NuGrid:
         raise GridConstructionError(
             f"gap bracketing failed for grid ({nu_l}, {nu_u}, {q}): no lower gap found"
         )
-    # bisection keeps inf-valued overshoots (beyond the search cap) usable
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if overshoot(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    gap = math.exp(0.5 * (lo + hi))
+    gap = math.exp(brentq(overshoot, lo, hi))
 
-    candidates = [float(nu_l)]
-    for _ in range(q - 2):
-        nxt = _next_candidate(candidates[-1], gap)
-        if nxt is None:
-            raise GridConstructionError(f"grid chain escaped the search cap at gap {gap}")
-        candidates.append(nxt)
+    candidates = _chain(nu_l, gap, q - 2)
+    if candidates[-1] == _NU_SEARCH_CAP:
+        raise GridConstructionError(f"grid chain escaped the search cap at gap {gap}")
     candidates.append(float(nu_u))
 
     # sanity: the closing gap must agree with the common gap
@@ -299,16 +251,4 @@ def build_nu_grid(nu_l: float, nu_u: float, q: int) -> NuGrid:
         raise GridConstructionError(
             f"closing gap {closing} deviates from common gap {gap} by more than 0.1%"
         )
-    grid = NuGrid(candidates=tuple(candidates))
-    _NU_GRID_CACHE[key] = grid
-    return grid
-
-
-def seed_nu_grid_cache(nu_l: float, nu_u: float, q: int, candidates) -> None:
-    """Install a prebuilt grid (used to hand grids to worker processes)."""
-    _NU_GRID_CACHE[(float(nu_l), float(nu_u), int(q))] = NuGrid(tuple(float(c) for c in candidates))
-
-
-def uniform_grid(lo: float, hi: float, n: int) -> np.ndarray:
-    """Evenly spaced candidates over [lo, hi], endpoints included."""
-    return np.linspace(lo, hi, n)
+    return NuGrid(candidates=tuple(candidates))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import TimeSeries, load_collection, split
-from .dists import build_nu_grid, seed_nu_grid_cache
+from .dists import build_nu_grid
 from .errors import LsgtError, MetricError
 from .forecast import simulate_paths
 from .metrics import EvalRecord, coverage_flags, mase, msis, smape
@@ -29,6 +29,7 @@ from .sampler import SamplerConfig, fit
 logger = logging.getLogger(__name__)
 
 FORECAST_STREAM = 1_000_000
+PATHS_PER_DRAW = 2
 
 # central intervals evaluated by MSIS: nominal -> (alpha, lower q, upper q)
 MSIS_INTERVALS = {"90": (0.1, 0.05, 0.95), "98": (0.02, 0.01, 0.99)}
@@ -49,9 +50,7 @@ class RunConfig:
     seed: int = 0
     workers: int = 1
     first_n: int | None = None
-    series_ids: tuple[str, ...] | None = None
     quantile_levels: tuple[float, ...] = (0.01, 0.05, 0.5, 0.95, 0.99)
-    paths_per_draw: int = 2
     nu_grid_size: int = 100
 
     def __post_init__(self):
@@ -146,7 +145,7 @@ def fit_and_forecast(series: TimeSeries, cfg: RunConfig, seed: int):
     """
     samples = fit(series, cfg.prior_config(), cfg.sampler_config(seed))
     result = simulate_paths(
-        samples, series, h=series.h, paths_per_draw=cfg.paths_per_draw,
+        samples, series, h=series.h, paths_per_draw=PATHS_PER_DRAW,
         rng=RngStream(seed, stream=FORECAST_STREAM).generator(), seed=seed,
         levels=cfg.quantile_levels,
     )
@@ -158,11 +157,8 @@ def fit_and_forecast(series: TimeSeries, cfg: RunConfig, seed: int):
     return samples, result, forecast
 
 
-def process_series(series: TimeSeries, index: int, cfg: RunConfig, nu_grid=None) -> dict:
+def process_series(series: TimeSeries, index: int, cfg: RunConfig) -> dict:
     """Fit, forecast and evaluate one series.  Runs inside worker processes."""
-    prior = cfg.prior_config()
-    if nu_grid is not None:
-        seed_nu_grid_cache(prior.nu_lower, prior.nu_upper, prior.nu_grid_size, nu_grid)
     out: dict = {"id": series.id, "index": index, "record": None, "eval": None, "error": None}
     try:
         parts = split(series)
@@ -238,35 +234,25 @@ def aggregate(outcomes: list[dict], categories: list[str | None], config_echo: d
     )
 
 
-def select_series(collection: list[TimeSeries], cfg: RunConfig) -> list[tuple[int, TimeSeries]]:
-    indexed = list(enumerate(collection))
-    if cfg.series_ids is not None:
-        wanted = set(cfg.series_ids)
-        indexed = [(i, s) for i, s in indexed if s.id in wanted]
-    if cfg.first_n is not None:
-        indexed = indexed[: cfg.first_n]
-    return indexed
-
-
 def run_benchmark(cfg: RunConfig) -> RunSummary:
     """Run the whole benchmark and write records plus summary reports.
 
     Per-series seeds derive from (cfg.seed, series index in the input
     file), so results are independent of worker count and scheduling.
     """
-    collection = load_collection(cfg.input_path)
-    selected = select_series(collection, cfg)
+    selected = list(enumerate(load_collection(cfg.input_path)))[: cfg.first_n]
     if not selected:
         raise LsgtError("no series selected")
 
+    # built once here, so that forked workers inherit the cached grid
     prior = cfg.prior_config()
-    nu_grid = build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size).candidates
+    build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size)
 
     if cfg.workers == 1:
-        outcomes = [process_series(s, i, cfg, nu_grid) for i, s in selected]
+        outcomes = [process_series(s, i, cfg) for i, s in selected]
     else:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(process_series, s, i, cfg, nu_grid) for i, s in selected]
+            futures = [pool.submit(process_series, s, i, cfg) for i, s in selected]
             outcomes = [f.result() for f in futures]
     outcomes.sort(key=lambda o: o["index"])
 

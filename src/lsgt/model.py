@@ -98,12 +98,9 @@ class PriorConfig:
     s_gamma: float | None = None
     s_lambda: float = 1.0
     s_b1: float | None = None
-    beta_a: float = 1.0
-    beta_b: float = 0.5
     nu_lower: float = 1.6
     nu_upper: float = 1000.0
     nu_grid_size: int = 100
-    power_grid_size: int = 64
     chi2_prior: tuple[float, float] | None = None
 
     def __post_init__(self):
@@ -117,8 +114,6 @@ class PriorConfig:
             v = getattr(self, name)
             if v is not None and not v > 0:
                 raise ValueError(f"{name} must be positive, got {v}")
-        if not (self.beta_a > 0 and self.beta_b > 0):
-            raise ValueError("beta hyperparameters must be positive")
 
     def resolved_scales(self, y) -> tuple[float, float, float]:
         """(s_gamma, s_lambda, s_b1) with data-adaptive defaults filled in."""
@@ -129,6 +124,9 @@ class PriorConfig:
             self.s_b1 if self.s_b1 is not None else auto,
         )
 
+
+# Beta(a, b) prior of each smoothing weight (alpha, beta, zeta)
+SMOOTHING_PRIOR = (1.0, 0.5)
 
 # bounds from the model definition
 RHO_RANGE = (-0.5, 1.0)

@@ -34,7 +34,6 @@ from .dists import (
     sample_inverse_gamma,
     sample_normal,
     sample_truncated_normal,
-    uniform_grid,
 )
 from .errors import DegenerateSeriesError, NumericalError, StateRecursionError
 from .gradients import seasonal_gradient, smoothing_gradient
@@ -45,6 +44,7 @@ from .model import (
     LEVEL_FLOOR,
     NON_SEASONAL,
     SEASONAL,
+    SMOOTHING_PRIOR,
     ParameterDraw,
     PriorConfig,
     StatePaths,
@@ -65,13 +65,13 @@ B1_HI = float(np.nextafter(B1_RANGE[1], 0.0))
 
 TREND_REPEATS = 4             # inner iterations of the local-trend conjugate pair
 MH_TARGET_ACCEPTANCE = 0.55   # Robbins-Monro target of both MH step sizes
+POWER_GRID_SIZE = 64          # candidates of each of the rho, tau and phi grids
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
     iterations: int = 5000
     burn_in: int = 2500
-    thinning: int = 1
     chains: int = 2
     step_size_init: float = 0.1
     seed: int = 0
@@ -79,8 +79,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0 < self.burn_in < self.iterations):
             raise ValueError("need 0 < burn_in < iterations")
-        if self.thinning < 1 or self.chains < 1:
-            raise ValueError("thinning and chains must be >= 1")
+        if self.chains < 1:
+            raise ValueError("chains must be >= 1")
         if not self.step_size_init > 0:
             raise ValueError("step_size_init must be positive")
 
@@ -99,7 +99,7 @@ class ChainDiagnostics:
 
 @dataclass
 class PosteriorSamples:
-    """Post-burn-in, thinned draws from all chains plus diagnostics."""
+    """Post-burn-in draws from all chains plus diagnostics."""
 
     draws: list[ParameterDraw]
     diagnostics: list[ChainDiagnostics]
@@ -119,12 +119,12 @@ class Grids:
 
 
 def make_grids(prior: PriorConfig) -> Grids:
-    n = prior.power_grid_size
+    n = POWER_GRID_SIZE
     return Grids(
-        nu=build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size).as_array(),
-        rho=uniform_grid(-0.5, 1.0, n),
-        tau=uniform_grid(0.0, 1.0, n),
-        phi=uniform_grid(0.0, 1.0, n),
+        nu=np.asarray(build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size).candidates),
+        rho=np.linspace(-0.5, 1.0, n),
+        tau=np.linspace(0.0, 1.0, n),
+        phi=np.linspace(0.0, 1.0, n),
     )
 
 
@@ -600,7 +600,7 @@ def update_smoothing_mh(state: ChainState, rng, step: StepSizeState,
             ga_s, gb_s = smoothing_gradient(state.y, trial, state.prior, paths_star)
             g_x_star = np.array([ga_s, gb_s, 0.0][:k]) * cur_star * (1.0 - cur_star)
             nll_cur = negative_log_likelihood(state.paths, th.nu)
-            a, b = state.prior.beta_a, state.prior.beta_b
+            a, b = SMOOTHING_PRIOR
             # beta prior plus logit jacobian
             lp_cur = float((a * np.log(cur) + b * np.log(1.0 - cur)).sum())
             lp_star = float((a * np.log(cur_star) + b * np.log(1.0 - cur_star)).sum())
@@ -772,7 +772,7 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
     for it in range(cfg.iterations):
         adapting = it < cfg.burn_in
         sweep(state, rng, smooth_step, seas_step, adapting)
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.thinning == 0:
+        if it >= cfg.burn_in:
             draws.append(state.theta.copy())
 
     diag = ChainDiagnostics(

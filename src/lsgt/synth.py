@@ -19,6 +19,7 @@ from .model import (
     HETEROSCEDASTIC,
     LEVEL_FLOOR,
     SEASONAL,
+    SMOOTHING_PRIOR,
     ParameterDraw,
     PriorConfig,
     effective_lam,
@@ -114,9 +115,9 @@ def draw_generative_params(rng, prior: PriorConfig, grids: Grids, T: int,
         gamma=s_gamma * rng.standard_cauchy(),
         rho=float(rng.choice(grids.rho, p=rho_w / rho_w.sum())),
         lam=_truncated_cauchy(rng, s_lambda, -100.0, 1.0),
-        alpha=float(rng.beta(prior.beta_a, prior.beta_b)),
-        beta=float(rng.beta(prior.beta_a, prior.beta_b)),
-        zeta=float(rng.beta(prior.beta_a, prior.beta_b)),
+        alpha=float(rng.beta(*SMOOTHING_PRIOR)),
+        beta=float(rng.beta(*SMOOTHING_PRIOR)),
+        zeta=float(rng.beta(*SMOOTHING_PRIOR)),
         chi2=1.0 / rng.gamma(a0, 1.0 / b0),
         phi=float(rng.choice(grids.phi)) if prior.variance_mode == HETEROSCEDASTIC else 1.0,
         tau=float(rng.choice(grids.tau)) if prior.variance_mode == HETEROSCEDASTIC else 0.5,

@@ -415,7 +415,7 @@ def test_criterion_8_determinism(tmp_path):
     def run(out, workers):
         return run_benchmark(RunConfig(
             input_path=str(data), out_dir=str(out), iterations=200, burn_in=100,
-            chains=2, seed=17, workers=workers, nu_grid_size=12, paths_per_draw=1,
+            chains=2, seed=17, workers=workers, nu_grid_size=12,
         ))
 
     run(tmp_path / "w1", 1)

@@ -71,6 +71,32 @@ def test_parse_error_carries_record_index(tmp_path):
     assert err.value.record_index == 1
 
 
+def _write_ids(path, ids):
+    path.write_text(json.dumps([{"id": i, "category": None, "m": 1, "h": 1,
+                                 "values": [1.0, 2.0, 3.0]} for i in ids]))
+
+
+def test_duplicate_id_rejected(tmp_path):
+    # a benchmark run writes records/<id>.json, so a repeated id would overwrite a record
+    path = tmp_path / "dup.json"
+    _write_ids(path, ["A", "B", "A"])
+    with pytest.raises(DataFormatError) as err:
+        load_collection(path)
+    assert err.value.record_index == 2
+    assert "'A'" in str(err.value)
+
+
+def test_id_must_be_plain_file_name(tmp_path):
+    path = tmp_path / "ids.json"
+    for bad in ("M3/Y1", "Y\\1", ".", ".."):
+        _write_ids(path, ["B", bad])
+        with pytest.raises(DataFormatError) as err:
+            load_collection(path)
+        assert err.value.record_index == 1
+    _write_ids(path, ["M3.Y1", "..Y", "B"])
+    assert [s.id for s in load_collection(path)] == ["M3.Y1", "..Y", "B"]
+
+
 def test_yearly_scale_collection(tmp_path):
     # 645 series with lengths in [14, 41] and horizon 6 load cleanly
     rng = np.random.Generator(np.random.Philox(0))

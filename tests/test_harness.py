@@ -50,7 +50,6 @@ def quick_config(input_path, out_dir, **overrides):
         chains=1,
         seed=3,
         nu_grid_size=TEST_NU_GRID_SIZE,
-        paths_per_draw=1,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -101,10 +100,7 @@ def test_benchmark_first_n_and_ids(tmp_path):
     write_collection(tmp_path / "c.json", n=3)
     summary = run_benchmark(quick_config(tmp_path / "c.json", tmp_path / "o1", first_n=2))
     assert summary.n_series == 2
-    summary = run_benchmark(quick_config(tmp_path / "c.json", tmp_path / "o2",
-                                         series_ids=("S3",)))
-    assert summary.n_series == 1
-    assert summary.records[0].series_id == "S3"
+    assert [r.series_id for r in summary.records] == ["S1", "S2"]
 
 
 def test_summary_json_round_trip(tmp_path):
@@ -190,6 +186,27 @@ def test_cli_fit(tmp_path):
                     iterations=60, burn_in=30, chains=1)
     _, _, forecast = fit_and_forecast(load_collection(data)[0], cfg, cfg.seed)
     assert payload["forecast"] == forecast
+
+
+def test_cli_fit_unknown_series_id_fails(tmp_path, capsys):
+    data = tmp_path / "one.json"
+    cli_main(["simulate", "--out", str(data), "--n-series", "2", "--length", "36",
+              "--horizon", "3", "--seed", "2"])
+    rc = cli_main(["fit", "--input", str(data), "--out", str(tmp_path / "fitout"),
+                   "--series-id", "S9", "--iters", "60", "--burnin", "30", "--chains", "1"])
+    assert rc == 1
+    assert "'S9'" in capsys.readouterr().err
+    assert not (tmp_path / "fitout").exists()
+
+
+def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
+    for spec in ("gama=2.0", "log_s_init=0.1"):
+        rc = cli_main(["simulate", "--out", str(tmp_path / "s.json"), "--param", spec])
+        assert rc == 1
+        assert spec in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+    rc = cli_main(["simulate", "--out", str(tmp_path / "s.json"), "--param", "gamma=2.0"])
+    assert rc == 0
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):

@@ -33,7 +33,7 @@ def run_mh_chain(state, rng, update, n_adapt, n_keep, names):
 def test_smoothing_mh_matches_quadrature_posterior(rng):
     # data with a pronounced smoothed trend so both weights are informed
     # and the joint chain mixes quickly
-    from lsgt.model import NON_SEASONAL, PriorConfig
+    from lsgt.model import NON_SEASONAL, SMOOTHING_PRIOR, PriorConfig
     from lsgt.synth import default_params, generate_series
 
     gen = default_params(T=14)
@@ -49,7 +49,7 @@ def test_smoothing_mh_matches_quadrature_posterior(rng):
     state.set_paths(run_recursion(state.y, state.theta, state.prior))
 
     y, prior, theta = state.y, state.prior, state.theta
-    a_prior, b_prior = prior.beta_a, prior.beta_b
+    a_prior, b_prior = SMOOTHING_PRIOR
 
     grid = np.linspace(1e-4, 1.0 - 1e-4, 201)
     log_post = np.empty((grid.size, grid.size))

@@ -68,10 +68,10 @@ def test_every_draw_satisfies_invariants():
         assert abs(float(np.sum(d.log_s_init))) <= 1e-12
 
 
-def test_thinning_and_burn_in_counts():
+def test_burn_in_count():
     series, _ = synthetic_series()
-    samples = fit(series, make_prior(), small_cfg(iterations=100, burn_in=40, thinning=3, chains=1))
-    assert len(samples.draws) == 20
+    samples = fit(series, make_prior(), small_cfg(iterations=100, burn_in=40, chains=1))
+    assert len(samples.draws) == 60
 
 
 def test_homoscedastic_keeps_phi_one():
