@@ -85,28 +85,26 @@ def _merged_options(args: argparse.Namespace) -> dict:
 
 
 def _run_config(opts: dict) -> RunConfig:
-    quantiles = opts.get("quantiles")
-    if isinstance(quantiles, str):
-        quantiles = tuple(float(tok) for tok in quantiles.split(","))
-    kwargs = dict(
-        input_path=opts["input"],
-        out_dir=opts.get("out", "out"),
-        model_kind=MODEL_NAMES[opts.get("model", "lgt")],
-        variance_mode=VARIANCE_NAMES[opts.get("variance", "hetero")],
-        seasonal_prior=opts.get("seasonal_prior", "horseshoe"),
-        seed=int(opts.get("seed", 0)),
-        workers=int(opts.get("workers", 1)),
-        chains=int(opts.get("chains", 2)),
-    )
-    if "iters" in opts:
-        kwargs["iterations"] = int(opts["iters"])
-    if "burnin" in opts:
-        kwargs["burn_in"] = int(opts["burnin"])
-    if "first_n" in opts:
-        kwargs["first_n"] = int(opts["first_n"])
-    if quantiles is not None:
-        kwargs["quantile_levels"] = quantiles
-    return RunConfig(**kwargs)
+    """Build the run configuration; a malformed option raises LsgtError."""
+    try:
+        kwargs = dict(
+            input_path=opts["input"],
+            out_dir=opts.get("out", "out"),
+            model_kind=MODEL_NAMES[opts.get("model", "lgt")],
+            variance_mode=VARIANCE_NAMES[opts.get("variance", "hetero")],
+            seasonal_prior=opts.get("seasonal_prior", "horseshoe"),
+            seed=int(opts.get("seed", 0)),
+            workers=int(opts.get("workers", 1)),
+            chains=int(opts.get("chains", 2)),
+        )
+        for key, field in (("iters", "iterations"), ("burnin", "burn_in"), ("first_n", "first_n")):
+            if key in opts:
+                kwargs[field] = int(opts[key])
+        if "quantiles" in opts:
+            kwargs["quantile_levels"] = tuple(float(q) for q in str(opts["quantiles"]).split(","))
+        return RunConfig(**kwargs)
+    except (KeyError, ValueError) as exc:
+        raise LsgtError(f"invalid option: {exc}") from exc
 
 
 def cmd_benchmark(args: argparse.Namespace) -> int:
@@ -126,6 +124,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         print("fit requires --input", file=sys.stderr)
         return 2
     collection = load_collection(opts["input"])
+    if not collection:
+        raise LsgtError(f"no series in {opts['input']}")
     wanted = str(opts.get("series_id", collection[0].id))
     series = next((s for s in collection if s.id == wanted), None)
     if series is None:
@@ -174,10 +174,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     params = default_params(m=m, model_kind=model_kind, T=T)
     for spec in opts.get("param", []) or []:
-        name, value = spec.split("=", 1)
+        name, _, value = spec.partition("=")
         if not isinstance(getattr(params, name, None), float):
             raise LsgtError(f"--param {spec!r}: {name!r} is not a scalar generator parameter")
-        setattr(params, name, float(value))
+        try:
+            setattr(params, name, float(value))
+        except ValueError:
+            raise LsgtError(f"--param {spec!r}: expected {name}=<number>") from None
     prior = PriorConfig(model_kind=model_kind, seasonal_prior=SeasonalPrior())
     collection = []
     for i in range(n_series):

@@ -56,10 +56,13 @@ class RunConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if self.first_n is not None and self.first_n < 1:
+            raise ValueError("first_n must be None or >= 1")
         levels = tuple(self.quantile_levels)
         if list(levels) != sorted(set(levels)) or any(not 0.0 < q < 1.0 for q in levels):
             raise ValueError("quantile levels must be strictly inside (0,1), sorted, unique")
         SeasonalPrior.parse(self.seasonal_prior)  # fail fast on bad spec strings
+        self.sampler_config(0)  # and on sampler settings, before any series runs
 
     def prior_config(self) -> PriorConfig:
         return PriorConfig(

@@ -1,14 +1,17 @@
 """Gibbs sampler: conjugate, latent, grid and gradient-assisted MH updates.
 
 One sweep updates, in order: the per-observation t-mixture variances, the
-global error variance, the degrees of freedom (grid), the global trend
-coefficient and its Cauchy latent, then for non-seasonal fits the local
-trend coefficient and initial trend (truncated conjugate normals with their
-latents), the smoothing weights (joint gradient-assisted MH in logit
+global error variance, the trend power and global trend coefficient as a
+group (the power on a grid with the coefficient integrated out, then the
+coefficient from its conjugate normal, then its Cauchy latent), then for
+non-seasonal fits the local trend coefficient and initial trend (truncated
+conjugate normals with their latents, the only pair drawn more than once
+per sweep), the smoothing weights (joint gradient-assisted MH in logit
 space), then for seasonal fits the seed log seasonal factors (joint
 gradient-assisted MH on the m-1 free seeds) and the shrinkage hierarchy,
-and finally the trend power plus, for heteroscedastic fits, the variance
-power and mixing weight (grid sampling, the power before the weight).
+then for heteroscedastic fits the variance power and mixing weight (grid
+sampling, the power before the weight), and finally the degrees of freedom
+(grid, with the t-mixture integrated out).
 
 The t-mixture latents enter the conjugate steps and are integrated out of
 every MH and grid likelihood.  Refreshing the mixture variances at the top
@@ -280,16 +283,6 @@ def xi_conditional(value: float, scale: float) -> tuple[float, float]:
     return 1.0, value ** 2 / (2.0 * scale ** 2) + 0.5
 
 
-def update_gamma(state: ChainState, rng) -> tuple[float, float]:
-    """Global trend coefficient (conjugate normal) and its Cauchy latent."""
-    th = state.theta
-    mu, var = gamma_conditional(state)
-    th.gamma = sample_normal(rng, mu, var)
-    th.xi_gamma2 = sample_inverse_gamma(rng, *xi_conditional(th.gamma, state.s_gamma))
-    recompute_yhat(state.y, state.paths, th, state.prior)
-    return th.gamma, th.xi_gamma2
-
-
 def lambda_conditional(state: ChainState) -> tuple[float, float]:
     """Conjugate normal (mean, variance) of the local trend coefficient."""
     th = state.theta
@@ -395,22 +388,6 @@ def _categorical_from_nll(rng, nll: np.ndarray) -> int:
     return sample_categorical(rng, w)
 
 
-def nu_grid_nll(nu: np.ndarray, omega2: np.ndarray) -> np.ndarray:
-    """Negative log conditional of the df over grid candidates."""
-    n = omega2.shape[0]
-    a = float(np.log(omega2).sum())
-    b = float((1.0 / omega2).sum())
-    half = 0.5 * nu
-    return -n * half * np.log(half) + n * gammaln(half) + 0.5 * (nu + 1.0) * a + half * b
-
-
-def update_nu_grid(state: ChainState, rng) -> float:
-    th = state.theta
-    idx = _categorical_from_nll(rng, nu_grid_nll(state.grids.nu, th.omega2))
-    th.nu = float(state.grids.nu[idx])
-    return th.nu
-
-
 def nu_collapsed_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
     """Negative log posterior of the df with the t-mixture integrated out.
 
@@ -434,31 +411,6 @@ def update_nu_collapsed(state: ChainState, rng) -> float:
     idx = _categorical_from_nll(rng, nu_collapsed_nll(state, state.grids.nu))
     state.theta.nu = float(state.grids.nu[idx])
     return state.theta.nu
-
-
-def rho_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    """Collapsed negative log posterior of the trend power per candidate.
-
-    Includes the log(rho^2 + 1) penalty; the conditional scale does not
-    depend on the trend power, so only forecasts are recomputed.
-    """
-    th = state.theta
-    paths = state.paths
-    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
-    lam = effective_lam(th, state.prior)
-    base = paths.l[:-1] + lam * paths.b[:-1]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        yhat_c = (base[None, :] + th.gamma * np.power(lp[None, :], candidates[:, None])) * state.a_app[None, :]
-        e2 = (state.y[1:][None, :] - yhat_c) ** 2
-        core = 0.5 * (th.nu + 1.0) * np.log1p(e2 / (th.nu * paths.sigma2hat[None, :])).sum(axis=1)
-    return core + np.log(candidates ** 2 + 1.0)
-
-
-def update_rho_grid(state: ChainState, rng) -> float:
-    idx = _categorical_from_nll(rng, rho_grid_nll(state, state.grids.rho))
-    state.theta.rho = float(state.grids.rho[idx])
-    recompute_yhat(state.y, state.paths, state.theta, state.prior)
-    return state.theta.rho
 
 
 def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
@@ -488,15 +440,16 @@ def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
         return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + np.log(candidates ** 2 + 1.0)
 
 
-def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float]:
-    """Grouped draw of (trend power, trend coefficient)."""
+def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, float]:
+    """Grouped draw of (trend power, trend coefficient), then the coefficient's Cauchy latent."""
     th = state.theta
     idx = _categorical_from_nll(rng, rho_marginal_nll(state, state.grids.rho))
     th.rho = float(state.grids.rho[idx])
     mu, var = gamma_conditional(state)
     th.gamma = sample_normal(rng, mu, var)
+    th.xi_gamma2 = sample_inverse_gamma(rng, *xi_conditional(th.gamma, state.s_gamma))
     recompute_yhat(state.y, state.paths, th, state.prior)
-    return th.rho, th.gamma
+    return th.rho, th.gamma, th.xi_gamma2
 
 
 def _variance_grid_nll(state: ChainState, sigma2_c: np.ndarray) -> np.ndarray:
@@ -735,16 +688,13 @@ def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSiz
 
     The t-mixture variances are refreshed before anything conditions on
     them: every later step either reads this fresh draw (error variance,
-    df, trend coefficients) or integrates the mixture out entirely (MH and
-    grid moves), which is what keeps the partially collapsed cycle exactly
-    stationary.
+    trend power and coefficients) or integrates the mixture out entirely
+    (MH moves, the variance grids and the df), which is what keeps the
+    partially collapsed cycle exactly stationary.  The df is drawn last,
+    collapsed, so the next sweep's mixture refresh conditions on it.
     """
     update_omega2(state, rng)
     update_chi2(state, rng)
-    update_nu_grid(state, rng)
-    update_gamma(state, rng)
-    # extra grouped (power, coefficient) refresh: the pair is strongly
-    # ridge-coupled, and grouping is the standard remedy
     update_rho_gamma_grouped(state, rng)
     if not state.seasonal:
         update_lambda_b1(state, rng)
@@ -753,11 +703,9 @@ def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSiz
         update_seasonals_mh(state, rng, seas_step, adapting, MH_TARGET_ACCEPTANCE)
         if state.prior.seasonal_prior.kind == "horseshoe":
             update_horseshoe(state, rng)
-    update_rho_grid(state, rng)
     if state.heteroscedastic:
         update_tau_grid(state, rng)
         update_phi_grid(state, rng)
-    # collapsed df refresh inside the marginalised block (see nu_collapsed_nll)
     update_nu_collapsed(state, rng)
 
 

@@ -2,19 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import gammaln
+from scipy import integrate, optimize
+from scipy.stats import norm
+from scipy.stats import t as t_dist
 
-from lsgt.dists import sample_categorical
 from lsgt.errors import DegenerateSeriesError
+from lsgt.model import LEVEL_FLOOR, effective_lam
 from lsgt.sampler import (
     _categorical_from_nll,
-    nu_grid_nll,
+    nu_collapsed_nll,
     phi_grid_nll,
-    rho_grid_nll,
+    rho_marginal_nll,
     tau_grid_nll,
-    update_nu_grid,
+    update_nu_collapsed,
     update_phi_grid,
-    update_rho_grid,
+    update_rho_gamma_grouped,
     update_tau_grid,
 )
 
@@ -45,49 +47,68 @@ def test_grid_partial_non_finite_excluded(rng):
     assert draws == {0, 2}
 
 
-def test_nu_nll_formula_explicit():
-    # spelled-out sum over grid candidates for a tiny mixture-variance vector
-    omega2 = np.array([0.5, 2.0, 1.5])
-    grid = np.array([2.0, 10.0])
-    got = nu_grid_nll(grid, omega2)
-    n = 3
+def test_nu_collapsed_nll_is_student_t_density(rng):
+    # every df-dependent normalising constant is kept: the value is the full
+    # Student-t negative log density of the standardised residuals
+    state = random_state(rng, T=15)
+    grid = state.grids.nu
+    z = state.paths.e / np.sqrt(state.paths.sigma2hat)
+    got = nu_collapsed_nll(state, grid)
     for j, nu in enumerate(grid):
-        expected = (
-            -n * (nu / 2.0) * math.log(nu / 2.0)
-            + n * gammaln(nu / 2.0)
-            + (nu + 1.0) / 2.0 * float(np.sum(np.log(omega2)))
-            + nu / 2.0 * float(np.sum(1.0 / omega2))
-        )
-        assert got[j] == pytest.approx(expected, rel=1e-12)
+        expected = -float(np.sum(t_dist.logpdf(z, df=nu)))
+        assert got[j] == pytest.approx(expected, rel=1e-10)
 
 
 def test_nu_concentrates_at_normal_limit(rng):
-    # unit mixture variances at large T: posterior mass piles at the top
+    # exactly Gaussian-shaped residuals at large T: posterior mass piles at the top
     state = random_state(rng, T=400)
-    state.theta.omega2 = np.ones(state.T - 1)
-    nll = nu_grid_nll(state.grids.nu, state.theta.omega2)
+    n = state.T - 1
+    state.paths.e = norm.ppf((np.arange(n) + 0.5) / n) * np.sqrt(state.paths.sigma2hat)
+    nll = nu_collapsed_nll(state, state.grids.nu)
     assert int(np.argmin(nll)) == len(state.grids.nu) - 1
-    draws = [update_nu_grid(state, rng) for _ in range(50)]
+    draws = [update_nu_collapsed(state, rng) for _ in range(50)]
     assert np.median(draws) == state.grids.nu[-1]
 
 
-def test_rho_penalty_present(rng):
-    # the trend-power posterior carries a log(rho^2+1) penalty: with zero
-    # trend coefficient the likelihood term is flat and selection
-    # frequencies must follow 1/(rho^2+1) exactly
-    state = random_state(rng, T=10, gamma=0.0)
-    cand = state.grids.rho
-    nll = rho_grid_nll(state, cand)
-    rel = nll - nll.min()
-    expected = np.log(cand ** 2 + 1.0) - np.log(cand ** 2 + 1.0).min()
-    np.testing.assert_allclose(rel, expected, atol=1e-10)
+def _log_marginal_over_gamma(state, rho):
+    """log of the integral over the trend coefficient of likelihood x prior,
+    by quadrature, for the conditionally Gaussian model given the mixture."""
+    th = state.theta
+    x = np.maximum(state.paths.l[:-1], LEVEL_FLOOR) ** rho
+    c = state.paths.l[:-1] + effective_lam(th, state.prior) * state.paths.b[:-1]
+    s = state.a_app
+    sig2 = th.omega2 * state.paths.sigma2hat
+    prior_var = th.xi_gamma2 * state.s_gamma ** 2
+    yy = state.y[1:]
+
+    def log_f(g):
+        resid = yy - (g * x + c) * s
+        return float(np.sum(-resid ** 2 / (2.0 * sig2))) - g ** 2 / (2.0 * prior_var)
+
+    mode = optimize.minimize_scalar(lambda g: -log_f(g)).x
+    peak = log_f(mode)
+    width = 1.0 / math.sqrt(-(log_f(mode + 1e-3) - 2.0 * peak + log_f(mode - 1e-3)) / 1e-6)
+    val, _ = integrate.quad(lambda g: math.exp(log_f(g) - peak),
+                            mode - 40.0 * width, mode + 40.0 * width,
+                            points=[mode], epsabs=0.0, epsrel=1e-12, limit=200)
+    return peak + math.log(val)
+
+
+def test_rho_marginal_nll_matches_quadrature(rng):
+    # differences across candidates of the trend-power posterior, with the
+    # trend coefficient integrated out, include the log(rho^2+1) penalty
+    state = random_state(rng, T=12)
+    cand = state.grids.rho[::9]
+    got = rho_marginal_nll(state, cand)
+    expected = np.array([-_log_marginal_over_gamma(state, r) + math.log(r ** 2 + 1.0) for r in cand])
+    np.testing.assert_allclose(got - got[0], expected - expected[0], rtol=1e-6, atol=1e-6)
 
 
 def test_rho_penalty_regression_locked(rng):
     # frozen fixture: removing the penalty changes the implied weights
     state = random_state(rng, T=12)
     cand = state.grids.rho
-    nll = rho_grid_nll(state, cand)
+    nll = rho_marginal_nll(state, cand)
     core = nll - np.log(cand ** 2 + 1.0)
     w_with = np.exp(-(nll - nll.min()))
     w_without = np.exp(-(core - core.min()))
@@ -98,8 +119,7 @@ def test_rho_penalty_regression_locked(rng):
 
 def test_rho_update_refreshes_forecasts(rng):
     state = random_state(rng, T=15)
-    old_yhat = state.paths.yhat.copy()
-    update_rho_grid(state, rng)
+    update_rho_gamma_grouped(state, rng)
     from lsgt.model import run_recursion
 
     full = run_recursion(state.y, state.theta, state.prior)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lsgt.cli import main as cli_main
-from lsgt.cli import parse_config_file
+from lsgt.cli import _run_config, parse_config_file
 from lsgt.data import TimeSeries, load_collection, serialize_collection
 from lsgt.harness import (
     MARKDOWN_COLUMNS,
@@ -135,6 +135,10 @@ def test_run_config_validation(tmp_path):
         RunConfig(input_path="x", out_dir="y", quantile_levels=(0.5, 0.1))
     with pytest.raises(ValueError):
         RunConfig(input_path="x", out_dir="y", seasonal_prior="nonsense")
+    with pytest.raises(ValueError, match="first_n"):
+        RunConfig(input_path="x", out_dir="y", first_n=-1)
+    with pytest.raises(ValueError, match="burn_in"):
+        RunConfig(input_path="x", out_dir="y", iterations=20, burn_in=40)
 
 
 def test_config_file_parsing(tmp_path):
@@ -150,6 +154,11 @@ def test_config_file_parsing(tmp_path):
     parsed = parse_config_file(cfg)
     assert parsed == {"iters": 80, "burnin": 40, "seed": 11, "model": "lgt",
                       "quantiles": "0.05,0.5,0.95"}
+    run_cfg = _run_config({"input": "x", **parsed})
+    assert (run_cfg.iterations, run_cfg.burn_in, run_cfg.seed) == (80, 40, 11)
+    assert run_cfg.quantile_levels == (0.05, 0.5, 0.95)
+    # a single level reads back from the file as a number, not a string
+    assert _run_config({"input": "x", "quantiles": 0.5}).quantile_levels == (0.5,)
 
 
 def test_cli_simulate_and_benchmark(tmp_path, capsys):
@@ -207,6 +216,28 @@ def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
     rc = cli_main(["simulate", "--out", str(tmp_path / "s.json"), "--param", "gamma=2.0"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--param", "gamma=abc"],
+    ["simulate", "--param", "gamma"],
+    ["benchmark", "--quantiles", "0.5,abc"],
+    ["benchmark", "--seasonal-prior", "foo"],
+    ["benchmark", "--workers", "0"],
+    ["benchmark", "--iters", "20", "--burnin", "40"],
+    ["fit"],
+], ids=lambda argv: " ".join(argv))
+def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
+    # a valid collection, so that only the option is at fault; `fit` gets an empty one
+    data = tmp_path / "d.json"
+    if argv == ["fit"]:
+        data.write_text("[]")
+    else:
+        write_collection(data, n=1)
+    rc = cli_main([*argv, "--input", str(data), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_config_file_with_flag_override(tmp_path, capsys):

@@ -96,6 +96,20 @@ def test_grid_parameters_stay_on_grid():
         assert -100.0 < d.b1 < 1.0
 
 
+@pytest.mark.parametrize("seasonal", [False, True], ids=["lgt", "sgt_horseshoe"])
+def test_every_sampled_quantity_moves(seasonal):
+    # a quantity that no kernel draws would keep its starting value across
+    # all retained draws
+    m = 4 if seasonal else 1
+    series, _ = synthetic_series(seasonal=seasonal, m=m, T=44)
+    samples = fit(series, make_prior(seasonal=seasonal), small_cfg(iterations=60, burn_in=30, chains=1))
+    names = ["nu", "gamma", "rho", "chi2", "tau", "phi", "xi_gamma2"]
+    names += ["delta2", "psi2"] if seasonal else ["lam", "b1", "xi_lambda2", "xi_b1_2"]
+    for name in names:
+        values = {np.asarray(getattr(d, name)).tobytes() for d in samples.draws}
+        assert len(values) >= 2, f"{name} never moved"
+
+
 def test_acceptance_rate_in_band():
     series, _ = synthetic_series(T=50)
     samples = fit(series, make_prior(), SamplerConfig(iterations=1200, burn_in=600, chains=1, seed=5))
