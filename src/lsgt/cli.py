@@ -31,8 +31,12 @@ VARIANCE_NAMES = {"homo": "homoscedastic", "hetero": "heteroscedastic"}
 
 def parse_config_file(path: str) -> dict:
     """Parse a flat ``key = value`` config file; '#' starts a comment."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise LsgtError(f"cannot read config file {path}: {exc.strerror or exc}") from exc
     out: dict = {}
-    for raw in Path(path).read_text().splitlines():
+    for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -164,12 +168,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _merged_options(args)
-    model_kind = MODEL_NAMES[opts.get("model", "lgt")]
-    m = int(opts.get("m", 4 if model_kind == SEASONAL else 1))
-    T = int(opts.get("length", 60))
-    h = int(opts.get("horizon", 6))
-    n_series = int(opts.get("n_series", 1))
-    seed = int(opts.get("seed", 0))
+    try:
+        model_kind = MODEL_NAMES[opts.get("model", "lgt")]
+        m = int(opts.get("m", 4 if model_kind == SEASONAL else 1))
+        T = int(opts.get("length", 60))
+        h = int(opts.get("horizon", 6))
+        n_series = int(opts.get("n_series", 1))
+        seed = int(opts.get("seed", 0))
+    except (KeyError, ValueError) as exc:
+        raise LsgtError(f"invalid option: {exc}") from exc
     out_path = opts.get("out", "synthetic.json")
 
     params = default_params(m=m, model_kind=model_kind, T=T)

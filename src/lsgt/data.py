@@ -124,7 +124,10 @@ def load_collection(path: str | Path, format: str | None = None) -> list[TimeSer
     if format not in ("csv", "json"):
         raise DataFormatError(f"unknown format {format!r}")
 
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
     if format == "json":
         try:
             raw = json.loads(text)

@@ -69,10 +69,13 @@ def _smoothing_pass(theta: ParameterDraw, cfg: PriorConfig, a, y, l, b, e, s2):
         a_t = a[t - 1]
         lp = l[t - 1]
         if lp < LEVEL_FLOOR:
-            lp = LEVEL_FLOOR
-        dyhat_a = ((1.0 + gamma_rho * lp ** rho_1) * dl_prev + lam * dba_prev) * a_t
+            # a floored level enters the trend and the scale as a constant
+            dyhat_a = (dl_prev + lam * dba_prev) * a_t
+            dsig2_a = 0.0
+        else:
+            dyhat_a = ((1.0 + gamma_rho * lp ** rho_1) * dl_prev + lam * dba_prev) * a_t
+            dsig2_a = het * lp ** tau_1 * dl_prev
         dyhat_b = lam * dbb_prev * a_t
-        dsig2_a = het * lp ** tau_1 * dl_prev
 
         et = e[t - 1]
         s2t = s2[t - 1]
@@ -152,11 +155,14 @@ def _seasonal_pass(theta: ParameterDraw, a, y, l, e, s2) -> list:
         a_t = a[t - 1]
         lp = l[t - 1]
         if lp < LEVEL_FLOOR:
+            # a floored level enters the trend and the scale as a constant
+            c_level.append(a_t)
+            c_scale.append(0.0)
             lp = LEVEL_FLOOR
-        glob = l[t - 1] + gamma * lp ** rho
-        c_level.append((1.0 + gamma_rho * lp ** rho_1) * a_t)
-        c_season.append(glob * a_t)
-        c_scale.append(het * lp ** tau_1)
+        else:
+            c_level.append((1.0 + gamma_rho * lp ** rho_1) * a_t)
+            c_scale.append(het * lp ** tau_1)
+        c_season.append((l[t - 1] + gamma * lp ** rho) * a_t)
         et = e[t - 1]
         s2t = s2[t - 1]
         c_prec.append(neg_half_nu / s2t)

@@ -161,8 +161,9 @@ def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
 
     Each replication draws parameters from the priors, simulates a series,
     refits it, and records the rank of each true value among the thinned
-    post-burn-in draws.  When the sampler targets the right posterior the
-    ranks are uniform on {0, ..., n_kept}.
+    post-burn-in draws (``sbc_rank``, ties broken from a stream of their
+    own, so no fit or series moves).  When the sampler targets the right
+    posterior the ranks are uniform on {0, ..., n_kept}.
     """
     from .rng import RngStream, derive_seed
     from .sampler import SamplerConfig, fit, make_grids
@@ -176,6 +177,7 @@ def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
         burn_in = iterations // 2
     for rep in range(n_replications):
         gen_rng = RngStream(derive_seed(seed, rep), stream=0).generator()
+        tie_rng = RngStream(derive_seed(seed, rep, 2), stream=0).generator()
         series, truth = prior_predictive_series(gen_rng, prior, grids, T, scales)
         samples = fit(series, prior, SamplerConfig(
             iterations=iterations, burn_in=burn_in, chains=1,
@@ -183,9 +185,14 @@ def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
             seed=derive_seed(seed, rep, 1),
         ))
         for p in params:
-            kept = samples.parameter_array(p)[::thin]
-            ranks[p].append(int(np.sum(kept < getattr(truth, p))))
+            ranks[p].append(sbc_rank(samples.parameter_array(p)[::thin], getattr(truth, p), tie_rng))
     return {p: np.asarray(v) for p, v in ranks.items()}
+
+
+def sbc_rank(kept: np.ndarray, truth: float, rng) -> int:
+    """#(kept < truth) plus a uniform integer in [0, #(kept == truth)]: draws
+    of a grid parameter tie with its true value, which would push ranks low."""
+    return int(np.sum(kept < truth)) + int(rng.integers(int(np.sum(kept == truth)) + 1))
 
 
 def rank_uniformity_pvalue(ranks: np.ndarray, n_kept: int, n_bins: int) -> float:

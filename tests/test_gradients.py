@@ -3,6 +3,7 @@ import pytest
 
 from lsgt.gradients import seasonal_gradient, smoothing_gradient
 from lsgt.model import (
+    LEVEL_FLOOR,
     NON_SEASONAL,
     SEASONAL,
     ParameterDraw,
@@ -49,12 +50,34 @@ def nll_of_smoothing(y, theta, cfg):
     return f
 
 
+def floored_case(m):
+    """A series falling from 30 to 1e-14, so that its last 5 levels are floored.
+
+    A negative trend power and a scale power below 1/2 make the derivative
+    of the unfloored level's terms large there, though they are constant.
+    """
+    T = 25
+    y = np.geomspace(30.0, 1e-14, T)
+    seeds = np.zeros(m)
+    if m > 1:
+        y *= np.resize([1.1, 0.9, 1.05, 0.95], T)
+        seeds = np.array([0.1, -0.05, 0.08, -0.13])
+    theta = ParameterDraw(nu=5.0, gamma=0.5, rho=-0.5, lam=0.0 if m > 1 else 0.4, alpha=0.9,
+                          beta=0.3, zeta=0.4, chi2=1.0, phi=0.5, tau=0.2, b1=0.1,
+                          log_s_init=seeds, omega2=np.ones(T - 1))
+    cfg = PriorConfig(model_kind=SEASONAL if m > 1 else NON_SEASONAL)
+    assert int((run_recursion(y, theta, cfg).l[:-1] < LEVEL_FLOOR).sum()) == 5
+    return y, theta
+
+
 def test_smoothing_gradient_matches_fd(rng):
     cfg = PriorConfig(model_kind=NON_SEASONAL)
+    cases = []
     for _ in range(20):
         T = int(rng.integers(15, 60))
-        y = random_series(rng, T)
-        theta = random_theta(rng, T)
+        cases.append((random_series(rng, T), random_theta(rng, T)))
+    cases.append(floored_case(m=1))
+    for y, theta in cases:
         paths = run_recursion(y, theta, cfg)
         ga, gb = smoothing_gradient(y, theta, cfg, paths)
         fd = fd_gradient(nll_of_smoothing(y, theta, cfg), [theta.alpha, theta.beta], h=1e-7)
@@ -77,20 +100,21 @@ def test_smoothing_gradient_initial_states():
 
 def test_seasonal_gradient_matches_fd(rng):
     cfg = PriorConfig(model_kind=SEASONAL)
+    cases = []
     for _ in range(20):
         m = int(rng.integers(2, 7))
         T = int(rng.integers(2 * m + 4, 60))
-        y = random_series(rng, T)
-        theta = random_theta(rng, T, m=m, seasonal=True)
-        paths = run_recursion(y, theta, cfg)
-        grad = seasonal_gradient(y, theta, cfg, paths)
+        cases.append((random_series(rng, T), random_theta(rng, T, m=m, seasonal=True)))
+    cases.append(floored_case(m=4))
+    for y, theta in cases:
+        grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
 
         def f(free):
             trial = theta.copy()
             trial.log_s_init = np.append(free, -float(np.sum(free)))
             return negative_log_likelihood(run_recursion(y, trial, cfg), theta.nu)
 
-        fd = fd_gradient(f, theta.log_s_init[: m - 1], h=1e-6)
+        fd = fd_gradient(f, theta.log_s_init[: theta.m - 1], h=1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 

@@ -226,6 +226,10 @@ def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
     ["benchmark", "--workers", "0"],
     ["benchmark", "--iters", "20", "--burnin", "40"],
     ["fit"],
+    ["fit", "--input", "{tmp}/nope.json"],
+    ["benchmark", "--input", "{tmp}/nope.json"],
+    ["benchmark", "--config", "{tmp}/missing.cfg"],
+    ["simulate", "--config", "{tmp}/bad.cfg"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     # a valid collection, so that only the option is at fault; `fit` gets an empty one
@@ -234,7 +238,11 @@ def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv)
         data.write_text("[]")
     else:
         write_collection(data, n=1)
-    rc = cli_main([*argv, "--input", str(data), "--out", str(tmp_path / "o")])
+    (tmp_path / "bad.cfg").write_text("length = abc\n")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    if "--input" not in argv:
+        argv += ["--input", str(data)]
+    rc = cli_main([*argv, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "o").exists()

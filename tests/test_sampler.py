@@ -8,7 +8,7 @@ from lsgt.errors import DegenerateSeriesError
 from lsgt.model import HOMOSCEDASTIC, NON_SEASONAL, SEASONAL, PriorConfig, SeasonalPrior
 from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
-from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue
+from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, sbc_rank
 
 from .helpers import TEST_NU_GRID_SIZE, make_prior
 
@@ -189,3 +189,15 @@ def test_rank_uniformity_rejects_ranks_outside_support():
         rank_uniformity_pvalue(ranks, 19, 13)
     with pytest.raises(ValueError, match="outside 0..20"):
         rank_uniformity_pvalue(ranks - 1, 20, 13)
+
+
+def test_sbc_rank_breaks_grid_ties_uniformly(rng):
+    # a parameter on a 5-point grid whose posterior equals its prior: the
+    # true value ties with about a fifth of the 25 kept draws
+    grid = np.linspace(0.0, 1.0, 5)
+    truths = rng.choice(grid, size=4000)
+    kept = rng.choice(grid, size=(4000, 25))
+    ranks = [sbc_rank(k, t, rng) for k, t in zip(kept, truths)]
+    assert rank_uniformity_pvalue(ranks, 25, 13) > 0.01
+    below = [int(np.sum(k < t)) for k, t in zip(kept, truths)]
+    assert rank_uniformity_pvalue(below, 25, 13) < 1e-6
