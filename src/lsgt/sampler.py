@@ -1,33 +1,34 @@
 """Gibbs sampler: conjugate, latent, grid and gradient-assisted MH updates.
 
-One sweep updates, in order:
+One sweep updates, in order: the per-observation t-mixture variances, the
+global error variance, then for non-seasonal fits the block of smoothing
+weights and trend coefficients (the weights by gradient-assisted MH in
+logit space on their marginal with the global and local trend coefficients
+integrated out, then the local coefficient from its truncated marginal and
+the global one given it), then the trend power and global trend
+coefficient as a group (the power on a grid with the coefficient
+integrated out, then the coefficient from its conjugate normal, then its
+Cauchy latent), then for non-seasonal fits the local trend coefficient and
+initial trend (truncated conjugate normals with their latents, iterated as
+a pair), or for seasonal fits the smoothing weights (joint
+gradient-assisted MH in logit space), the seed log seasonal factors (joint
+gradient-assisted MH on the m-1 free seeds) and the shrinkage hierarchy,
+then for heteroscedastic fits the variance power and mixing weight (grid
+sampling, the power before the weight), and finally the degrees of freedom
+(grid, with the t-mixture integrated out).
 
-1. the per-observation t-mixture variances;
-2. the variance block: for heteroscedastic fits the variance power, then
-   the mixing weight, each on its grid with the error variance integrated
-   out; then the error variance from its inverse-gamma conditional;
-3. for non-seasonal fits the smoothing block: the weights by MALA in logit
-   space on their marginal with both trend coefficients integrated out,
-   then the local coefficient from its truncated marginal and the global
-   one given it;
-4. the trend power (grid, global coefficient integrated out), the global
-   coefficient (conjugate normal) and its Cauchy latent;
-5. for non-seasonal fits the local trend coefficient and initial trend
-   (truncated conjugate normals with their latents, iterated as a pair);
-   for seasonal fits the smoothing weights and the m-1 free seed log
-   seasonal factors (joint gradient-assisted MH each), then the shrinkage
-   hierarchy;
-6. the degrees of freedom (grid, t-mixture integrated out).
-
-Every step up to the df reads the fresh mixture variances, except the
-seasonal MH moves, which integrate them out as the df draw does.  Each
-collapsed move comes after every step that reads the mixture, so no
-conditional reads a stale draw and the partially collapsed cycle is
-exactly stationary.  Steps 2 and 3 are partially collapsed blocks
-themselves (van Dyk and Park 2008): moves that leave the marginal of
-(tau, phi), or of (alpha, beta), invariant with the block's other members
-integrated out, then an exact draw of those members, make one draw of the
-whole block from its conditional given the fresh mixture variances.
+The t-mixture latents enter the conjugate steps and the non-seasonal
+smoothing block, and are integrated out of every other MH and grid
+likelihood.  Refreshing the mixture variances at the top of the sweep,
+before anything conditions on them, is what keeps this partially collapsed
+cycle exactly stationary: the collapsed moves at the tail of a sweep leave
+the latents stale, so no conditional may read them until they are redrawn.
+The non-seasonal smoothing block is itself partially collapsed (van Dyk and
+Park 2008): its MH step leaves the weights' marginal invariant with the two
+trend coefficients integrated out, and the exact draw of the coefficients
+given the new weights completes one draw of (alpha, beta, gamma, lam) from
+their joint conditional given the fresh mixture variances and error
+variance.
 """
 
 from __future__ import annotations
@@ -255,27 +256,28 @@ class StepSizeState:
 # Conjugate and latent-variable updates
 # ---------------------------------------------------------------------------
 
-def _chi2_posterior(state: ChainState, phi, tau):
-    """Scale factors g = phi^2 + (1-phi)^2 l^(2 tau) over time (last axis)
-    and the (shape, scale) of chi2's inverse-gamma conditional given them."""
+def chi2_conditional(state: ChainState) -> tuple[float, float]:
+    """(shape, scale) of the inverse-gamma conditional of the error variance."""
+    th = state.theta
     lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
-    g = phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau)
-    scale = (state.paths.e ** 2 / (2.0 * state.theta.omega2 * g)).sum(axis=-1)
+    g = th.phi ** 2 + (1.0 - th.phi) ** 2 * lp ** (2.0 * th.tau)
+    scale = float((state.paths.e ** 2 / (2.0 * th.omega2 * g)).sum())
     shape = 0.5 * (state.T - 1)
     if state.prior.chi2_prior is not None:
         a0, b0 = state.prior.chi2_prior
         shape += a0
-        scale = scale + b0
-    return g, shape, scale
-
-
-def chi2_conditional(state: ChainState) -> tuple[float, float]:
-    """(shape, scale) of the inverse-gamma conditional of the error variance."""
-    _, shape, scale = _chi2_posterior(state, state.theta.phi, state.theta.tau)
-    scale = float(scale)
+        scale += b0
     if not (scale > 0 and math.isfinite(scale)):
         raise DegenerateSeriesError(f"error-variance conditional has scale {scale}")
     return shape, scale
+
+
+def update_chi2(state: ChainState, rng) -> float:
+    """Global error variance from its inverse-gamma conditional."""
+    shape, scale = chi2_conditional(state)
+    state.theta.chi2 = sample_inverse_gamma(rng, shape, scale)
+    recompute_sigma2(state.paths, state.theta)
+    return state.theta.chi2
 
 
 def omega2_conditional(state: ChainState) -> tuple[float, np.ndarray]:
@@ -481,32 +483,48 @@ def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, floa
     return th.rho, th.gamma, th.xi_gamma2
 
 
-def variance_marginal_nll(state: ChainState, phi, tau) -> np.ndarray:
-    """Negative log posterior of (phi, tau) candidates, which broadcast, with
-    the error variance integrated out (conditional on the t-mixture):
-    (1/2) sum log g + shape log S, S = b0 + sum e^2 / (2 omega2 g)."""
+def _variance_grid_nll(state: ChainState, sigma2_c: np.ndarray) -> np.ndarray:
+    th = state.theta
+    e2 = state.paths.e ** 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        g, shape, scale = _chi2_posterior(state, np.reshape(phi, (-1, 1)), np.reshape(tau, (-1, 1)))
-        return 0.5 * np.log(g).sum(axis=1) + shape * np.log(scale)
+        return (
+            0.5 * (th.nu + 1.0) * np.log1p(e2[None, :] / (th.nu * sigma2_c)).sum(axis=1)
+            + 0.5 * np.log(sigma2_c).sum(axis=1)
+        )
 
 
-def update_variance(state: ChainState, rng) -> tuple[float, float, float]:
-    """Variance power, then mixing weight, on their grids with the error
-    variance integrated out, then the error variance given both.
+def tau_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
+    th = state.theta
+    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigma2_c = th.chi2 * (
+            th.phi ** 2 + (1.0 - th.phi) ** 2 * np.power(lp[None, :], 2.0 * candidates[:, None])
+        )
+    return _variance_grid_nll(state, sigma2_c)
 
-    Drawn one at a time, the three walk the ridge in chi2 * g; this is one
-    draw of (tau, phi, chi2) from their conditional given the mixture.
-    Homoscedastic fits draw the error variance only.
-    """
-    th, grids = state.theta, state.grids
-    if state.heteroscedastic:
-        idx = _categorical_from_nll(rng, variance_marginal_nll(state, th.phi, grids.tau))
-        th.tau = float(grids.tau[idx])
-        idx = _categorical_from_nll(rng, variance_marginal_nll(state, grids.phi, th.tau))
-        th.phi = float(grids.phi[idx])
-    th.chi2 = sample_inverse_gamma(rng, *chi2_conditional(state))
-    recompute_sigma2(state.paths, th)
-    return th.chi2, th.phi, th.tau
+
+def phi_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
+    th = state.theta
+    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigma2_c = th.chi2 * (
+            candidates[:, None] ** 2 + (1.0 - candidates[:, None]) ** 2 * lp[None, :] ** (2.0 * th.tau)
+        )
+    return _variance_grid_nll(state, sigma2_c)
+
+
+def update_tau_grid(state: ChainState, rng) -> float:
+    idx = _categorical_from_nll(rng, tau_grid_nll(state, state.grids.tau))
+    state.theta.tau = float(state.grids.tau[idx])
+    recompute_sigma2(state.paths, state.theta)
+    return state.theta.tau
+
+
+def update_phi_grid(state: ChainState, rng) -> float:
+    idx = _categorical_from_nll(rng, phi_grid_nll(state, state.grids.phi))
+    state.theta.phi = float(state.grids.phi[idx])
+    recompute_sigma2(state.paths, state.theta)
+    return state.theta.phi
 
 
 # ---------------------------------------------------------------------------
@@ -910,18 +928,22 @@ def initial_draw(y: np.ndarray, m: int, prior: PriorConfig, grids: Grids) -> Par
 
 def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSizeState,
           adapting: bool) -> None:
-    """One full Gibbs sweep, in the order of the module docstring.
+    """One full Gibbs sweep over the chain state.
 
-    The mixture variances come first.  The variance block (tau and phi with
-    chi2 integrated out, then chi2), the non-seasonal smoothing block and
-    every later step up to the df read them, except the seasonal MH moves,
-    which integrate them out as the df draw does.  The collapsed moves come
-    after every step that reads the mixture, so the partially collapsed
-    cycle is exactly stationary.  The df is drawn last, so the next sweep's
-    mixture refresh conditions on it.
+    The t-mixture variances are refreshed before anything conditions on
+    them: every later step either reads this fresh draw (error variance,
+    the non-seasonal smoothing block, trend power and coefficients) or
+    integrates the mixture out entirely (the seasonal MH moves, the
+    variance grids and the df), which is what keeps the partially collapsed
+    cycle exactly stationary.  For non-seasonal fits the smoothing weights
+    come right after the error variance, as a Gibbs block on
+    (alpha, beta, gamma, lam): MH on the weights with both trend
+    coefficients integrated out, then the coefficients exactly.  The df is
+    drawn last, collapsed, so the next sweep's mixture refresh conditions
+    on it.
     """
     update_omega2(state, rng)
-    update_variance(state, rng)
+    update_chi2(state, rng)
     if not state.seasonal:
         update_smoothing_collapsed(state, rng, smooth_step, adapting, MH_TARGET_ACCEPTANCE)
     update_rho_gamma_grouped(state, rng)
@@ -932,6 +954,9 @@ def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSiz
             update_horseshoe(state, rng)
     else:
         update_lambda_b1(state, rng)
+    if state.heteroscedastic:
+        update_tau_grid(state, rng)
+        update_phi_grid(state, rng)
     update_nu_collapsed(state, rng)
 
 

@@ -26,8 +26,8 @@ from lsgt.sampler import (
     lambda_conditional,
     omega2_conditional,
     psi2_conditional,
+    update_chi2,
     update_omega2,
-    update_variance,
     xi_conditional,
 )
 from lsgt.dists import sample_inverse_gamma
@@ -117,9 +117,8 @@ def test_chi2_shape1_reduction_is_exponential(rng):
     state.paths.e[:] = 1.0
     shape, scale = chi2_conditional(state)
     assert shape == 1.0 and scale == pytest.approx(1.0)
-    draws = np.array([update_variance(state, rng)[0] for _ in range(30_000)])
-    # homoscedastic: the block draws chi2 only and recomputes sigma2hat, but e
-    # stays fixed, so draws are iid
+    draws = np.array([update_chi2(state, rng) for _ in range(30_000)])
+    # chi2 updates recompute sigma2hat but e stays fixed, so draws are iid
     p = kstest(1.0 / draws, "expon").pvalue
     assert p > 0.01
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,18 +7,20 @@ from scipy.stats import norm
 from scipy.stats import t as t_dist
 
 from lsgt.errors import DegenerateSeriesError
-from lsgt.model import LEVEL_FLOOR, effective_lam, run_recursion
+from lsgt.model import LEVEL_FLOOR, effective_lam
 from lsgt.sampler import (
     _categorical_from_nll,
     nu_collapsed_nll,
+    phi_grid_nll,
     rho_marginal_nll,
+    tau_grid_nll,
     update_nu_collapsed,
+    update_phi_grid,
     update_rho_gamma_grouped,
-    update_variance,
-    variance_marginal_nll,
+    update_tau_grid,
 )
 
-from .helpers import make_prior, random_state
+from .helpers import random_state
 
 
 def test_grid_sampler_frequencies_match_weights(rng):
@@ -126,81 +127,38 @@ def test_rho_update_refreshes_forecasts(rng):
     assert state.paths.l.tolist() == full.l.tolist()
 
 
-def _chi2_integral(state, phi, tau, chi2_prior):
-    """log of the integral over the error variance of likelihood x prior at
-    (phi, tau), and the error variance's mean under it, by quadrature over
-    its log, for the conditionally Gaussian model given the mixture."""
-    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
-    var = state.theta.omega2 * (phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau))
-    e2 = state.paths.e ** 2
-    a0, b0 = chi2_prior if chi2_prior is not None else (0.0, 0.0)
-
-    def log_f(u):
-        # u = log chi2: prior IG(a0, b0), or 1/chi2 when improper, times the
-        # Jacobian chi2
-        x = math.exp(u)
-        like = float(np.sum(-0.5 * np.log(2.0 * math.pi * var * x) - e2 / (2.0 * var * x)))
-        return like - a0 * u - b0 / x
-
-    mode = optimize.minimize_scalar(lambda u: -log_f(u)).x
-    peak = log_f(mode)
-
-    def integral(f):
-        return integrate.quad(f, mode - 15.0, mode + 15.0, points=[mode],
-                              epsabs=0.0, epsrel=1e-11, limit=200)[0]
-
-    z = integral(lambda u: math.exp(log_f(u) - peak))
-    mean = integral(lambda u: math.exp(u + log_f(u) - peak)) / z
-    return peak + math.log(z), mean
-
-
 def test_variance_grid_nll_matches_direct(rng):
-    # differences across (phi, tau) candidates of the nll with the error
-    # variance integrated out, for the improper and a proper prior
-    phi = np.array([0.0, 0.3, 0.6, 0.9, 1.0, 0.45])
-    tau = np.array([0.2, 0.0, 0.9, 0.5, 0.7, 1.0])
-    for chi2_prior in (None, (3.0, 2.0)):
-        state = random_state(rng, T=12, prior=make_prior(chi2_prior=chi2_prior))
-        got = variance_marginal_nll(state, phi, tau)
-        expected = np.array([-_chi2_integral(state, f, t, chi2_prior)[0] for f, t in zip(phi, tau)])
-        np.testing.assert_allclose(got - got[0], expected - expected[0], rtol=1e-7, atol=1e-7)
+    state = random_state(rng, T=12)
+    th = state.theta
+    cand = state.grids.tau[:5]
+    got = tau_grid_nll(state, cand)
+    lp = np.maximum(state.paths.l[:-1], 1e-10)
+    for j, tau in enumerate(cand):
+        s2 = th.chi2 * (th.phi ** 2 + (1.0 - th.phi) ** 2 * lp ** (2.0 * tau))
+        expected = float(
+            np.sum(0.5 * (th.nu + 1.0) * np.log1p(state.paths.e ** 2 / (th.nu * s2)))
+            + np.sum(0.5 * np.log(s2))
+        )
+        assert got[j] == pytest.approx(expected, rel=1e-12)
 
 
 def test_phi_one_candidate_gives_homoscedastic(rng):
-    # at phi = 1 the scale is the error variance alone, whatever the power
     state = random_state(rng, T=12)
-    nll = variance_marginal_nll(state, 1.0, state.grids.tau)
-    assert np.all(nll == nll[0])
-    scale = float(np.sum(state.paths.e ** 2 / (2.0 * state.theta.omega2)))
-    assert nll[0] == pytest.approx(0.5 * (state.T - 1) * math.log(scale), rel=1e-12)
+    nll = phi_grid_nll(state, np.array([1.0]))
+    th = state.theta
+    s2 = np.full(state.T - 1, th.chi2)
+    expected = float(
+        np.sum(0.5 * (th.nu + 1.0) * np.log1p(state.paths.e ** 2 / (th.nu * s2)))
+        + np.sum(0.5 * np.log(s2))
+    )
+    assert nll[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_tau_phi_updates_keep_state_consistent(rng):
     state = random_state(rng, T=14)
-    update_variance(state, rng)
-    assert state.theta.tau in state.grids.tau and state.theta.phi in state.grids.phi
+    update_tau_grid(state, rng)
+    update_phi_grid(state, rng)
+    from lsgt.model import run_recursion
+
     full = run_recursion(state.y, state.theta, state.prior)
     assert state.paths.sigma2hat.tolist() == full.sigma2hat.tolist()
-
-
-@pytest.mark.parametrize("chi2_prior", [None, (3.0, 2.0)], ids=["improper", "inverse_gamma"])
-def test_update_variance_matches_enumeration(rng, chi2_prior):
-    # the block alone on levels spread over a decade, so that the power is
-    # identified: the (tau, phi) marginals and the mean of chi2 against the
-    # exact joint on an 8 x 8 grid, each pair weighted by quadrature
-    state = random_state(rng, T=12, prior=make_prior(chi2_prior=chi2_prior))
-    state.y = np.geomspace(5.0, 50.0, state.T) * np.exp(rng.normal(0.0, 0.1, state.T))
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
-    grid = np.linspace(0.0, 1.0, 8)
-    state.grids = replace(state.grids, tau=grid, phi=grid)
-    log_w, means = np.empty((8, 8)), np.empty((8, 8))
-    for i, tau in enumerate(grid):
-        for j, phi in enumerate(grid):
-            log_w[i, j], means[i, j] = _chi2_integral(state, phi, tau, chi2_prior)
-    p = np.exp(log_w - log_w.max())
-    p /= p.sum()
-
-    chi2, phi, tau = np.array([update_variance(state, rng) for _ in range(40_000)]).T
-    np.testing.assert_allclose([np.mean(tau == v) for v in grid], p.sum(axis=1), atol=0.01)
-    np.testing.assert_allclose([np.mean(phi == v) for v in grid], p.sum(axis=0), atol=0.01)
-    assert chi2.mean() == pytest.approx(float((p * means).sum()), rel=0.03)
