@@ -1,21 +1,27 @@
 """Gibbs sampler: conjugate, latent, grid and gradient-assisted MH updates.
 
-One sweep updates, in order: the per-observation t-mixture variances, the
-global error variance, then for non-seasonal fits the block of smoothing
-weights and trend coefficients (the weights by gradient-assisted MH in
-logit space on their marginal with the global and local trend coefficients
-integrated out, then the local coefficient from its truncated marginal and
-the global one given it), then the trend power and global trend
-coefficient as a group (the power on a grid with the coefficient
-integrated out, then the coefficient from its conjugate normal, then its
-Cauchy latent), then for non-seasonal fits the local trend coefficient and
-initial trend (truncated conjugate normals with their latents, iterated as
-a pair), or for seasonal fits the smoothing weights (joint
-gradient-assisted MH in logit space), the seed log seasonal factors (joint
-gradient-assisted MH on the m-1 free seeds) and the shrinkage hierarchy,
-then for heteroscedastic fits the variance power and mixing weight (grid
-sampling, the power before the weight), and finally the degrees of freedom
-(grid, with the t-mixture integrated out).
+One sweep (`sweep`) calls these kernels, in order:
+
+1. `update_omega2`: the per-observation t-mixture variances;
+2. `update_chi2`: the global error variance (inverse-gamma conditional);
+3. `update_smoothing_collapsed`, for non-seasonal fits: the smoothing
+   weights by MALA in logit space on their marginal with both trend
+   coefficients integrated out, then the local coefficient from its
+   truncated marginal and the global one given it;
+4. `update_rho_gamma_grouped`: the trend power (grid, global coefficient
+   integrated out), the global coefficient (conjugate normal) and its
+   Cauchy latent;
+5. for non-seasonal fits `update_lambda_b1`: the local trend coefficient
+   and initial trend (truncated conjugate normals with their latents,
+   iterated as a pair); for seasonal fits `update_smoothing_mh` and
+   `update_seasonals_mh`: the smoothing weights and the m-1 free seed log
+   seasonal factors (joint gradient-assisted MH each), then, under the
+   horseshoe prior, `update_horseshoe`: the shrinkage hierarchy;
+6. for heteroscedastic fits `update_tau_grid` and `update_phi_grid`: the
+   variance power, then the mixing weight (grid, t-mixture integrated
+   out);
+7. `update_nu_collapsed`: the degrees of freedom (grid, t-mixture
+   integrated out).
 
 The t-mixture latents enter the conjugate steps and the non-seasonal
 smoothing block, and are integrated out of every other MH and grid
@@ -928,7 +934,7 @@ def initial_draw(y: np.ndarray, m: int, prior: PriorConfig, grids: Grids) -> Par
 
 def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSizeState,
           adapting: bool) -> None:
-    """One full Gibbs sweep over the chain state.
+    """One full Gibbs sweep, in the order of the module docstring.
 
     The t-mixture variances are refreshed before anything conditions on
     them: every later step either reads this fresh draw (error variance,
