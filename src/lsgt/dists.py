@@ -4,8 +4,10 @@ Everything the sampler draws from lives here: inverse-gamma, normal,
 truncated-normal and categorical draws (thin, validating wrappers over
 ``numpy.random.Generator``), a numerical symmetric KL divergence between
 unit Student-t densities, and the construction of a degrees-of-freedom grid
-whose consecutive candidates are equidistant in symmetric KL.  The grid is
-built by one root-find on the common gap and cached per process.
+whose consecutive candidates are equidistant in symmetric KL.  The grid starts
+log-spaced; each pass computes every gap in one vectorised quadrature and
+shrinks or widens each log-step until the gaps are equal.  It is cached per
+process.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import log_ndtr, ndtri_exp
+from scipy.special import gammaln, log_ndtr, ndtri_exp
 
 from .errors import GridConstructionError, QuadratureError
 
@@ -135,36 +136,56 @@ def sample_truncated_normal(rng, mean, variance, lo, hi):
 # Symmetric KL divergence between unit Student-t densities
 # ---------------------------------------------------------------------------
 
-KL_NODES = 1200        # Gauss-Legendre nodes of symmetric_kl_t
+KL_NODES = 1200        # Gauss-Legendre nodes of symmetric_kl_t and the grid gaps
 KL_CHECK_TOL = 2e-5    # largest relative change allowed at half the nodes
-_GRID_NODES = 600      # nodes of the per-pair solves inside build_nu_grid
 
 
-def _t_log_density_vec(x: np.ndarray, nu: float) -> np.ndarray:
-    """Log density of the unit, zero-location Student-t, constant included."""
-    c = math.lgamma(0.5 * (nu + 1.0)) - math.lgamma(0.5 * nu) - 0.5 * math.log(nu * math.pi)
+def _t_log_density_vec(x: np.ndarray, nu: float | np.ndarray) -> np.ndarray:
+    """Log density of the unit, zero-location Student-t, constant included.
+
+    ``nu`` may be an array that broadcasts against ``x``.
+    """
+    nu = np.asarray(nu, dtype=float)
+    c = gammaln(0.5 * (nu + 1.0)) - gammaln(0.5 * nu) - 0.5 * np.log(nu * math.pi)
     return c - 0.5 * (nu + 1.0) * np.log1p(x * x / nu)
 
 
 @functools.cache
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    # map [-1, 1] -> (-pi/2, pi/2)
-    return 0.5 * math.pi * x, 0.5 * math.pi * w
+    """Gauss-Legendre nodes tan u on (-pi/2, pi/2) and their weights times sec^2 u."""
+    u, w = np.polynomial.legendre.leggauss(n)
+    u, w = 0.5 * math.pi * u, 0.5 * math.pi * w
+    return np.tan(u), w / np.cos(u) ** 2
 
 
-def _kl_t(nu_p: float, nu_q: float, n_nodes: int) -> float:
-    """KL(t_nu_p || t_nu_q) for unit-scale, zero-location densities.
+def _skl(a, b, n_nodes: int) -> np.ndarray:
+    """KL(p||q) + KL(q||p) for unit t densities of df ``a`` and ``b`` (arrays, paired).
 
-    Gauss-Legendre on the tangent-transformed real line; the integrand is
-    p(tan u) * (log p - log q)(tan u) * sec^2 u.
+    Gauss-Legendre on the tangent-mapped line; the integrand
+    (p - q)(log p - log q) sec^2 u is exactly symmetric in the pair.
     """
-    theta, w = _gauss_nodes(n_nodes)
-    x = np.tan(theta)
-    jac = 1.0 / np.cos(theta) ** 2
-    lp = _t_log_density_vec(x, nu_p)
-    lq = _t_log_density_vec(x, nu_q)
-    return float(np.sum(w * np.exp(lp) * (lp - lq) * jac))
+    x, w = _gauss_nodes(n_nodes)
+    lp = _t_log_density_vec(x, np.asarray(a, dtype=float)[..., None])
+    lq = _t_log_density_vec(x, np.asarray(b, dtype=float)[..., None])
+    return np.sum(w * (np.exp(lp) - np.exp(lq)) * (lp - lq), axis=-1)
+
+
+def _checked_skl(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_skl`` at ``KL_NODES`` for 1-d df arrays, each pair checked at half the nodes.
+
+    Raises ``QuadratureError`` when halving the node count moves a value by
+    more than ``KL_CHECK_TOL`` relative.
+    """
+    fine = _skl(a, b, KL_NODES)
+    coarse = _skl(a, b, KL_NODES // 2)
+    bad = np.flatnonzero(np.abs(fine - coarse) > KL_CHECK_TOL * np.maximum(np.abs(fine), 1e-300))
+    if bad.size:
+        i = bad[0]
+        raise QuadratureError(
+            f"symmetric KL quadrature unstable for ({a[i]}, {b[i]}): "
+            f"{fine[i]} vs {coarse[i]} at half resolution (rel tol {KL_CHECK_TOL})"
+        )
+    return fine
 
 
 def symmetric_kl_t(nu1: float, nu2: float) -> float:
@@ -175,17 +196,7 @@ def symmetric_kl_t(nu1: float, nu2: float) -> float:
     """
     if not (nu1 > 0 and nu2 > 0):
         raise ValueError(f"degrees of freedom must be positive, got {nu1}, {nu2}")
-    if nu1 == nu2:
-        return 0.0
-    val = _kl_t(nu1, nu2, KL_NODES) + _kl_t(nu2, nu1, KL_NODES)
-    coarse = _kl_t(nu1, nu2, KL_NODES // 2) + _kl_t(nu2, nu1, KL_NODES // 2)
-    denom = max(abs(val), 1e-300)
-    if abs(val - coarse) / denom > KL_CHECK_TOL:
-        raise QuadratureError(
-            f"symmetric KL quadrature unstable for ({nu1}, {nu2}): "
-            f"{val} vs {coarse} at half resolution (rel tol {KL_CHECK_TOL})"
-        )
-    return val
+    return float(_checked_skl(np.array([nu1], dtype=float), np.array([nu2], dtype=float))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,85 +210,37 @@ class NuGrid:
     candidates: tuple[float, ...]
 
 
-_NU_SEARCH_CAP = 1e9
-
-
-def _next_candidate(nu: float, gap: float) -> float | None:
-    """Solve skl(nu, x) = gap for x > nu; None when no solution below the cap."""
-
-    def f(x):
-        return _kl_t(nu, x, _GRID_NODES) + _kl_t(x, nu, _GRID_NODES) - gap
-
-    lo = nu * (1.0 + 1e-12)
-    hi = nu * 1.5
-    while hi < _NU_SEARCH_CAP:
-        if f(hi) >= 0.0:
-            return float(brentq(f, lo, hi, xtol=1e-12, rtol=1e-13))
-        lo = hi
-        hi *= 2.0
-    return None
-
-
-def _chain(nu_l: float, gap: float, steps: int) -> list[float]:
-    """``nu_l`` and up to ``steps`` successors, each ``gap`` above the last.
-
-    A chain that escapes the search cap ends at ``_NU_SEARCH_CAP``.
-    """
-    chain = [float(nu_l)]
-    for _ in range(steps):
-        nxt = _next_candidate(chain[-1], gap)
-        if nxt is None:
-            chain.append(_NU_SEARCH_CAP)
-            break
-        chain.append(nxt)
-    return chain
+GRID_PASSES = 100      # bound on the gap-equalising passes of build_nu_grid
+GRID_TOL = 1e-8        # largest spread of the gaps, relative to their mean
 
 
 @functools.cache
 def build_nu_grid(nu_l: float, nu_u: float, q: int) -> NuGrid:
     """Build ``q`` df candidates on [nu_l, nu_u] with equal symmetric-KL gaps.
 
-    One root-find on the log of the common gap makes the greedy chain of
-    per-pair solves land exactly on ``nu_u``; results are cached per
-    process, and forked workers inherit the cache.
+    The candidates start log-spaced.  Each pass computes every gap at once,
+    scales each log-step by gap**-1/4 and rescales the steps to the fixed
+    span, so both ends stay put; it stops once the gaps' spread is within
+    ``GRID_TOL`` of their mean.  Every final gap must pass the half-resolution
+    check of ``symmetric_kl_t`` (else ``QuadratureError``), and gaps that do
+    not equalise within ``GRID_PASSES`` passes raise ``GridConstructionError``.
+    Results are cached per process, and forked workers inherit the cache.
     """
     if not (0 < nu_l < nu_u):
         raise ValueError(f"require 0 < nu_l < nu_u, got {nu_l}, {nu_u}")
     if q < 2:
         raise ValueError(f"grid size must be >= 2, got {q}")
-    if q == 2:
-        return NuGrid(candidates=(float(nu_l), float(nu_u)))
-
-    @functools.cache  # brentq re-evaluates both bracket ends
-    def overshoot(log_gap):
-        return math.log(_chain(nu_l, math.exp(log_gap), q - 1)[-1] / nu_u)
-
-    total = symmetric_kl_t(nu_l, nu_u)
-    hi = math.log(total)
-    if not overshoot(hi) >= 0:
-        raise GridConstructionError(
-            f"gap bracketing failed for grid ({nu_l}, {nu_u}, {q}): upper gap undershoots"
-        )
-    lo = math.log(total / (q - 1) ** 2)
-    for _ in range(40):
-        if overshoot(lo) < 0:
-            break
-        lo -= math.log(10.0)
-    else:
-        raise GridConstructionError(
-            f"gap bracketing failed for grid ({nu_l}, {nu_u}, {q}): no lower gap found"
-        )
-    gap = math.exp(brentq(overshoot, lo, hi))
-
-    candidates = _chain(nu_l, gap, q - 2)
-    if candidates[-1] == _NU_SEARCH_CAP:
-        raise GridConstructionError(f"grid chain escaped the search cap at gap {gap}")
-    candidates.append(float(nu_u))
-
-    # sanity: the closing gap must agree with the common gap
-    closing = symmetric_kl_t(candidates[-2], nu_u)
-    if abs(closing - gap) / gap > 1e-3:
-        raise GridConstructionError(
-            f"closing gap {closing} deviates from common gap {gap} by more than 0.1%"
-        )
-    return NuGrid(candidates=tuple(candidates))
+    span = math.log(nu_u / nu_l)
+    steps = np.full(q - 1, span / (q - 1))
+    for _ in range(GRID_PASSES):
+        nu = np.concatenate(([nu_l], nu_l * np.exp(np.cumsum(steps[:-1])), [nu_u]))
+        gaps = _skl(nu[:-1], nu[1:], KL_NODES)
+        if np.ptp(gaps) <= GRID_TOL * gaps.mean():
+            _checked_skl(nu[:-1], nu[1:])
+            return NuGrid(candidates=tuple(nu.tolist()))
+        steps *= gaps ** -0.25  # the power -1/2, exact for a constant metric, oscillates
+        steps *= span / steps.sum()
+    raise GridConstructionError(
+        f"symmetric-KL gaps of grid ({nu_l}, {nu_u}, {q}) did not equalise "
+        f"within {GRID_PASSES} passes (spread {np.ptp(gaps) / gaps.mean():.2e} of the mean)"
+    )

@@ -55,7 +55,7 @@ class QuadratureError(LsgtError):
 
 
 class GridConstructionError(LsgtError):
-    """Root finding failed while building a candidate grid."""
+    """A candidate grid did not reach its tolerance."""
 
 
 class MetricError(LsgtError):

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import halfcauchy, kstest, norm, truncnorm
 from scipy.stats import t as t_dist
 
+from lsgt import dists
 from lsgt.dists import (
     TRUNCATION_TRIES,
     _t_log_density_vec,
@@ -17,6 +18,7 @@ from lsgt.dists import (
     sample_truncated_normal,
     symmetric_kl_t,
 )
+from lsgt.errors import GridConstructionError, QuadratureError
 from lsgt.rng import RngStream
 
 from .oracles import mc_symmetric_kl_t
@@ -126,6 +128,10 @@ def test_t_log_density_matches_scipy(rng):
         nu = math.exp(rng.uniform(0.2, 5))
         np.testing.assert_allclose(_t_log_density_vec(x, nu), t_dist.logpdf(x, nu),
                                    rtol=0, atol=1e-10)
+    # an array of df broadcasts against the points, as in the grid's gap quadrature
+    x = rng.normal(0, 5, size=6)
+    nu = np.exp(rng.uniform(0.2, 5, size=(3, 1)))
+    np.testing.assert_allclose(_t_log_density_vec(x, nu), t_dist.logpdf(x, nu), rtol=0, atol=1e-10)
 
 
 def test_t_log_density_normal_limit():
@@ -182,7 +188,7 @@ def test_nu_grid_trivial():
 
 
 def test_nu_grid_ascending_and_equal_gaps():
-    for q in (20, 100):  # 100 is the default grid size
+    for q in (3, 20, 100):  # 3 has one interior node; 100 is the default grid size
         arr = np.array(build_nu_grid(1.6, 1000.0, q).candidates)
         assert len(arr) == q
         assert np.all(np.diff(arr) > 0)
@@ -196,3 +202,16 @@ def test_nu_grid_invalid():
         build_nu_grid(5.0, 2.0, 10)
     with pytest.raises(ValueError):
         build_nu_grid(1.6, 1000.0, 1)
+
+
+def test_nu_grid_keeps_quadrature_check():
+    # the gap next to df 0.5 changes by more than KL_CHECK_TOL at half the nodes
+    with pytest.raises(QuadratureError):
+        build_nu_grid(0.5, 1e4, 30)
+
+
+def test_nu_grid_unequal_gaps_raise(monkeypatch):
+    # one pass from the log-spaced start cannot equalise the gaps
+    monkeypatch.setattr(dists, "GRID_PASSES", 1)
+    with pytest.raises(GridConstructionError):
+        build_nu_grid.__wrapped__(1.6, 1000.0, 10)
