@@ -1,22 +1,22 @@
 """Analytic gradients of the negative log likelihood for the MH proposals.
 
-Both routines propagate chain-rule recursions alongside the state paths.
 ``smoothing_gradient`` differentiates with respect to the level and trend
-smoothing weights; it is exact for the non-seasonal model and, for seasonal
+smoothing weights by propagating chain-rule recursions forward alongside
+the state paths; it is exact for the non-seasonal model and, for seasonal
 fits, holds the seasonal factor path fixed (the feedback of the smoothing
 weights through the seasonal recursion is dropped — the proposal stays a
 valid MH proposal either way, gradients only steer it).
-``seasonal_gradient`` differentiates with respect to the free seed log
+``seasonal_gradient`` differentiates with respect to the m-1 free seed log
 seasonal factors, including the constrained m-th seed and the dependence of
-the level seed on the seasonal seeds.
+the level seed on the first seed.  It runs in reverse mode: one adjoint pass
+backwards over the steps yields every seed's derivative, so a call costs
+O(T) rather than one forward pass per seed, O((m-1) T).
 
 Both loop over Python floats under the bit-exactness rules stated in
 ``lsgt.model``: every MH acceptance ratio reads these gradients.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -93,30 +93,6 @@ def _smoothing_pass(theta: ParameterDraw, cfg: PriorConfig, a, y, l, b, e, s2):
     return g_alpha, g_beta
 
 
-def seed_gradient_matrix(m: int) -> np.ndarray:
-    """d(log seed p) / d(free log seed i) for p = 0..m-1, i = 0..m-2.
-
-    The first m-1 seeds are free; the last balances them so the seed logs
-    sum to zero, hence its row is -1.
-    """
-    d = np.zeros((m, m - 1))
-    for i in range(m - 1):
-        d[i, i] = 1.0
-    d[m - 1, :] = -1.0
-    return d
-
-
-def initial_level_gradient(y, m: int, log_s_init) -> np.ndarray:
-    """Gradient of the deseasonalised level seed w.r.t. the free seeds.
-
-    Only the first seed enters l[0] = y[0] / s[0], so the gradient is
-    -y[0]/s[0] in the first direction and zero elsewhere.
-    """
-    g = np.zeros(m - 1)
-    g[0] = -y[0] / math.exp(log_s_init[0])
-    return g
-
-
 def seasonal_gradient(y, theta: ParameterDraw, cfg: PriorConfig, paths: StatePaths) -> np.ndarray:
     """dL/d(free log seed), shape (m-1,), for the seasonal model.
 
@@ -135,10 +111,15 @@ def seasonal_gradient(y, theta: ParameterDraw, cfg: PriorConfig, paths: StatePat
 
 
 def _seasonal_pass(theta: ParameterDraw, a, y, l, e, s2) -> list:
-    """One forward pass per free seed over coefficients shared by all seeds.
+    """Reverse mode: one backward pass over t = T-1..1 yields all m-1 seeds in O(T).
 
-    Each seed direction runs the same scalar recursion, so this equals a
-    pass over (m-1)-vectors element by element.
+    In tangent form step t adds c_dl * dl[t-1] + c_dla * dla to the gradient
+    (dla: derivative of the applied log factor), sets dl[t] = c_obs * dla +
+    (1-alpha) dl[t-1] and, for t >= m, dlog_s[t] = -(zeta/l[t]) dl[t] +
+    (1-zeta) dlog_s[t-m].  No coefficient depends on the seed, so the
+    adjoints of dl and of every log_s[k] are accumulated once, backwards.
+    Free seed i moves log_s[i] by +1 and log_s[m-1] by -1; the level seed
+    l[0] = y[0] / s[0] moves with the first seed alone.
     """
     T = len(y)
     m = theta.m
@@ -148,46 +129,35 @@ def _seasonal_pass(theta: ParameterDraw, a, y, l, e, s2) -> list:
     het = 2.0 * tau * theta.chi2 * (1.0 - theta.phi) ** 2
     gamma_rho, rho_1, tau_1 = gamma * rho, rho - 1.0, 2.0 * tau - 1.0
     neg_half_nu, half_nu1 = -0.5 * nu, 0.5 * (nu + 1.0)
+    keep_a, keep_z = 1.0 - alpha, 1.0 - zeta
 
-    # per-step coefficients of dl_prev and of the applied seed derivative
-    c_level, c_season, c_scale, c_prec, two_e, denoms, c_obs = [], [], [], [], [], [], []
-    for t in range(1, T):
+    adj_l = 0.0          # adjoint of dl[t], then of dl[t-1] once step t is undone
+    adj_s = [0.0] * T    # adjoint of dlog_s[k]
+    for t in range(T - 1, 0, -1):
+        if t >= m:
+            adj_st = adj_s[t]
+            adj_l += -(zeta / l[t]) * adj_st
+            adj_s[t - m] += keep_z * adj_st
         a_t = a[t - 1]
         lp = l[t - 1]
         if lp < LEVEL_FLOOR:
             # a floored level enters the trend and the scale as a constant
-            c_level.append(a_t)
-            c_scale.append(0.0)
+            c_level = a_t
+            c_scale = 0.0
             lp = LEVEL_FLOOR
         else:
-            c_level.append((1.0 + gamma_rho * lp ** rho_1) * a_t)
-            c_scale.append(het * lp ** tau_1)
-        c_season.append((l[t - 1] + gamma * lp ** rho) * a_t)
+            c_level = (1.0 + gamma_rho * lp ** rho_1) * a_t
+            c_scale = het * lp ** tau_1
+        c_season = (l[t - 1] + gamma * lp ** rho) * a_t
         et = e[t - 1]
         s2t = s2[t - 1]
-        c_prec.append(neg_half_nu / s2t)
-        two_e.append(2.0 * et)
-        denoms.append(nu * s2t + et * et)
-        c_obs.append(-(alpha * y[t] / a_t))
-    c_ratio = [-(zeta / l[t]) for t in range(m, T)]
-    keep_a, keep_z = 1.0 - alpha, 1.0 - zeta
+        k = half_nu1 / (nu * s2t + et * et)
+        c_dl = neg_half_nu * c_scale / s2t + k * (nu * c_scale - 2.0 * et * c_level)
+        c_dla = -(k * 2.0 * et * c_season)
+        c_obs = -(alpha * y[t] / a_t)
+        adj_s[t - m if t >= m else t] += c_dla + c_obs * adj_l
+        adj_l = c_dl + keep_a * adj_l
 
-    dl_seed = initial_level_gradient(y, m, theta.log_s_init).tolist()
-    grad = []
-    for i, dlogs in enumerate(seed_gradient_matrix(m).T.tolist()):
-        # dlogs[p] = d log s[p] / d free seed i; grows by one entry per step t >= m
-        dl_prev = dl_seed[i]
-        g = 0.0
-        for t, cl, cs, csc, cp, te, dn, co in zip(
-            range(1, T), c_level, c_season, c_scale, c_prec, two_e, denoms, c_obs
-        ):
-            dla = dlogs[t - m if t >= m else t]
-            dyhat = cl * dl_prev + cs * dla
-            dsig2 = csc * dl_prev
-            g += cp * dsig2 + half_nu1 * (nu * dsig2 - te * dyhat) / dn
-            dl_t = co * dla + keep_a * dl_prev
-            if t >= m:
-                dlogs.append(c_ratio[t - m] * dl_t + keep_z * dlogs[t - m])
-            dl_prev = dl_t
-        grad.append(g)
+    grad = [adj_s[i] - adj_s[m - 1] for i in range(m - 1)]
+    grad[0] -= adj_l * l[0]   # dl[0] / dlog_s[0] = -y[0] / s[0] = -l[0]
     return grad

@@ -170,17 +170,26 @@ class ConjugateNormalSpec:
     prior_variance: float
 
 
-def conjugate_normal_posterior(spec: ConjugateNormalSpec) -> tuple[float, float]:
-    """Posterior (mean, variance) of the weight w."""
-    if not spec.prior_variance > 0:
-        raise NumericalError(f"prior variance {spec.prior_variance} must be positive")
-    var = 1.0 / (float((spec.x ** 2 * spec.s ** 2 / spec.sigma2).sum()) + 1.0 / spec.prior_variance)
+def normal_moments(precision: float, score: float, prior_variance: float) -> tuple[float, float]:
+    """(mean, variance) of w with likelihood exp(score w - precision w^2 / 2), prior N(0, prior_variance)."""
+    if not prior_variance > 0:
+        raise NumericalError(f"prior variance {prior_variance} must be positive")
+    var = 1.0 / (precision + 1.0 / prior_variance)
     if not (var > 0 and math.isfinite(var)):
         raise NumericalError(f"conjugate posterior variance {var} invalid")
-    mu = var * float((spec.x * spec.s * (spec.y - spec.c * spec.s) / spec.sigma2).sum())
+    mu = var * score
     if not math.isfinite(mu):
         raise NumericalError(f"conjugate posterior mean {mu} invalid")
     return mu, var
+
+
+def conjugate_normal_posterior(spec: ConjugateNormalSpec) -> tuple[float, float]:
+    """Posterior (mean, variance) of the weight w."""
+    return normal_moments(
+        float((spec.x ** 2 * spec.s ** 2 / spec.sigma2).sum()),
+        float((spec.x * spec.s * (spec.y - spec.c * spec.s) / spec.sigma2).sum()),
+        spec.prior_variance,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -320,38 +329,55 @@ def xi_conditional(value: float, scale: float) -> tuple[float, float]:
     return 1.0, value ** 2 / (2.0 * scale ** 2) + 0.5
 
 
+@dataclass
+class TrendBlock:
+    """Arrays the local-trend conditionals share while only lam and b1 move.
+
+    In a non-seasonal fit yhat = l + gamma * lp^rho + lam * b, and the trend
+    unrolls as b = b_free + decay * b1 with decay[t] = (1-beta)^t = db[t]/db1,
+    so the residual is r - lam * (b_free + decay * b1) and each conditional
+    is a few sums over these arrays.
+    """
+
+    r: np.ndarray        # y[1:] - (l + gamma * lp^rho): what lam * b must explain
+    w: np.ndarray        # precisions 1 / (omega2 * sigma2hat)
+    decay: np.ndarray    # (1-beta)^t for t = 0..T-2
+    b_free: np.ndarray   # b[:-1] at b1 = 0
+
+    @classmethod
+    def of(cls, state: ChainState) -> "TrendBlock":
+        th = state.theta
+        paths = state.paths
+        lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
+        w = 1.0 / (th.omega2 * paths.sigma2hat)
+        decay = np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
+        return cls(r=state.y[1:] - (paths.l[:-1] + th.gamma * lp ** th.rho), w=w, decay=decay,
+                   b_free=paths.b[:-1] - decay * th.b1)
+
+    def lambda_moments(self, b1: float, prior_variance: float) -> tuple[float, float]:
+        """Conjugate normal (mean, variance) of lam given b1."""
+        b = self.b_free + self.decay * b1
+        wb = self.w * b
+        return normal_moments(float((wb * b).sum()), float((wb * self.r).sum()), prior_variance)
+
+    def b1_moments(self, lam: float, prior_variance: float) -> tuple[float, float]:
+        """Conjugate normal (mean, variance) of b1 given lam: design lam * decay."""
+        wd = self.w * self.decay
+        return normal_moments(lam * lam * float((wd * self.decay).sum()),
+                              lam * float((wd * (self.r - lam * self.b_free)).sum()),
+                              prior_variance)
+
+
 def lambda_conditional(state: ChainState) -> tuple[float, float]:
     """Conjugate normal (mean, variance) of the local trend coefficient."""
     th = state.theta
-    paths = state.paths
-    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
-    spec = ConjugateNormalSpec(
-        y=state.y[1:],
-        x=paths.b[:-1],
-        s=state.a_app,
-        c=paths.l[:-1] + th.gamma * lp ** th.rho,
-        sigma2=th.omega2 * paths.sigma2hat,
-        prior_variance=th.xi_lambda2 * state.s_lambda ** 2,
-    )
-    return conjugate_normal_posterior(spec)
+    return TrendBlock.of(state).lambda_moments(th.b1, th.xi_lambda2 * state.s_lambda ** 2)
 
 
 def b1_conditional(state: ChainState) -> tuple[float, float]:
-    """Conjugate normal (mean, variance) of the initial local trend.
-
-    The design x_t = lam * (1-beta)^(t-1) unrolls the trend recursion; the
-    mean uses the current residuals, avoiding the explicit remainder term.
-    """
+    """Conjugate normal (mean, variance) of the initial local trend."""
     th = state.theta
-    paths = state.paths
-    sigma2 = th.omega2 * paths.sigma2hat
-    x_b1 = th.lam * np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
-    prior_var = th.xi_b1_2 * state.s_b1 ** 2
-    var_b = 1.0 / (float((x_b1 ** 2 / sigma2).sum()) + 1.0 / prior_var)
-    if not (var_b > 0 and math.isfinite(var_b)):
-        raise NumericalError(f"initial-trend posterior variance {var_b} invalid")
-    mu_b = var_b * float(((x_b1 ** 2 * th.b1 + x_b1 * paths.e) / sigma2).sum())
-    return mu_b, var_b
+    return TrendBlock.of(state).b1_moments(th.lam, th.xi_b1_2 * state.s_b1 ** 2)
 
 
 def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float]:
@@ -359,24 +385,27 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
 
     Both are conjugate normals truncated to their declared ranges
     (``sample_truncated_normal``).  Only their product is well
-    identified when the smoothed trend is nearly constant, so the block is
-    iterated ``TREND_REPEATS`` times to equilibrate along that ridge within
-    one sweep.
+    identified when the smoothed trend is nearly constant, so the pair is
+    drawn ``TREND_REPEATS`` times to equilibrate along that ridge within
+    one sweep.  Neither moves the level, the scale or the mixture
+    variances, so the ``TrendBlock`` arrays are formed once per call, each
+    draw reads a few sums over them, and the trend path and forecasts are
+    refreshed once, after the last draw.
     """
     th = state.theta
+    block = TrendBlock.of(state)
     for _ in range(TREND_REPEATS):
-        mu, var = lambda_conditional(state)
+        mu, var = block.lambda_moments(th.b1, th.xi_lambda2 * state.s_lambda ** 2)
         th.lam, clamped = sample_truncated_normal(rng, mu, var, *LAM_RANGE)
         state.trunc_events += clamped
         th.xi_lambda2 = sample_inverse_gamma(rng, *xi_conditional(th.lam, state.s_lambda))
-        recompute_yhat(state.y, state.paths, th, state.prior)
 
-        mu_b, var_b = b1_conditional(state)
+        mu_b, var_b = block.b1_moments(th.lam, th.xi_b1_2 * state.s_b1 ** 2)
         th.b1, clamped = sample_truncated_normal(rng, mu_b, var_b, B1_LO, B1_HI)
         state.trunc_events += clamped
         th.xi_b1_2 = sample_inverse_gamma(rng, *xi_conditional(th.b1, state.s_b1))
-        recompute_trend_path(state.paths, th)
-        recompute_yhat(state.y, state.paths, th, state.prior)
+    recompute_trend_path(state.paths, th)
+    recompute_yhat(state.y, state.paths, th, state.prior)
     return th.lam, th.xi_lambda2, th.b1, th.xi_b1_2
 
 

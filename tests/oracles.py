@@ -51,6 +51,50 @@ def reference_recursion(y, alpha, beta, zeta, gamma, rho, lam, chi2, phi, tau,
     return l, b, log_s, yhat, sig2, e
 
 
+def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, log_s_init):
+    """d NLL / d(free seed log factor i), i < m-1, of the seasonal model.
+
+    Forward mode, one tangent pass per free seed: seed i moves log s[i] by
+    +1 and the balancing seed log s[m-1] by -1.  Each model equation of
+    ``reference_recursion`` (lam = 0) is differentiated as written; a level
+    below ``LEVEL_FLOOR`` enters the trend and the scale as a constant.
+    """
+    y = list(map(float, y))
+    T = len(y)
+    m = len(log_s_init)
+    l, _, log_s, _, sig2, e = reference_recursion(
+        y, alpha, 0.5, zeta, gamma, rho, 0.0, chi2, phi, tau, 0.0, log_s_init, True)
+    grad = []
+    for i in range(m - 1):
+        dlog_s = [0.0] * T
+        dlog_s[i], dlog_s[m - 1] = 1.0, -1.0
+        dl = [0.0] * T
+        dl[0] = -l[0] * dlog_s[0]            # l[0] = y[0] / s[0]
+        g = 0.0
+        for t in range(1, T):
+            idx = t - m if t >= m else t
+            a_t = math.exp(log_s[idx])
+            da = a_t * dlog_s[idx]
+            lp, dlp = l[t - 1], dl[t - 1]
+            if lp < LEVEL_FLOOR:
+                lp, dlp = LEVEL_FLOOR, 0.0
+            # yhat = (l + gamma lp^rho) a,  sig2 = chi2 (phi^2 + (1-phi)^2 lp^(2 tau))
+            dyhat = (dl[t - 1] + gamma * rho * lp ** (rho - 1.0) * dlp) * a_t \
+                + (l[t - 1] + gamma * lp ** rho) * da
+            dsig2 = chi2 * (1.0 - phi) ** 2 * 2.0 * tau * lp ** (2.0 * tau - 1.0) * dlp
+            # NLL term: (nu+1)/2 log(1 + e^2 / (nu sig2)) + log(sig2) / 2, e = y - yhat
+            et, s2 = e[t - 1], sig2[t - 1]
+            g += 0.5 * (nu + 1.0) * (-2.0 * et * dyhat / (nu * s2) - et * et * dsig2 / (nu * s2 * s2)) \
+                / (1.0 + et * et / (nu * s2)) + 0.5 * dsig2 / s2
+            # l = alpha y / a + (1 - alpha) l_prev
+            dl[t] = -alpha * y[t] / (a_t * a_t) * da + (1.0 - alpha) * dl[t - 1]
+            if t >= m:
+                # log s = zeta log(y / l) + (1 - zeta) log s[t-m]
+                dlog_s[t] = -zeta * dl[t] / l[t] + (1.0 - zeta) * dlog_s[t - m]
+        grad.append(g)
+    return np.array(grad)
+
+
 def reference_nll(e, sig2, nu):
     """Negative log likelihood as a sum of textbook t log densities."""
     total = 0.0

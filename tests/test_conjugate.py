@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from lsgt.model import LEVEL_FLOOR, effective_lam
+from lsgt import sampler
+from lsgt.model import LEVEL_FLOOR, effective_lam, run_recursion
 from lsgt.sampler import (
+    ChainState,
     b1_conditional,
     chi2_conditional,
     conjugate_normal_posterior,
@@ -27,6 +29,7 @@ from lsgt.sampler import (
     omega2_conditional,
     psi2_conditional,
     update_chi2,
+    update_lambda_b1,
     update_omega2,
     xi_conditional,
 )
@@ -280,6 +283,34 @@ def test_b1_conditional_matches_quadrature(rng):
     mean_q, var_q = quad_moments_real(log_density)
     assert mean_q == pytest.approx(mu, rel=REL, abs=1e-9)
     assert var_q == pytest.approx(var, rel=REL)
+
+
+def test_update_lambda_b1_draws_fresh_conditionals_and_leaves_exact_paths(rng, monkeypatch):
+    # the kernel forms its arrays once per call and refreshes the paths once
+    # at the end; every one of its draws must still come from the conditional
+    # of a state recomputed from scratch at the current draw
+    draw = sampler.sample_truncated_normal
+    for T in (6, 17, 40):
+        state = random_state(rng, T=T)
+        th = state.theta
+        seen = []
+
+        def spy(r, mean, var, lo, hi):
+            fresh = ChainState(state.y, state.prior, th.copy(),
+                               (state.s_gamma, state.s_lambda, state.s_b1), state.grids)
+            want = b1_conditional(fresh) if len(seen) % 2 else lambda_conditional(fresh)
+            np.testing.assert_allclose((mean, var), want, rtol=1e-9)
+            seen.append(mean)
+            return draw(r, mean, var, lo, hi)
+
+        monkeypatch.setattr(sampler, "sample_truncated_normal", spy)
+        lam0, b10 = th.lam, th.b1
+        update_lambda_b1(state, rng)
+        assert len(seen) == 2 * sampler.TREND_REPEATS
+        assert th.lam != lam0 and th.b1 != b10
+        full = run_recursion(state.y, th, state.prior)
+        for name in ("l", "b", "yhat", "e", "sigma2hat"):
+            np.testing.assert_array_equal(getattr(state.paths, name), getattr(full, name))
 
 
 def test_b1_design_collapses_when_beta_one(rng):

@@ -12,7 +12,7 @@ from lsgt.model import (
     run_recursion,
 )
 
-from .oracles import fd_gradient
+from .oracles import fd_gradient, reference_seasonal_gradient
 
 
 def random_theta(rng, T, m=1, seasonal=False):
@@ -61,7 +61,7 @@ def floored_case(m):
     seeds = np.zeros(m)
     if m > 1:
         y *= np.resize([1.1, 0.9, 1.05, 0.95], T)
-        seeds = np.array([0.1, -0.05, 0.08, -0.13])
+        seeds = np.resize([0.1, -0.05, 0.08, -0.13], m)
     theta = ParameterDraw(nu=5.0, gamma=0.5, rho=-0.5, lam=0.0 if m > 1 else 0.4, alpha=0.9,
                           beta=0.3, zeta=0.4, chi2=1.0, phi=0.5, tau=0.2, b1=0.1,
                           log_s_init=seeds, omega2=np.ones(T - 1))
@@ -105,6 +105,9 @@ def test_seasonal_gradient_matches_fd(rng):
         m = int(rng.integers(2, 7))
         T = int(rng.integers(2 * m + 4, 60))
         cases.append((random_series(rng, T), random_theta(rng, T, m=m, seasonal=True)))
+    for _ in range(3):
+        T = int(rng.integers(95, 106))
+        cases.append((random_series(rng, T), random_theta(rng, T, m=12, seasonal=True)))
     cases.append(floored_case(m=4))
     for y, theta in cases:
         grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
@@ -116,6 +119,23 @@ def test_seasonal_gradient_matches_fd(rng):
 
         fd = fd_gradient(f, theta.log_s_init[: theta.m - 1], h=1e-6)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.abs(fd).max()))
+
+
+def test_seasonal_gradient_matches_forward_reference(rng):
+    cfg = PriorConfig(model_kind=SEASONAL)
+    cases = []
+    for _ in range(60):
+        m = int(rng.choice([2, 3, 4, 6, 12]))
+        T = int(rng.integers(2 * m + 1, 131))
+        cases.append((random_series(rng, T), random_theta(rng, T, m=m, seasonal=True)))
+    cases += [floored_case(m=4), floored_case(m=12)]
+    for y, theta in cases:
+        grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
+        ref = reference_seasonal_gradient(y, theta.alpha, theta.zeta, theta.gamma, theta.rho,
+                                          theta.chi2, theta.phi, theta.tau, theta.nu,
+                                          theta.log_s_init)
+        assert grad.shape == (theta.m - 1,)
+        np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=0.0)
 
 
 def test_seasonal_gradient_m2_single_direction(rng):
@@ -133,9 +153,7 @@ def test_seasonal_gradient_m2_single_direction(rng):
 def test_zero_scale_gives_non_finite_gradient_not_an_exception(rng):
     # float64 semantics: a division by a zero scale yields inf/nan, which
     # makes the MH proposal reject; it must not raise ZeroDivisionError
-    for seasonal in (False, True):
-        m = 4 if seasonal else 1
-        T = 12
+    for seasonal, m, T in ((False, 1, 12), (True, 4, 12), (True, 12, 30)):
         y = random_series(rng, T)
         theta = random_theta(rng, T, m=m, seasonal=seasonal)
         cfg = PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL)
