@@ -13,10 +13,12 @@ One sweep (`sweep`) calls these kernels, in order:
    Cauchy latent;
 5. for non-seasonal fits `update_lambda_b1`: the local trend coefficient
    and initial trend (truncated conjugate normals with their latents,
-   iterated as a pair); for seasonal fits `update_smoothing_mh` and
-   `update_seasonals_mh`: the smoothing weights and the m-1 free seed log
-   seasonal factors (joint gradient-assisted MH each), then, under the
-   horseshoe prior, `update_horseshoe`: the shrinkage hierarchy;
+   iterated as a pair); for seasonal fits `update_smoothing_seasonal`:
+   the level and seasonal smoothing weights, then the m-1 free seed log
+   seasonal factors (a MALA move each, reading one adjoint gradient and
+   one likelihood per draw visited), then the trend weight from its prior,
+   and, under the horseshoe prior, `update_horseshoe`: the shrinkage
+   hierarchy;
 6. for heteroscedastic fits `update_tau_grid` and `update_phi_grid`: the
    variance power, then the mixing weight (grid, t-mixture integrated
    out);
@@ -24,11 +26,14 @@ One sweep (`sweep`) calls these kernels, in order:
    integrated out).
 
 The t-mixture latents enter the conjugate steps and the non-seasonal
-smoothing block, and are integrated out of every other MH and grid
-likelihood.  Refreshing the mixture variances at the top of the sweep,
-before anything conditions on them, is what keeps this partially collapsed
-cycle exactly stationary: the collapsed moves at the tail of a sweep leave
-the latents stale, so no conditional may read them until they are redrawn.
+smoothing block, and are integrated out of the seasonal MALA moves and
+every grid likelihood; the seasonal fit's trend weight, which reaches
+neither forecast nor scale once lam = 0, is drawn from its prior, its
+exact conditional.  Refreshing the mixture variances at the top of the
+sweep, before anything conditions on them, is what keeps this partially
+collapsed cycle exactly stationary: the collapsed moves at the tail of a
+sweep leave the latents stale, so no conditional may read them until they
+are redrawn.
 The non-seasonal smoothing block is itself partially collapsed (van Dyk and
 Park 2008): its MH step leaves the weights' marginal invariant with the two
 trend coefficients integrated out, and the exact draw of the coefficients
@@ -56,7 +61,7 @@ from .dists import (
     sample_truncated_normal,
 )
 from .errors import DegenerateSeriesError, NumericalError, StateRecursionError
-from .gradients import seasonal_gradient, smoothing_gradient
+from .gradients import seasonal_gradient
 from .model import (
     B1_RANGE,
     HETEROSCEDASTIC,
@@ -82,9 +87,11 @@ logger = logging.getLogger(__name__)
 
 B1_LO = float(np.nextafter(B1_RANGE[0], 0.0))
 B1_HI = float(np.nextafter(B1_RANGE[1], 0.0))
+WEIGHT_LO = float(np.nextafter(0.0, 1.0))   # the open unit interval of a smoothing weight
+WEIGHT_HI = float(np.nextafter(1.0, 0.0))
 
 TREND_REPEATS = 4             # inner iterations of the local-trend conjugate pair
-MH_TARGET_ACCEPTANCE = 0.55   # Robbins-Monro target of both MH step sizes
+MH_TARGET_ACCEPTANCE = 0.55   # Robbins-Monro target of both MALA step sizes
 POWER_GRID_SIZE = 64          # candidates of each of the rho, tau and phi grids
 
 
@@ -581,66 +588,65 @@ def _langevin_logq(dest: np.ndarray, src: np.ndarray, grad_src: np.ndarray, eps:
     return -0.5 * float(np.dot(d, d)) / (eps * eps)
 
 
-def update_smoothing_mh(state: ChainState, rng, step: StepSizeState,
-                        adapting: bool, target: float) -> bool:
-    """Joint MH update of the smoothing weights in logit space.
+@dataclass
+class MalaPoint:
+    """A draw that a MALA move stands at or proposes, with its recursion.
 
-    The proposal mean follows the negative log-likelihood gradient (zero
-    for the seasonal smoothing weight); the acceptance ratio includes the
-    beta priors, the logit Jacobian and the asymmetric proposal densities.
+    ``log_target`` is the log density of the move's coordinates up to a
+    constant and ``grad`` the gradient that steers proposals from here;
+    ``marginal`` is the LGT collapsed target the kernel reads after its
+    move.
     """
-    th = state.theta
-    names = ("alpha", "beta", "zeta") if state.seasonal else ("alpha", "beta")
-    k = len(names)
-    cur = np.array([getattr(th, n) for n in names])
-    x = _logit(cur)
 
-    ga, gb = smoothing_gradient(state.y, th, state.prior, state.paths)
-    g_x = np.array([ga, gb, 0.0][:k]) * cur * (1.0 - cur)
+    theta: ParameterDraw
+    paths: StatePaths
+    log_target: float
+    grad: np.ndarray | None
+    marginal: SmoothingMarginal | None = None
 
+
+def _finite(point) -> bool:
+    return math.isfinite(point.log_target) and bool(np.isfinite(point.grad).all())
+
+
+def _mala_move(rng, step: StepSizeState, adapting: bool, target: float,
+               here: MalaPoint, x: np.ndarray, visit, coords=slice(None)) -> MalaPoint:
+    """One MALA step in the coordinates ``x``; returns the point the chain reaches.
+
+    The proposal is N(x + eps^2/2 g, eps^2 I), with g the coordinates'
+    slice ``coords`` of ``here.grad``; ``visit(x_star)`` returns the point
+    proposed, or None outside the support.  The acceptance ratio includes
+    both proposal densities.  A non-finite target or gradient here means no
+    move, at the proposal a rejection; the noise is drawn either way.
+    While adapting, the step size moves toward ``target`` acceptance;
+    afterwards each outcome is recorded.
+    """
     eps = step.eps
-    z = rng.standard_normal(k)
-    x_star = x - 0.5 * eps * eps * g_x + eps * z
-    cur_star = _sigmoid(x_star)
-
+    z = rng.standard_normal(x.shape[0])
     accept_prob = 0.0
-    accepted = False
-    if (cur_star > 0.0).all() and (cur_star < 1.0).all():
-        trial = th.proposal_clone()
-        for n, v in zip(names, cur_star):
-            setattr(trial, n, float(v))
-        try:
-            paths_star = run_recursion(state.y, trial, state.prior)
-            nll_star = negative_log_likelihood(paths_star, th.nu)
-        except StateRecursionError:
-            paths_star = None
-            nll_star = math.inf
-        if math.isfinite(nll_star):
-            ga_s, gb_s = smoothing_gradient(state.y, trial, state.prior, paths_star)
-            g_x_star = np.array([ga_s, gb_s, 0.0][:k]) * cur_star * (1.0 - cur_star)
-            nll_cur = negative_log_likelihood(state.paths, th.nu)
-            a, b = SMOOTHING_PRIOR
-            # beta prior plus logit jacobian
-            lp_cur = float((a * np.log(cur) + b * np.log(1.0 - cur)).sum())
-            lp_star = float((a * np.log(cur_star) + b * np.log(1.0 - cur_star)).sum())
-            log_r = (
-                (-nll_star + lp_star)
-                - (-nll_cur + lp_cur)
-                + _langevin_logq(x, x_star, g_x_star, eps)
-                - _langevin_logq(x_star, x, g_x, eps)
-            )
+    reached = here
+    if _finite(here):
+        g = here.grad[coords]
+        x_star = x + 0.5 * eps * eps * g + eps * z
+        there = visit(x_star)
+        if there is not None and _finite(there):
+            # _langevin_logq takes the gradient of the negative log target
+            log_r = (there.log_target - here.log_target
+                     + _langevin_logq(x, x_star, -there.grad[coords], eps)
+                     - _langevin_logq(x_star, x, -g, eps))
             accept_prob = 1.0 if log_r >= 0 else math.exp(max(log_r, -745.0))
             if math.log(rng.random()) < log_r:
-                for n, v in zip(names, cur_star):
-                    setattr(th, n, float(v))
-                state.set_paths(paths_star)
-                accepted = True
+                reached = there
 
     if adapting:
         step.adapt(accept_prob, target)
     else:
-        step.record(accepted)
-    return accepted
+        step.record(reached is not here)
+    return reached
+
+
+def _in_unit_interval(w: np.ndarray) -> bool:
+    return bool((w > 0.0).all() and (w < 1.0).all())
 
 
 @dataclass
@@ -790,10 +796,6 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, l, b, s2, omeg
                              lam_mean=m2, lam_prec=S, slope=c)
 
 
-def _finite(target: SmoothingMarginal) -> bool:
-    return math.isfinite(target.log_target) and bool(np.isfinite(target.grad).all())
-
-
 def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
                                adapting: bool, target: float) -> bool:
     """LGT smoothing weights with (gamma, lam) integrated out, then (lam, gamma).
@@ -810,50 +812,37 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     no move; at a proposal it means rejection.
     """
     th = state.theta
-    cur = np.array([th.alpha, th.beta])
-    x = _logit(cur)
-    here = smoothing_marginal(state, th.alpha, th.beta, state.paths)
+    x = _logit(np.array([th.alpha, th.beta]))
 
-    eps = step.eps
-    z = rng.standard_normal(2)
-    accept_prob = 0.0
-    accepted = False
-    if _finite(here):
-        x_star = x + 0.5 * eps * eps * here.grad + eps * z
-        cur_star = _sigmoid(x_star)
-        if (cur_star > 0.0).all() and (cur_star < 1.0).all():
-            trial = th.proposal_clone()
-            trial.alpha, trial.beta = float(cur_star[0]), float(cur_star[1])
-            try:
-                paths_star = run_recursion(state.y, trial, state.prior)
-            except StateRecursionError:
-                paths_star = None
-            if paths_star is not None:
-                there = smoothing_marginal(state, trial.alpha, trial.beta, paths_star)
-                if _finite(there):
-                    # _langevin_logq takes the gradient of the negative log target
-                    log_r = (there.log_target - here.log_target
-                             + _langevin_logq(x, x_star, -there.grad, eps)
-                             - _langevin_logq(x_star, x, -here.grad, eps))
-                    accept_prob = 1.0 if log_r >= 0 else math.exp(max(log_r, -745.0))
-                    if math.log(rng.random()) < log_r:
-                        th.alpha, th.beta = trial.alpha, trial.beta
-                        state.set_paths(paths_star)
-                        here = there
-                        accepted = True
+    def collapsed_point(theta, paths):
+        marginal = smoothing_marginal(state, theta.alpha, theta.beta, paths)
+        return MalaPoint(theta, paths, marginal.log_target, marginal.grad, marginal)
 
-    if adapting:
-        step.adapt(accept_prob, target)
-    else:
-        step.record(accepted)
+    def visit(x_star):
+        w = _sigmoid(x_star)
+        if not _in_unit_interval(w):
+            return None
+        trial = th.proposal_clone()
+        trial.alpha, trial.beta = float(w[0]), float(w[1])
+        try:
+            return collapsed_point(trial, run_recursion(state.y, trial, state.prior))
+        except StateRecursionError:
+            return None
 
-    if math.isfinite(here.log_target):
-        th.lam, fell_back = sample_truncated_normal(rng, here.lam_mean, 1.0 / here.lam_prec, *LAM_RANGE)
+    here = collapsed_point(th, state.paths)
+    reached = _mala_move(rng, step, adapting, target, here, x, visit)
+    if reached is not here:
+        th.alpha, th.beta = reached.theta.alpha, reached.theta.beta
+        state.set_paths(reached.paths)
+
+    marginal = reached.marginal
+    if math.isfinite(marginal.log_target):
+        th.lam, fell_back = sample_truncated_normal(rng, marginal.lam_mean, 1.0 / marginal.lam_prec, *LAM_RANGE)
         state.trunc_events += fell_back
-        th.gamma = sample_normal(rng, here.gamma_mean - here.slope * (th.lam - here.lam_mean),
-                                 1.0 / here.gamma_prec)
+        th.gamma = sample_normal(rng, marginal.gamma_mean - marginal.slope * (th.lam - marginal.lam_mean),
+                                 1.0 / marginal.gamma_prec)
         recompute_yhat(state.y, state.paths, th, state.prior)
-    return accepted
+    return reached is not here
 
 
 def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorConfig) -> float:
@@ -864,56 +853,98 @@ def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorCon
     return -float(np.log1p((seeds / sp.scale) ** 2).sum())
 
 
-def update_seasonals_mh(state: ChainState, rng, step: StepSizeState,
-                        adapting: bool, target: float) -> bool:
-    """Joint MH update of the m-1 free seed log seasonal factors.
+def seasonal_point(state: ChainState, theta: ParameterDraw, paths: StatePaths) -> MalaPoint:
+    """The SGT target at ``theta``, in (logit alpha, logit zeta, free seeds).
+
+    One negative log likelihood and one adjoint gradient pass; the log
+    target adds the smoothing weights' Beta priors with their logit
+    Jacobian and the seasonal prior.  The gradient is that of the log
+    target without the seasonal prior, which enters the acceptance ratio
+    only: the seed proposals are steered by the likelihood alone.
+    """
+    nll = negative_log_likelihood(paths, theta.nu)
+    if not math.isfinite(nll):
+        return MalaPoint(theta, paths, -math.inf, None)
+    grad = -seasonal_gradient(state.y, theta, state.prior, paths)
+    log_target = _seasonal_log_prior(theta.log_s_init, theta, state.prior) - nll
+    a, b = SMOOTHING_PRIOR
+    for i, w in enumerate((theta.alpha, theta.zeta)):
+        grad[i] = float(grad[i]) * w * (1.0 - w) + a - (a + b) * w
+        log_target += a * math.log(w) + b * math.log1p(-w)
+    return MalaPoint(theta, paths, log_target, grad)
+
+
+def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None:
+    try:
+        paths = run_recursion(state.y, trial, state.prior)
+    except StateRecursionError:
+        return None
+    return seasonal_point(state, trial, paths)
+
+
+SGT_WEIGHTS = slice(0, 2)     # (logit alpha, logit zeta) in a seasonal point
+SGT_SEEDS = slice(2, None)    # the m-1 free seed log factors
+
+
+def seasonal_weights_move(state: ChainState, rng, step: StepSizeState, adapting: bool,
+                          target: float, here: MalaPoint) -> MalaPoint:
+    """MALA on (logit alpha, logit zeta) from ``here``, the current draw's point."""
+    th = state.theta
+
+    def visit(x_star):
+        w = _sigmoid(x_star)
+        if not _in_unit_interval(w):
+            return None
+        trial = th.proposal_clone()
+        trial.alpha, trial.zeta = float(w[0]), float(w[1])
+        return _seasonal_visit(state, trial)
+
+    x = _logit(np.array([th.alpha, th.zeta]))
+    reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_WEIGHTS)
+    if reached is not here:
+        th.alpha, th.zeta = reached.theta.alpha, reached.theta.zeta
+        state.set_paths(reached.paths)
+    return reached
+
+
+def seasonal_seeds_move(state: ChainState, rng, step: StepSizeState, adapting: bool,
+                        target: float, here: MalaPoint) -> MalaPoint:
+    """MALA on the m-1 free seed log factors from ``here``, the current draw's point.
 
     The balancing m-th seed is recomputed so the seed logs sum to zero
-    exactly; the acceptance ratio includes the seasonal prior on all m
-    seeds.
+    exactly.
     """
     th = state.theta
-    m = th.m
-    free = th.log_s_init[: m - 1].copy()
-    g = seasonal_gradient(state.y, th, state.prior, state.paths)
 
-    eps = step.eps
-    z = rng.standard_normal(m - 1)
-    free_star = free - 0.5 * eps * eps * g + eps * z
-    seeds_star = np.append(free_star, -float(free_star.sum()))
+    def visit(free_star):
+        trial = th.proposal_clone()
+        trial.log_s_init = np.append(free_star, -float(free_star.sum()))
+        return _seasonal_visit(state, trial)
 
-    trial = th.proposal_clone()
-    trial.log_s_init = seeds_star
-    accept_prob = 0.0
-    accepted = False
-    try:
-        paths_star = run_recursion(state.y, trial, state.prior)
-        nll_star = negative_log_likelihood(paths_star, th.nu)
-    except StateRecursionError:
-        paths_star = None
-        nll_star = math.inf
-    if math.isfinite(nll_star):
-        g_star = seasonal_gradient(state.y, trial, state.prior, paths_star)
-        nll_cur = negative_log_likelihood(state.paths, th.nu)
-        lp_cur = _seasonal_log_prior(th.log_s_init, th, state.prior)
-        lp_star = _seasonal_log_prior(seeds_star, th, state.prior)
-        log_r = (
-            (-nll_star + lp_star)
-            - (-nll_cur + lp_cur)
-            + _langevin_logq(free, free_star, g_star, eps)
-            - _langevin_logq(free_star, free, g, eps)
-        )
-        accept_prob = 1.0 if log_r >= 0 else math.exp(max(log_r, -745.0))
-        if math.log(rng.random()) < log_r:
-            th.log_s_init = seeds_star
-            state.set_paths(paths_star)
-            accepted = True
+    x = th.log_s_init[: th.m - 1].copy()
+    reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_SEEDS)
+    if reached is not here:
+        th.log_s_init = reached.theta.log_s_init
+        state.set_paths(reached.paths)
+    return reached
 
-    if adapting:
-        step.adapt(accept_prob, target)
-    else:
-        step.record(accepted)
-    return accepted
+
+def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState,
+                              seas_step: StepSizeState, adapting: bool, target: float) -> None:
+    """SGT smoothing weights, seed factors and trend weight.
+
+    A MALA move on (logit alpha, logit zeta), then one on the free seeds
+    from the point it reached, so the likelihood and gradient of each draw
+    visited are computed once.  SGT fixes lam = 0, so beta reaches neither
+    the forecast nor the scale: its conditional is its Beta prior, drawn
+    exactly (in the open unit interval), and the trend path follows it.
+    """
+    here = seasonal_point(state, state.theta, state.paths)
+    here = seasonal_weights_move(state, rng, smooth_step, adapting, target, here)
+    seasonal_seeds_move(state, rng, seas_step, adapting, target, here)
+    th = state.theta
+    th.beta = min(max(float(rng.beta(*SMOOTHING_PRIOR)), WEIGHT_LO), WEIGHT_HI)
+    recompute_trend_path(state.paths, th)
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +999,7 @@ def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSiz
     The t-mixture variances are refreshed before anything conditions on
     them: every later step either reads this fresh draw (error variance,
     the non-seasonal smoothing block, trend power and coefficients) or
-    integrates the mixture out entirely (the seasonal MH moves, the
+    integrates the mixture out entirely (the seasonal MALA moves, the
     variance grids and the df), which is what keeps the partially collapsed
     cycle exactly stationary.  For non-seasonal fits the smoothing weights
     come right after the error variance, as a Gibbs block on
@@ -983,8 +1014,7 @@ def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSiz
         update_smoothing_collapsed(state, rng, smooth_step, adapting, MH_TARGET_ACCEPTANCE)
     update_rho_gamma_grouped(state, rng)
     if state.seasonal:
-        update_smoothing_mh(state, rng, smooth_step, adapting, MH_TARGET_ACCEPTANCE)
-        update_seasonals_mh(state, rng, seas_step, adapting, MH_TARGET_ACCEPTANCE)
+        update_smoothing_seasonal(state, rng, smooth_step, seas_step, adapting, MH_TARGET_ACCEPTANCE)
         if state.prior.seasonal_prior.kind == "horseshoe":
             update_horseshoe(state, rng)
     else:
@@ -1008,7 +1038,7 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
         if it == cfg.burn_in and not state.seasonal:
             # the collapsed kernel's acceptance varies across its posterior
             # (a weakly identified beta wanders into flat logit tails), so
-            # it freezes at the averaged step size; the seasonal kernels
+            # it freezes at the averaged step size; the seasonal moves
             # still freeze at their last iterate
             smooth_step.settle()
         sweep(state, rng, smooth_step, seas_step, adapting)

@@ -52,22 +52,25 @@ def reference_recursion(y, alpha, beta, zeta, gamma, rho, lam, chi2, phi, tau,
 
 
 def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, log_s_init):
-    """d NLL / d(free seed log factor i), i < m-1, of the seasonal model.
+    """d NLL / d(alpha, zeta, free seed log factor i < m-1) of the seasonal model.
 
-    Forward mode, one tangent pass per free seed: seed i moves log s[i] by
-    +1 and the balancing seed log s[m-1] by -1.  Each model equation of
-    ``reference_recursion`` (lam = 0) is differentiated as written; a level
-    below ``LEVEL_FLOOR`` enters the trend and the scale as a constant.
+    Forward mode, one tangent pass per direction: alpha, zeta, then seed i,
+    which moves log s[i] by +1 and the balancing seed log s[m-1] by -1.
+    Each model equation of ``reference_recursion`` (lam = 0) is
+    differentiated as written; a level below ``LEVEL_FLOOR`` enters the
+    trend and the scale as a constant.
     """
     y = list(map(float, y))
     T = len(y)
     m = len(log_s_init)
     l, _, log_s, _, sig2, e = reference_recursion(
         y, alpha, 0.5, zeta, gamma, rho, 0.0, chi2, phi, tau, 0.0, log_s_init, True)
+    directions = [(1.0, 0.0, None), (0.0, 1.0, None)] + [(0.0, 0.0, i) for i in range(m - 1)]
     grad = []
-    for i in range(m - 1):
+    for d_alpha, d_zeta, seed in directions:
         dlog_s = [0.0] * T
-        dlog_s[i], dlog_s[m - 1] = 1.0, -1.0
+        if seed is not None:
+            dlog_s[seed], dlog_s[m - 1] = 1.0, -1.0
         dl = [0.0] * T
         dl[0] = -l[0] * dlog_s[0]            # l[0] = y[0] / s[0]
         g = 0.0
@@ -87,10 +90,12 @@ def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, 
             g += 0.5 * (nu + 1.0) * (-2.0 * et * dyhat / (nu * s2) - et * et * dsig2 / (nu * s2 * s2)) \
                 / (1.0 + et * et / (nu * s2)) + 0.5 * dsig2 / s2
             # l = alpha y / a + (1 - alpha) l_prev
-            dl[t] = -alpha * y[t] / (a_t * a_t) * da + (1.0 - alpha) * dl[t - 1]
+            dl[t] = (y[t] / a_t - l[t - 1]) * d_alpha - alpha * y[t] / (a_t * a_t) * da \
+                + (1.0 - alpha) * dl[t - 1]
             if t >= m:
                 # log s = zeta log(y / l) + (1 - zeta) log s[t-m]
-                dlog_s[t] = -zeta * dl[t] / l[t] + (1.0 - zeta) * dlog_s[t - m]
+                dlog_s[t] = (math.log(y[t] / l[t]) - log_s[t - m]) * d_zeta \
+                    - zeta * dl[t] / l[t] + (1.0 - zeta) * dlog_s[t - m]
         grad.append(g)
     return np.array(grad)
 

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from lsgt.gradients import seasonal_gradient, smoothing_gradient
+from lsgt.gradients import seasonal_gradient
 from lsgt.model import (
     LEVEL_FLOOR,
-    NON_SEASONAL,
     SEASONAL,
     ParameterDraw,
     PriorConfig,
@@ -15,16 +14,15 @@ from lsgt.model import (
 from .oracles import fd_gradient, reference_seasonal_gradient
 
 
-def random_theta(rng, T, m=1, seasonal=False):
-    seeds = np.zeros(m)
-    if seasonal:
-        seeds = rng.normal(0.0, 0.25, size=m)
-        seeds[-1] = -float(np.sum(seeds[:-1]))
+def random_theta(rng, T, m):
+    """A random seasonal draw: m seed log factors summing to zero, lam = 0."""
+    seeds = rng.normal(0.0, 0.25, size=m)
+    seeds[-1] = -float(np.sum(seeds[:-1]))
     return ParameterDraw(
         nu=float(np.exp(rng.uniform(0.6, 4.0))),
         gamma=float(rng.normal(0.0, 0.8)),
         rho=float(rng.uniform(-0.5, 1.0)),
-        lam=0.0 if seasonal else float(rng.uniform(-0.8, 0.95)),
+        lam=0.0,
         alpha=float(rng.uniform(0.1, 0.9)),
         beta=float(rng.uniform(0.1, 0.9)),
         zeta=float(rng.uniform(0.1, 0.9)),
@@ -41,10 +39,16 @@ def random_series(rng, T, scale=30.0):
     return np.abs(rng.normal(scale, scale / 6.0, size=T)) + scale / 10.0
 
 
-def nll_of_smoothing(y, theta, cfg):
+def seasonal_coordinates(theta):
+    """(alpha, zeta, free seeds): the coordinates of ``seasonal_gradient``."""
+    return np.concatenate([[theta.alpha, theta.zeta], theta.log_s_init[: theta.m - 1]])
+
+
+def nll_of_seasonal(y, theta, cfg):
     def f(x):
         trial = theta.copy()
-        trial.alpha, trial.beta = float(x[0]), float(x[1])
+        trial.alpha, trial.zeta = float(x[0]), float(x[1])
+        trial.log_s_init = np.append(x[2:], -float(np.sum(x[2:])))
         return negative_log_likelihood(run_recursion(y, trial, cfg), theta.nu)
 
     return f
@@ -57,45 +61,14 @@ def floored_case(m):
     of the unfloored level's terms large there, though they are constant.
     """
     T = 25
-    y = np.geomspace(30.0, 1e-14, T)
-    seeds = np.zeros(m)
-    if m > 1:
-        y *= np.resize([1.1, 0.9, 1.05, 0.95], T)
-        seeds = np.resize([0.1, -0.05, 0.08, -0.13], m)
-    theta = ParameterDraw(nu=5.0, gamma=0.5, rho=-0.5, lam=0.0 if m > 1 else 0.4, alpha=0.9,
+    y = np.geomspace(30.0, 1e-14, T) * np.resize([1.1, 0.9, 1.05, 0.95], T)
+    seeds = np.resize([0.1, -0.05, 0.08, -0.13], m)
+    theta = ParameterDraw(nu=5.0, gamma=0.5, rho=-0.5, lam=0.0, alpha=0.9,
                           beta=0.3, zeta=0.4, chi2=1.0, phi=0.5, tau=0.2, b1=0.1,
                           log_s_init=seeds, omega2=np.ones(T - 1))
-    cfg = PriorConfig(model_kind=SEASONAL if m > 1 else NON_SEASONAL)
+    cfg = PriorConfig(model_kind=SEASONAL)
     assert int((run_recursion(y, theta, cfg).l[:-1] < LEVEL_FLOOR).sum()) == 5
     return y, theta
-
-
-def test_smoothing_gradient_matches_fd(rng):
-    cfg = PriorConfig(model_kind=NON_SEASONAL)
-    cases = []
-    for _ in range(20):
-        T = int(rng.integers(15, 60))
-        cases.append((random_series(rng, T), random_theta(rng, T)))
-    cases.append(floored_case(m=1))
-    for y, theta in cases:
-        paths = run_recursion(y, theta, cfg)
-        ga, gb = smoothing_gradient(y, theta, cfg, paths)
-        fd = fd_gradient(nll_of_smoothing(y, theta, cfg), [theta.alpha, theta.beta], h=1e-7)
-        assert ga == pytest.approx(fd[0], rel=1e-5, abs=1e-7 * max(1.0, abs(fd[0])))
-        assert gb == pytest.approx(fd[1], rel=1e-5, abs=1e-7 * max(1.0, abs(fd[1])))
-
-
-def test_smoothing_gradient_initial_states():
-    # the level seed does not depend on the smoothing weights, so the first
-    # contribution is driven by data alone: gradient of a 2-point series is 0
-    # for beta (lam * db with db_0 = 0) regardless of parameters
-    rng = np.random.Generator(np.random.Philox(5))
-    cfg = PriorConfig(model_kind=NON_SEASONAL)
-    y = np.array([10.0, 12.0])
-    theta = random_theta(rng, 2)
-    paths = run_recursion(y, theta, cfg)
-    _, gb = smoothing_gradient(y, theta, cfg, paths)
-    assert gb == 0.0
 
 
 def test_seasonal_gradient_matches_fd(rng):
@@ -104,20 +77,15 @@ def test_seasonal_gradient_matches_fd(rng):
     for _ in range(20):
         m = int(rng.integers(2, 7))
         T = int(rng.integers(2 * m + 4, 60))
-        cases.append((random_series(rng, T), random_theta(rng, T, m=m, seasonal=True)))
+        cases.append((random_series(rng, T), random_theta(rng, T, m=m)))
     for _ in range(3):
         T = int(rng.integers(95, 106))
-        cases.append((random_series(rng, T), random_theta(rng, T, m=12, seasonal=True)))
+        cases.append((random_series(rng, T), random_theta(rng, T, m=12)))
     cases.append(floored_case(m=4))
     for y, theta in cases:
         grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
-
-        def f(free):
-            trial = theta.copy()
-            trial.log_s_init = np.append(free, -float(np.sum(free)))
-            return negative_log_likelihood(run_recursion(y, trial, cfg), theta.nu)
-
-        fd = fd_gradient(f, theta.log_s_init[: theta.m - 1], h=1e-6)
+        fd = fd_gradient(nll_of_seasonal(y, theta, cfg), seasonal_coordinates(theta), h=1e-6)
+        assert grad.shape == (theta.m + 1,)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
@@ -127,14 +95,14 @@ def test_seasonal_gradient_matches_forward_reference(rng):
     for _ in range(60):
         m = int(rng.choice([2, 3, 4, 6, 12]))
         T = int(rng.integers(2 * m + 1, 131))
-        cases.append((random_series(rng, T), random_theta(rng, T, m=m, seasonal=True)))
+        cases.append((random_series(rng, T), random_theta(rng, T, m=m)))
     cases += [floored_case(m=4), floored_case(m=12)]
     for y, theta in cases:
         grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
         ref = reference_seasonal_gradient(y, theta.alpha, theta.zeta, theta.gamma, theta.rho,
                                           theta.chi2, theta.phi, theta.tau, theta.nu,
                                           theta.log_s_init)
-        assert grad.shape == (theta.m - 1,)
+        assert grad.shape == (theta.m + 1,)
         np.testing.assert_allclose(grad, ref, rtol=1e-10, atol=0.0)
 
 
@@ -142,9 +110,9 @@ def test_seasonal_gradient_m2_single_direction(rng):
     cfg = PriorConfig(model_kind=SEASONAL)
     T = 16
     y = random_series(rng, T)
-    theta = random_theta(rng, T, m=2, seasonal=True)
+    theta = random_theta(rng, T, m=2)
     grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
-    assert grad.shape == (1,)
+    assert grad.shape == (3,)   # alpha, zeta and the one free seed
     # constraint: the second seed always mirrors the first
     assert theta.log_s_init[1] == -theta.log_s_init[0]
 
@@ -152,14 +120,13 @@ def test_seasonal_gradient_m2_single_direction(rng):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_zero_scale_gives_non_finite_gradient_not_an_exception(rng):
     # float64 semantics: a division by a zero scale yields inf/nan, which
-    # makes the MH proposal reject; it must not raise ZeroDivisionError
-    for seasonal, m, T in ((False, 1, 12), (True, 4, 12), (True, 12, 30)):
+    # makes the MH proposal reject; it must not raise ZeroDivisionError.
+    # The zero sits at the last step, which every direction reaches (zeta
+    # acts only from step m on)
+    cfg = PriorConfig(model_kind=SEASONAL)
+    for m, T in ((4, 12), (12, 30)):
         y = random_series(rng, T)
-        theta = random_theta(rng, T, m=m, seasonal=seasonal)
-        cfg = PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL)
+        theta = random_theta(rng, T, m=m)
         paths = run_recursion(y, theta, cfg)
-        paths.sigma2hat[3] = 0.0
-        ga, gb = smoothing_gradient(y, theta, cfg, paths)
-        assert not np.isfinite(ga)
-        if seasonal:
-            assert not np.isfinite(seasonal_gradient(y, theta, cfg, paths)).all()
+        paths.sigma2hat[-1] = 0.0
+        assert not np.isfinite(seasonal_gradient(y, theta, cfg, paths)).any()

@@ -3,7 +3,9 @@
 These keep every non-MH parameter fixed and compare the empirical marginal
 of a long chain of only-MH updates against a direct numerical integration
 of likelihood x prior, which exercises the asymmetric proposal-density
-terms of the gradient-assisted scheme.
+terms of the gradient-assisted scheme.  The seasonal kernel's remaining
+invariants (beta drawn from its prior, paths equal to the recursion) are
+checked here too.
 """
 
 import math
@@ -11,11 +13,27 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import simpson
+from scipy.stats import beta as beta_dist
+from scipy.stats import kstest
 
-from lsgt.model import negative_log_likelihood, run_recursion
-from lsgt.sampler import StepSizeState, update_seasonals_mh, update_smoothing_mh
+from lsgt.model import SMOOTHING_PRIOR, negative_log_likelihood, run_recursion
+from lsgt.sampler import (
+    StepSizeState,
+    seasonal_point,
+    seasonal_seeds_move,
+    seasonal_weights_move,
+    update_smoothing_seasonal,
+)
 
 from .helpers import random_state
+
+
+def only(move):
+    """One SGT move as a kernel of its own: (state, rng, step, adapting, target) -> accepted."""
+    def update(state, rng, step, adapting, target):
+        here = seasonal_point(state, state.theta, state.paths)
+        return move(state, rng, step, adapting, target, here) is not here
+    return update
 
 
 def run_mh_chain(state, rng, update, n_adapt, n_keep, names):
@@ -31,44 +49,33 @@ def run_mh_chain(state, rng, update, n_adapt, n_keep, names):
 
 
 def test_smoothing_mh_matches_quadrature_posterior(rng):
-    # data with a pronounced smoothed trend so both weights are informed
-    # and the joint chain mixes quickly
-    from lsgt.model import NON_SEASONAL, SMOOTHING_PRIOR, PriorConfig
-    from lsgt.synth import default_params, generate_series
-
-    gen = default_params(T=14)
-    gen.lam = 0.9
-    gen.beta = 0.5
-    gen.alpha = 0.5
-    gen.gamma = 0.0
-    gen.chi2 = 0.05
-    cfg_gen = PriorConfig(model_kind=NON_SEASONAL)
-    series = generate_series(rng, gen, cfg_gen, T=14, y1=20.0)
-    state = random_state(rng, T=14, lam=0.9, gamma=0.0)
-    state.y = np.asarray(series.values)
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
-
+    # the SGT weights move alone on a short m = 2 series, seeds held fixed;
+    # the posterior is integrated on a logit grid, where the Beta(1, 0.5)
+    # priors stay smooth
+    state = random_state(rng, T=12, seasonal=True, m=2, hetero=False)
     y, prior, theta = state.y, state.prior, state.theta
     a_prior, b_prior = SMOOTHING_PRIOR
 
-    grid = np.linspace(1e-4, 1.0 - 1e-4, 201)
-    log_post = np.empty((grid.size, grid.size))
-    for i, a in enumerate(grid):
-        for j, b in enumerate(grid):
+    x = np.linspace(-18.0, 18.0, 241)
+    weights = 1.0 / (1.0 + np.exp(-x))
+    log_post = np.empty((x.size, x.size))
+    for i, a in enumerate(weights):
+        for j, z in enumerate(weights):
             trial = theta.copy()
-            trial.alpha, trial.beta = float(a), float(b)
+            trial.alpha, trial.zeta = float(a), float(z)
             nll = negative_log_likelihood(run_recursion(y, trial, prior), theta.nu)
-            log_post[i, j] = -nll + (a_prior - 1.0) * math.log(a) + (b_prior - 1.0) * math.log(1.0 - a) \
-                + (a_prior - 1.0) * math.log(b) + (b_prior - 1.0) * math.log(1.0 - b)
+            # prior times the logit Jacobian w (1 - w)
+            log_post[i, j] = -nll + a_prior * math.log(a) + b_prior * math.log1p(-a) \
+                + a_prior * math.log(z) + b_prior * math.log1p(-z)
     post = np.exp(log_post - log_post.max())
-    z = simpson(simpson(post, x=grid, axis=1), x=grid)
-    mean_alpha = simpson(grid * simpson(post, x=grid, axis=1), x=grid) / z
-    mean_beta = simpson(grid * simpson(post, x=grid, axis=0), x=grid) / z
+    z_norm = simpson(simpson(post, x=x, axis=1), x=x)
+    mean_alpha = simpson(weights * simpson(post, x=x, axis=1), x=x) / z_norm
+    mean_zeta = simpson(weights * simpson(post, x=x, axis=0), x=x) / z_norm
 
-    kept, step = run_mh_chain(state, rng, update_smoothing_mh, 3000, 60_000, ["alpha", "beta"])
+    kept, step = run_mh_chain(state, rng, only(seasonal_weights_move), 3000, 60_000, ["alpha", "zeta"])
     assert 0.2 < (step.accepted / step.proposals) < 0.9
     assert np.mean(kept[:, 0]) == pytest.approx(mean_alpha, abs=0.02)
-    assert np.mean(kept[:, 1]) == pytest.approx(mean_beta, abs=0.02)
+    assert np.mean(kept[:, 1]) == pytest.approx(mean_zeta, abs=0.02)
 
 
 def test_seasonal_mh_matches_quadrature_posterior(rng):
@@ -89,7 +96,7 @@ def test_seasonal_mh_matches_quadrature_posterior(rng):
     mean_q = simpson(grid * post, x=grid) / z
     sd_q = math.sqrt(simpson(grid ** 2 * post, x=grid) / z - mean_q ** 2)
 
-    kept, step = run_mh_chain(state, rng, update_seasonals_mh, 3000, 60_000, ["seed0"])
+    kept, step = run_mh_chain(state, rng, only(seasonal_seeds_move), 3000, 60_000, ["seed0"])
     assert 0.2 < (step.accepted / step.proposals) < 0.95
     assert np.mean(kept[:, 0]) == pytest.approx(mean_q, abs=max(0.02, 0.1 * sd_q))
     # the balancing seed always mirrors the free one
@@ -97,24 +104,69 @@ def test_seasonal_mh_matches_quadrature_posterior(rng):
 
 
 def test_mh_adapts_toward_target(rng):
-    state = random_state(rng, T=25)
-    step = StepSizeState(log_eps=math.log(5.0))  # absurdly large start
+    state = random_state(rng, T=25, seasonal=True, m=4)
+    steps = [StepSizeState(log_eps=math.log(5.0)) for _ in range(2)]  # absurdly large start
     for _ in range(1500):
-        update_smoothing_mh(state, rng, step, True, 0.55)
-    accepted = 0
-    n = 2000
-    for _ in range(n):
-        accepted += update_smoothing_mh(state, rng, step, False, 0.55)
-    assert 0.35 <= accepted / n <= 0.75
+        update_smoothing_seasonal(state, rng, *steps, True, 0.55)
+    for _ in range(2000):
+        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+    for step in steps:
+        assert 0.35 <= step.rate <= 0.75
 
 
 def test_mh_rejects_non_finite_proposals(rng):
-    state = random_state(rng, T=8)
-    step = StepSizeState(log_eps=math.log(80.0))  # proposals fly to the boundary
-    before = (state.theta.alpha, state.theta.beta)
-    moved = 0
+    state = random_state(rng, T=8, seasonal=True, m=2)
+    steps = [StepSizeState(log_eps=math.log(80.0)) for _ in range(2)]  # proposals fly to the boundary
     for _ in range(50):
-        moved += update_smoothing_mh(state, rng, step, False, 0.55)
-    # extreme proposals saturate the sigmoid and must be auto-rejected
-    assert moved <= 5
+        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+    # extreme proposals saturate the sigmoid or overflow the recursion and
+    # must be auto-rejected
+    for step in steps:
+        assert step.accepted <= 5
     state.theta.validate()
+
+
+def test_seasonal_kernel_draws_beta_from_its_prior(rng):
+    state = random_state(rng, T=12, seasonal=True, m=2)
+    steps = [StepSizeState(log_eps=math.log(0.3)) for _ in range(2)]
+    draws = []
+    for _ in range(2000):
+        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        draws.append(state.theta.beta)
+    assert kstest(draws, beta_dist(*SMOOTHING_PRIOR).cdf).pvalue > 0.01
+
+
+class FixedBeta:
+    """A generator whose Beta draws return one value and whose other draws are real."""
+
+    def __init__(self, rng, value):
+        self.rng = rng
+        self.value = value
+
+    def beta(self, a, b):
+        return self.value
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("value", [1.0, 0.0])
+def test_seasonal_kernel_keeps_beta_inside_the_open_interval(rng, value):
+    # a Beta(1, 0.5) draw rounds to 1.0 with probability about 1e-8, and to
+    # 0.0 when its uniform is exactly 0; draws must stay in (0, 1)
+    state = random_state(rng, T=12, seasonal=True, m=2)
+    steps = [StepSizeState(log_eps=math.log(0.3)) for _ in range(2)]
+    update_smoothing_seasonal(state, FixedBeta(rng, value), *steps, False, 0.55)
+    assert 0.0 < state.theta.beta < 1.0
+    state.theta.validate()
+
+
+def test_seasonal_kernel_leaves_paths_equal_to_the_recursion(rng):
+    state = random_state(rng, T=30, seasonal=True, m=4)
+    steps = [StepSizeState(log_eps=math.log(eps)) for eps in (0.3, 0.03)]
+    for _ in range(20):
+        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        fresh = run_recursion(state.y, state.theta, state.prior)
+        for name in ("l", "b", "log_s", "yhat", "e", "sigma2hat"):
+            assert np.array_equal(getattr(state.paths, name), getattr(fresh, name)), name
+    assert min(steps[0].accepted, steps[1].accepted) > 0

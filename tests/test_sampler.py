@@ -105,8 +105,8 @@ def test_every_sampled_quantity_moves(seasonal):
     m = 4 if seasonal else 1
     series, _ = synthetic_series(seasonal=seasonal, m=m, T=44)
     samples = fit(series, make_prior(seasonal=seasonal), small_cfg(iterations=60, burn_in=30, chains=1))
-    names = ["nu", "gamma", "rho", "chi2", "tau", "phi", "xi_gamma2"]
-    names += ["delta2", "psi2"] if seasonal else ["lam", "b1", "xi_lambda2", "xi_b1_2"]
+    names = ["nu", "gamma", "rho", "chi2", "tau", "phi", "xi_gamma2", "alpha", "beta"]
+    names += ["zeta", "delta2", "psi2"] if seasonal else ["lam", "b1", "xi_lambda2", "xi_b1_2"]
     for name in names:
         values = {np.asarray(getattr(d, name)).tobytes() for d in samples.draws}
         assert len(values) >= 2, f"{name} never moved"
@@ -227,8 +227,8 @@ def test_chi2_mixes_on_heteroscedastic_fit(seed):
 VARIANCE_GRIDS = ["update_tau_grid", "update_phi_grid"]
 LGT_ORDER = ["update_omega2", "update_chi2", "update_smoothing_collapsed",
              "update_rho_gamma_grouped", "update_lambda_b1", *VARIANCE_GRIDS, "update_nu_collapsed"]
-SGT_ORDER = ["update_omega2", "update_chi2", "update_rho_gamma_grouped", "update_smoothing_mh",
-             "update_seasonals_mh", "update_horseshoe", *VARIANCE_GRIDS, "update_nu_collapsed"]
+SGT_ORDER = ["update_omega2", "update_chi2", "update_rho_gamma_grouped", "update_smoothing_seasonal",
+             "update_horseshoe", *VARIANCE_GRIDS, "update_nu_collapsed"]
 
 
 @pytest.mark.parametrize(
