@@ -44,6 +44,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .dists import t_log_normaliser
 from .errors import StateRecursionError
 
 LEVEL_FLOOR = 1e-10
@@ -406,6 +407,5 @@ def negative_log_likelihood(paths: StatePaths, nu: float) -> float:
             acc += half_nu1 * math.log1p(et * et / (nu * s2t)) + 0.5 * math.log(s2t)
     except (ValueError, OverflowError, ZeroDivisionError):
         return math.inf
-    const = 0.5 * math.log(nu * math.pi) + math.lgamma(0.5 * nu) - math.lgamma(0.5 * (nu + 1.0))
-    total = acc + n * const
+    total = acc + n * t_log_normaliser(nu)
     return total if math.isfinite(total) else math.inf

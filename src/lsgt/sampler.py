@@ -49,7 +49,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import TimeSeries
 from .dists import (
@@ -59,6 +58,7 @@ from .dists import (
     sample_inverse_gamma,
     sample_normal,
     sample_truncated_normal,
+    t_log_normaliser,
 )
 from .errors import DegenerateSeriesError, NumericalError, StateRecursionError
 from .gradients import seasonal_gradient
@@ -146,6 +146,7 @@ class PosteriorSamples:
 @dataclass(frozen=True)
 class Grids:
     nu: np.ndarray
+    nu_log_normaliser: np.ndarray  # t_log_normaliser of each df candidate
     rho: np.ndarray
     tau: np.ndarray
     phi: np.ndarray
@@ -153,8 +154,10 @@ class Grids:
 
 def make_grids(prior: PriorConfig) -> Grids:
     n = POWER_GRID_SIZE
+    nu = np.asarray(build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size).candidates)
     return Grids(
-        nu=np.asarray(build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size).candidates),
+        nu=nu,
+        nu_log_normaliser=t_log_normaliser(nu),
         rho=np.linspace(-0.5, 1.0, n),
         tau=np.linspace(0.0, 1.0, n),
         phi=np.linspace(0.0, 1.0, n),
@@ -461,27 +464,26 @@ def _categorical_from_nll(rng, nll: np.ndarray) -> int:
     return sample_categorical(rng, w)
 
 
-def nu_collapsed_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    """Negative log posterior of the df with the t-mixture integrated out.
+def nu_collapsed_nll(state: ChainState) -> np.ndarray:
+    """Negative log posterior of each df candidate with the t-mixture integrated out.
 
     The mixture variances carry roughly one pseudo-observation of the df
     per time step, so the df conditioned on them barely moves; this
     collapsed draw from the Student-t likelihood breaks that ridge.  The
-    df-dependent normalising constants matter here and are included.
+    df-dependent normalising constants matter here and are included; they
+    are formed once per grid, in ``make_grids``.
     """
+    grids = state.grids
     e2 = state.paths.e ** 2
     s2 = state.paths.sigma2hat
-    n = e2.shape[0]
-    half = 0.5 * candidates
+    nu = grids.nu[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        core = (0.5 * (candidates[:, None] + 1.0)
-                * np.log1p(e2[None, :] / (candidates[:, None] * s2[None, :]))).sum(axis=1)
-        const = 0.5 * np.log(candidates * math.pi) + gammaln(half) - gammaln(half + 0.5)
-    return core + n * const
+        core = (0.5 * (nu + 1.0) * np.log1p(e2[None, :] / (nu * s2[None, :]))).sum(axis=1)
+    return core + e2.shape[0] * grids.nu_log_normaliser
 
 
 def update_nu_collapsed(state: ChainState, rng) -> float:
-    idx = _categorical_from_nll(rng, nu_collapsed_nll(state, state.grids.nu))
+    idx = _categorical_from_nll(rng, nu_collapsed_nll(state))
     state.theta.nu = float(state.grids.nu[idx])
     return state.theta.nu
 

@@ -1,22 +1,30 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import log_ndtr as scipy_log_ndtr
 from scipy.stats import halfcauchy, kstest, norm, truncnorm
 from scipy.stats import t as t_dist
 
 from lsgt import dists
 from lsgt.dists import (
+    KL_NODES,
+    NARROW_INTERVAL,
     TRUNCATION_TRIES,
+    _gauss_nodes,
     _t_log_density_vec,
     build_nu_grid,
+    log_ndtr,
     log_ndtr_diff,
     sample_categorical,
     sample_inverse_gamma,
     sample_normal,
     sample_truncated_normal,
     symmetric_kl_t,
+    t_log_normaliser,
 )
 from lsgt.errors import GridConstructionError, QuadratureError
 from lsgt.rng import RngStream
@@ -115,10 +123,37 @@ def test_truncated_normal_rejection_draws_unchanged():
 
 def test_log_ndtr_diff_matches_scipy():
     # scipy's truncated-normal log density is log phi(x) - log(Phi(b) - Phi(a))
-    for a, b in ((-1.0, 1.0), (0.5, 3.0), (-3.0, -0.5), (8.0, 9.0), (-40.0, -39.0), (2.0, 2.0 + 1e-9)):
+    for a, b in ((-1.0, 1.0), (0.5, 3.0), (-3.0, -0.5), (8.0, 9.0), (-40.0, -39.0)):
         mid = 0.5 * (a + b)
         want = norm.logpdf(mid) - truncnorm.logpdf(mid, a, b)
         assert log_ndtr_diff(a, b) == pytest.approx(want, rel=1e-9)
+    # on a 1e-9-wide interval truncnorm's difference of two log Phi cancels and
+    # is 2.1e-9 relative off; the midpoint rule log(b - a) + log phi(mid) is
+    # exact there to about 1e-19
+    a, b = 2.0, 2.0 + 1e-9
+    want = math.log(b - a) + norm.logpdf(0.5 * (a + b))
+    assert log_ndtr_diff(a, b) == pytest.approx(want, rel=1e-9)
+
+
+def test_log_ndtr_matches_scipy():
+    # every branch: log1p of the upper tail, log erfc, and the series below -20
+    x = np.concatenate((np.linspace(-1e4, 40.0, 200_001), np.linspace(-40.0, 40.0, 80_001)))
+    want = scipy_log_ndtr(x)
+    got = np.array([log_ndtr(v) for v in x.tolist()])
+    np.testing.assert_array_less(np.abs(got - want), 1e-12 * np.abs(want) + 1e-300)
+
+
+def test_log_ndtr_diff_either_side_of_the_narrow_switch():
+    # intervals whose h (|m| + h) sits just below and above NARROW_INTERVAL,
+    # where log_ndtr_diff switches between integrating phi and differencing
+    # log Phi, against quad of phi scaled by exp(m^2 / 2)
+    for m in (-35.0, -6.0, -1.0, 0.0, 0.4, 4.0, 30.0):
+        for ratio in (1e-6, 0.999, 1.001, 3.0):
+            h = 0.5 * (-abs(m) + math.sqrt(m * m + 4.0 * ratio * NARROW_INTERVAL))
+            a, b = m - h, m + h
+            mass = quad(lambda x: math.exp(-0.5 * (x - m) * (x + m)), a, b, epsabs=0, epsrel=1e-13)[0]
+            want = -0.5 * m * m + math.log(mass) - 0.5 * math.log(2.0 * math.pi)
+            assert log_ndtr_diff(a, b) == pytest.approx(want, rel=1e-12, abs=1e-14), (m, ratio)
 
 
 # the unit t density is the integrand of symmetric_kl_t and so of the nu grid
@@ -132,6 +167,25 @@ def test_t_log_density_matches_scipy(rng):
     x = rng.normal(0, 5, size=6)
     nu = np.exp(rng.uniform(0.2, 5, size=(3, 1)))
     np.testing.assert_allclose(_t_log_density_vec(x, nu), t_dist.logpdf(x, nu), rtol=0, atol=1e-10)
+
+
+def test_t_log_normaliser_elementwise():
+    nu = np.array([[0.7, 3.0], [41.5, 1000.0]])
+    got = t_log_normaliser(nu)
+    assert got.shape == nu.shape
+    assert got.tolist() == [[t_log_normaliser(v) for v in row] for row in nu.tolist()]
+    # minus the unit t log density at 0; at df 1000 the two lgamma, near
+    # 2600, cancel to 0.92, which leaves about 12 digits
+    np.testing.assert_allclose(got, -t_dist.logpdf(0.0, nu), rtol=1e-11)
+
+
+def test_gauss_nodes_match_leggauss():
+    for n in (2, 3, 40, 600, 1200):
+        x, w = _gauss_nodes(n)
+        x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-7, atol=0)
+        assert w.sum() == pytest.approx(2.0, abs=1e-12)
 
 
 def test_t_log_density_normal_limit():
@@ -208,6 +262,28 @@ def test_nu_grid_keeps_quadrature_check():
     # the gap next to df 0.5 changes by more than KL_CHECK_TOL at half the nodes
     with pytest.raises(QuadratureError):
         build_nu_grid(0.5, 1e4, 30)
+
+
+def test_nu_grid_default_converges_in_few_passes(monkeypatch):
+    # each pass computes the gaps once at KL_NODES, and the final check
+    # computes them once more at half the nodes
+    nodes = []
+    skl = dists._skl
+
+    def counting_skl(a, b, n_nodes):
+        nodes.append(n_nodes)
+        return skl(a, b, n_nodes)
+
+    monkeypatch.setattr(dists, "_skl", counting_skl)
+    grid = build_nu_grid.__wrapped__(1.6, 1000.0, 100)
+    assert nodes.count(KL_NODES) <= 15
+    assert grid == build_nu_grid(1.6, 1000.0, 100)
+
+
+def test_importing_lsgt_loads_no_scipy():
+    code = "import sys, lsgt, lsgt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_nu_grid_unequal_gaps_raise(monkeypatch):

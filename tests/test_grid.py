@@ -53,7 +53,7 @@ def test_nu_collapsed_nll_is_student_t_density(rng):
     state = random_state(rng, T=15)
     grid = state.grids.nu
     z = state.paths.e / np.sqrt(state.paths.sigma2hat)
-    got = nu_collapsed_nll(state, grid)
+    got = nu_collapsed_nll(state)
     for j, nu in enumerate(grid):
         expected = -float(np.sum(t_dist.logpdf(z, df=nu)))
         assert got[j] == pytest.approx(expected, rel=1e-10)
@@ -64,7 +64,7 @@ def test_nu_concentrates_at_normal_limit(rng):
     state = random_state(rng, T=400)
     n = state.T - 1
     state.paths.e = norm.ppf((np.arange(n) + 0.5) / n) * np.sqrt(state.paths.sigma2hat)
-    nll = nu_collapsed_nll(state, state.grids.nu)
+    nll = nu_collapsed_nll(state)
     assert int(np.argmin(nll)) == len(state.grids.nu) - 1
     draws = [update_nu_collapsed(state, rng) for _ in range(50)]
     assert np.median(draws) == state.grids.nu[-1]
