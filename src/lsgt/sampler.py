@@ -5,9 +5,10 @@ One sweep (`sweep`) calls these kernels, in order:
 1. `update_omega2`: the per-observation t-mixture variances;
 2. `update_chi2`: the global error variance (inverse-gamma conditional);
 3. `update_smoothing_collapsed`, for non-seasonal fits: the smoothing
-   weights by MALA in logit space on their marginal with both trend
-   coefficients integrated out, then the local coefficient from its
-   truncated marginal and the global one given it;
+   weights by an independence step from their priors and a MALA step in
+   logit space, both on their marginal with both trend coefficients
+   integrated out, then the local coefficient from its truncated marginal
+   and the global one given it;
 4. `update_rho_gamma_grouped`: the trend power (grid, global coefficient
    integrated out), the global coefficient (conjugate normal) and its
    Cauchy latent;
@@ -704,6 +705,12 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float,
         return SmoothingMarginal(nan, np.array([nan, nan]), nan, nan, nan, nan, nan)
 
 
+def _weights_log_prior(alpha: float, beta: float) -> float:
+    """Log density of (logit alpha, logit beta) under their Beta priors, up to a constant."""
+    a, b = SMOOTHING_PRIOR
+    return a * math.log(alpha) + b * math.log1p(-alpha) + a * math.log(beta) + b * math.log1p(-beta)
+
+
 def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
@@ -791,11 +798,31 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, l, b, s2, omeg
 
     a, b = SMOOTHING_PRIOR
     value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
-             + a * math.log(alpha) + b * math.log1p(-alpha) + a * math.log(beta) + b * math.log1p(-beta))
+             + _weights_log_prior(alpha, beta))
     grad = np.array([g_a * alpha * keep_a + a - (a + b) * alpha,
                      g_b * beta * keep_b + a - (a + b) * beta])
     return SmoothingMarginal(log_target=value, grad=grad, gamma_mean=m1, gamma_prec=p11,
                              lam_mean=m2, lam_prec=S, slope=c)
+
+
+def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
+    """One independence Metropolis step on the LGT weights, proposed from their priors.
+
+    The proposal density is the prior part of the collapsed target, so the
+    acceptance ratio is the ratio of the integrated likelihoods (Tierney
+    1994).  ``visit_weights(alpha, beta)`` returns the point proposed, or
+    None where the recursion fails; a non-finite target here means no move.
+    """
+    w = np.clip(rng.beta(*SMOOTHING_PRIOR, size=2), WEIGHT_LO, WEIGHT_HI)
+    log_u = math.log(rng.random())
+    if not math.isfinite(here.log_target):
+        return here
+    there = visit_weights(float(w[0]), float(w[1]))
+    if there is None or not math.isfinite(there.log_target):
+        return here
+    log_r = ((there.log_target - _weights_log_prior(there.theta.alpha, there.theta.beta))
+             - (here.log_target - _weights_log_prior(here.theta.alpha, here.theta.beta)))
+    return there if log_u < log_r else here
 
 
 def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
@@ -810,30 +837,37 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     given lam, exactly.  Together that is one draw of the block
     (alpha, beta, gamma, lam) from its conditional given the mixture
     variances and everything else (a partially collapsed Gibbs step, van
-    Dyk and Park 2008).  A non-finite target at the current weights means
-    no move; at a proposal it means rejection.
+    Dyk and Park 2008).  Before the MALA step, an independence Metropolis
+    step proposes both weights from their priors, so the chain can jump
+    between the distant modes and flat tails that a weakly identified beta
+    leaves, where a local step of one size crawls.  A non-finite target at
+    the current weights means no move; at a proposal it means rejection.
     """
     th = state.theta
-    x = _logit(np.array([th.alpha, th.beta]))
 
     def collapsed_point(theta, paths):
         marginal = smoothing_marginal(state, theta.alpha, theta.beta, paths)
         return MalaPoint(theta, paths, marginal.log_target, marginal.grad, marginal)
 
-    def visit(x_star):
-        w = _sigmoid(x_star)
-        if not _in_unit_interval(w):
-            return None
+    def visit_weights(alpha, beta):
         trial = th.proposal_clone()
-        trial.alpha, trial.beta = float(w[0]), float(w[1])
+        trial.alpha, trial.beta = alpha, beta
         try:
             return collapsed_point(trial, run_recursion(state.y, trial, state.prior))
         except StateRecursionError:
             return None
 
-    here = collapsed_point(th, state.paths)
+    def visit(x_star):
+        w = _sigmoid(x_star)
+        if not _in_unit_interval(w):
+            return None
+        return visit_weights(float(w[0]), float(w[1]))
+
+    start = collapsed_point(th, state.paths)
+    here = _independence_move(rng, start, visit_weights)
+    x = _logit(np.array([here.theta.alpha, here.theta.beta]))
     reached = _mala_move(rng, step, adapting, target, here, x, visit)
-    if reached is not here:
+    if reached is not start:
         th.alpha, th.beta = reached.theta.alpha, reached.theta.beta
         state.set_paths(reached.paths)
 
@@ -844,7 +878,7 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
         th.gamma = sample_normal(rng, marginal.gamma_mean - marginal.slope * (th.lam - marginal.lam_mean),
                                  1.0 / marginal.gamma_prec)
         recompute_yhat(state.y, state.paths, th, state.prior)
-    return reached is not here
+    return reached is not start
 
 
 def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorConfig) -> float:

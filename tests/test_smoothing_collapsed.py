@@ -3,7 +3,8 @@
 ``smoothing_marginal`` is checked against brute-force integration of the
 joint (gamma, lam) density, its gradient against finite differences, and
 ``update_smoothing_collapsed`` alone against the (alpha, beta) posterior it
-must leave invariant, with every other parameter held fixed.
+must leave invariant, with every other parameter held fixed: the whole
+kernel, and its independence step without the MALA step.
 """
 
 import math
@@ -14,6 +15,7 @@ from scipy.integrate import simpson
 from scipy.stats import norm
 
 from lsgt.model import LAM_RANGE, LEVEL_FLOOR, SMOOTHING_PRIOR, run_recursion
+from lsgt import sampler
 from lsgt.sampler import StepSizeState, smoothing_marginal, update_smoothing_collapsed
 
 from .helpers import random_state
@@ -179,9 +181,9 @@ def test_large_geometric_levels_give_finite_density():
         assert target.lam_prec > 0.0 and target.gamma_prec > 0.0
 
 
-def test_kernel_matches_quadrature_posterior(rng):
-    # mirrors test_mh.py::test_smoothing_mh_matches_quadrature_posterior,
-    # with gamma and lam integrated out of the target and redrawn by the kernel
+def _quadrature_case(rng):
+    """A short LGT series, a state on it, and the (alpha, beta, gamma, lam)
+    posterior means and sds by quadrature, every other parameter held fixed."""
     from lsgt.model import NON_SEASONAL, PriorConfig
     from lsgt.synth import default_params, generate_series
 
@@ -225,8 +227,10 @@ def test_kernel_matches_quadrature_posterior(rng):
     want_mean = np.array([expect(a_grid), expect(b_grid), expect(e_gamma), expect(e_lam)])
     want_sd = np.sqrt(np.array([expect(a_grid ** 2), expect(b_grid ** 2), expect(e_gamma2),
                                 expect(var_lam + e_lam ** 2)]) - want_mean ** 2)
+    return state, want_mean, want_sd
 
-    step = StepSizeState(log_eps=math.log(0.1))
+
+def _check_kernel_draws(state, rng, step, want_mean, want_sd):
     for _ in range(3000):
         update_smoothing_collapsed(state, rng, step, True, 0.55)
     n_keep = 40_000
@@ -235,7 +239,6 @@ def test_kernel_matches_quadrature_posterior(rng):
     for i in range(n_keep):
         update_smoothing_collapsed(state, rng, step, False, 0.55)
         kept[i] = th.alpha, th.beta, th.gamma, th.lam
-    assert 0.2 < step.rate < 0.9
     np.testing.assert_allclose(kept[:, :2].mean(axis=0), want_mean[:2], atol=0.02)
     for got, want, sd in zip(kept[:, 2:].mean(axis=0), want_mean[2:], want_sd[2:]):
         assert got == pytest.approx(want, abs=0.1 * sd)
@@ -244,3 +247,21 @@ def test_kernel_matches_quadrature_posterior(rng):
     # the coefficients drawn last must leave the paths consistent
     fresh = run_recursion(state.y, th, state.prior)
     np.testing.assert_allclose(state.paths.yhat, fresh.yhat, rtol=1e-12)
+
+
+def test_kernel_matches_quadrature_posterior(rng):
+    # mirrors test_mh.py::test_smoothing_mh_matches_quadrature_posterior,
+    # with gamma and lam integrated out of the target and redrawn by the kernel
+    state, want_mean, want_sd = _quadrature_case(rng)
+    step = StepSizeState(log_eps=math.log(0.1))
+    _check_kernel_draws(state, rng, step, want_mean, want_sd)
+    assert 0.2 < step.rate < 0.9
+
+
+def test_independence_step_alone_matches_quadrature_posterior(rng, monkeypatch):
+    # with the MALA step made a no-move, the kernel is the independence step
+    # from the weights' priors followed by the exact coefficient draws; a
+    # step that never moved would fail the weights' spread
+    state, want_mean, want_sd = _quadrature_case(rng)
+    monkeypatch.setattr(sampler, "_mala_move", lambda rng, step, adapting, target, here, x, visit: here)
+    _check_kernel_draws(state, rng, StepSizeState(log_eps=math.log(0.1)), want_mean, want_sd)
