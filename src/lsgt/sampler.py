@@ -596,13 +596,14 @@ class MalaPoint:
     """A draw that a MALA move stands at or proposes, with its recursion.
 
     ``log_target`` is the log density of the move's coordinates up to a
-    constant and ``grad`` the gradient that steers proposals from here;
-    ``marginal`` is the LGT collapsed target the kernel reads after its
-    move.
+    constant and ``grad`` the gradient that steers proposals from here.
+    A seasonal point carries its recursion in ``paths``; an LGT point
+    carries the collapsed target in ``marginal``, which holds the recursion
+    it was formed on.
     """
 
     theta: ParameterDraw
-    paths: StatePaths
+    paths: StatePaths | None
     log_target: float
     grad: np.ndarray | None
     marginal: SmoothingMarginal | None = None
@@ -657,10 +658,14 @@ class SmoothingMarginal:
     """The LGT smoothing-weight target with (gamma, lam) integrated out.
 
     ``log_target`` and ``grad`` are the log density of (logit alpha, logit
-    beta) up to a constant and its gradient; the rest describes the
-    Gaussian posterior of (gamma, lam) given the weights: lam has precision
-    ``lam_prec`` around ``lam_mean`` before truncation, and gamma given lam
-    has precision ``gamma_prec`` around ``gamma_mean - slope * (lam - lam_mean)``.
+    beta) up to a constant and its gradient; the next five fields describe
+    the Gaussian posterior of (gamma, lam) given the weights: lam has
+    precision ``lam_prec`` around ``lam_mean`` before truncation, and gamma
+    given lam has precision ``gamma_prec`` around
+    ``gamma_mean - slope * (lam - lam_mean)``.  ``l``, ``b`` and
+    ``sigma2hat`` are the recursion at the weights, as lists, and
+    ``clamp_events`` its count of floored levels; they are None where the
+    recursion failed.
     """
 
     log_target: float
@@ -670,10 +675,29 @@ class SmoothingMarginal:
     lam_mean: float
     lam_prec: float
     slope: float
+    l: list | None = None
+    b: list | None = None
+    sigma2hat: list | None = None
+    clamp_events: int = 0
+
+    def paths(self) -> StatePaths:
+        """The recursion as ``StatePaths``, with yhat and e left for ``recompute_yhat``.
+
+        The forecast needs (gamma, lam), which the target integrates out;
+        the caller fills it in once it has drawn them.
+        """
+        n = len(self.sigma2hat)
+        return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.zeros(n + 1),
+                          yhat=np.empty(n), sigma2hat=np.array(self.sigma2hat), e=np.empty(n),
+                          clamp_events=self.clamp_events)
 
 
-def smoothing_marginal(state: ChainState, alpha: float, beta: float,
-                       paths: StatePaths) -> SmoothingMarginal:
+def _refused_marginal() -> SmoothingMarginal:
+    nan = math.nan
+    return SmoothingMarginal(nan, np.array([nan, nan]), nan, nan, nan, nan, nan)
+
+
+def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> SmoothingMarginal:
     """Collapsed target of the LGT smoothing weights at (alpha, beta).
 
     Given the mixture variances, y[t] - l[t-1] = gamma * x_g[t] + lam * b[t-1]
@@ -682,27 +706,29 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float,
     and on lam, lam truncated to ``LAM_RANGE``.  Its evidence is
     (1/2) sum log w - Q/2 - (1/2) log det P + log(Phi(z_hi) - Phi(z_lo)),
     with P the posterior precision, Q the minimised quadratic form and z the
-    standardised bounds of lam's posterior marginal.  ``paths`` must be the
-    recursion at (alpha, beta).
+    standardised bounds of lam's posterior marginal.
 
+    One forward loop runs the recursion at (alpha, beta), with every other
+    parameter at the state's draw, and collects the regression's columns
+    and sums as it goes; two more passes form the value and gradient.  The
+    recursion is that of ``lsgt.model.run_recursion`` step for step, less
+    the forecast, which depends on the (gamma, lam) integrated out here.
     The value is formed from direct residuals and the Schur complement
     S = sum w (x_lam - c x_g)^2 + d_lam + c^2 d_g (c = p12 / p11) rather
     than from p11 p22 - p12^2, which cancels to zero or below on levels of
     order 1e8.  The gradient propagates forward sensitivities of l and b
-    through the envelope form of each term.  Overflow gives a non-finite
-    value or gradient, which the caller must treat as a zero density.
-    The passes loop over Python floats, as the recursions in ``lsgt.model``
-    do; an arithmetic error there makes the whole target non-finite.
+    through the envelope form of each term.  A non-finite level, trend or
+    scale, or an arithmetic error anywhere, gives a non-finite value with
+    no recursion; overflow in the last passes can also give a non-finite
+    value or gradient.  The caller must treat either as a zero density.
     """
     th = state.theta
     d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
     d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
-    columns = (state.y[1:], paths.l, paths.b, paths.sigma2hat, th.omega2)
     try:
-        return _marginal_passes(th, alpha, beta, d_g, d_l, *(c.tolist() for c in columns))
+        return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist())
     except (ArithmeticError, ValueError):
-        nan = math.nan
-        return SmoothingMarginal(nan, np.array([nan, nan]), nan, nan, nan, nan, nan)
+        return _refused_marginal()
 
 
 def _weights_log_prior(alpha: float, beta: float) -> float:
@@ -715,27 +741,45 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, l, b, s2, omega2) -> SmoothingMarginal:
-    rho, tau = th.rho, th.tau
-    het = 2.0 * tau * th.chi2 * (1.0 - th.phi) ** 2
+def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> SmoothingMarginal:
+    rho, tau, chi2 = th.rho, th.tau, th.chi2
+    phi2, q2, p2 = th.phi ** 2, (1.0 - th.phi) ** 2, 2.0 * tau
+    het = 2.0 * tau * chi2 * (1.0 - th.phi) ** 2
+    keep_a, keep_b = 1.0 - alpha, 1.0 - beta
 
-    # pass 1: the regression's columns, p11, p12, x_g'W r and sum log(omega2 sigma2hat)
+    # pass 1, with the recursion: the regression's columns, p11, p12,
+    # x_g'W r and sum log(omega2 sigma2hat)
+    l_prev, b_prev = y[0], th.b1
+    l, b, s2 = [l_prev], [b_prev], []
+    clamps = 0
     xg, w, r = [], [], []
     p11, p12, h1, log_var = d_g, 0.0, 0.0, 0.0
-    for yt, lt, bt, s2t, om in zip(y, l, b, s2, omega2):
-        lp = lt if lt >= LEVEL_FLOOR else LEVEL_FLOOR
+    for yt, om in zip(y[1:], omega2):
+        lp = l_prev
+        if lp < LEVEL_FLOOR:
+            lp = LEVEL_FLOOR
+            clamps += 1
         xt = lp ** rho
+        s2t = chi2 * (phi2 + q2 * lp ** p2)
+        l_t = alpha * yt + keep_a * l_prev
+        b_t = beta * (l_t - l_prev) + keep_b * b_prev
+        if not (math.isfinite(s2t) and math.isfinite(l_t) and math.isfinite(b_t)):
+            return _refused_marginal()
         var = om * s2t
         wt = 1.0 / var
-        rt = yt - lt
+        rt = yt - l_prev
         wx = wt * xt
         p11 += wx * xt
-        p12 += wx * bt
+        p12 += wx * b_prev
         h1 += wx * rt
         log_var += math.log(var)
         xg.append(xt)
         w.append(wt)
         r.append(rt)
+        s2.append(s2t)
+        l.append(l_t)
+        b.append(b_t)
+        l_prev, b_prev = l_t, b_t
 
     # pass 2: the Schur complement of p11 from direct residuals u = x_lam - c x_g
     c = p12 / p11
@@ -771,7 +815,6 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, l, b, s2, omeg
     k_lam_e, k_lam_u = m2 + k1_s, 2.0 * k2 - inv_s - k1_s * m2
     k_xg_e, k_xg_u = m1 - c * k1_s, c * inv_s - k1_s * m1 - 2.0 * c * k2
     k_w_u = k2 - 0.5 * inv_s
-    keep_a, keep_b = 1.0 - alpha, 1.0 - beta
     Q = d_g * m1 * m1 + d_l * m2 * m2
     g_a = g_b = 0.0
     dl = dba = dbb = 0.0
@@ -796,13 +839,14 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, l, b, s2, omeg
         dba = beta * (dl_t - dl) + keep_b * dba
         dl = dl_t
 
-    a, b = SMOOTHING_PRIOR
+    pa, pb = SMOOTHING_PRIOR
     value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
              + _weights_log_prior(alpha, beta))
-    grad = np.array([g_a * alpha * keep_a + a - (a + b) * alpha,
-                     g_b * beta * keep_b + a - (a + b) * beta])
+    grad = np.array([g_a * alpha * keep_a + pa - (pa + pb) * alpha,
+                     g_b * beta * keep_b + pa - (pa + pb) * beta])
     return SmoothingMarginal(log_target=value, grad=grad, gamma_mean=m1, gamma_prec=p11,
-                             lam_mean=m2, lam_prec=S, slope=c)
+                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, sigma2hat=s2,
+                             clamp_events=clamps)
 
 
 def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
@@ -810,15 +854,15 @@ def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
 
     The proposal density is the prior part of the collapsed target, so the
     acceptance ratio is the ratio of the integrated likelihoods (Tierney
-    1994).  ``visit_weights(alpha, beta)`` returns the point proposed, or
-    None where the recursion fails; a non-finite target here means no move.
+    1994).  ``visit_weights(alpha, beta)`` returns the point proposed; a
+    non-finite target here means no move, there a rejection.
     """
     w = np.clip(rng.beta(*SMOOTHING_PRIOR, size=2), WEIGHT_LO, WEIGHT_HI)
     log_u = math.log(rng.random())
     if not math.isfinite(here.log_target):
         return here
     there = visit_weights(float(w[0]), float(w[1]))
-    if there is None or not math.isfinite(there.log_target):
+    if not math.isfinite(there.log_target):
         return here
     log_r = ((there.log_target - _weights_log_prior(there.theta.alpha, there.theta.beta))
              - (here.log_target - _weights_log_prior(here.theta.alpha, here.theta.beta)))
@@ -842,20 +886,16 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     between the distant modes and flat tails that a weakly identified beta
     leaves, where a local step of one size crawls.  A non-finite target at
     the current weights means no move; at a proposal it means rejection.
+    Every point, the current one included, is one ``smoothing_marginal``
+    pass; the forecast is refreshed once, after gamma and lam are drawn.
     """
     th = state.theta
-
-    def collapsed_point(theta, paths):
-        marginal = smoothing_marginal(state, theta.alpha, theta.beta, paths)
-        return MalaPoint(theta, paths, marginal.log_target, marginal.grad, marginal)
 
     def visit_weights(alpha, beta):
         trial = th.proposal_clone()
         trial.alpha, trial.beta = alpha, beta
-        try:
-            return collapsed_point(trial, run_recursion(state.y, trial, state.prior))
-        except StateRecursionError:
-            return None
+        marginal = smoothing_marginal(state, alpha, beta)
+        return MalaPoint(trial, None, marginal.log_target, marginal.grad, marginal)
 
     def visit(x_star):
         w = _sigmoid(x_star)
@@ -863,15 +903,15 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
             return None
         return visit_weights(float(w[0]), float(w[1]))
 
-    start = collapsed_point(th, state.paths)
+    start = visit_weights(th.alpha, th.beta)
     here = _independence_move(rng, start, visit_weights)
     x = _logit(np.array([here.theta.alpha, here.theta.beta]))
     reached = _mala_move(rng, step, adapting, target, here, x, visit)
+    marginal = reached.marginal
     if reached is not start:
         th.alpha, th.beta = reached.theta.alpha, reached.theta.beta
-        state.set_paths(reached.paths)
+        state.set_paths(marginal.paths())
 
-    marginal = reached.marginal
     if math.isfinite(marginal.log_target):
         th.lam, fell_back = sample_truncated_normal(rng, marginal.lam_mean, 1.0 / marginal.lam_prec, *LAM_RANGE)
         state.trunc_events += fell_back

@@ -1,10 +1,11 @@
 """The LGT smoothing-weight kernel with (gamma, lam) integrated out.
 
 ``smoothing_marginal`` is checked against brute-force integration of the
-joint (gamma, lam) density, its gradient against finite differences, and
-``update_smoothing_collapsed`` alone against the (alpha, beta) posterior it
-must leave invariant, with every other parameter held fixed: the whole
-kernel, and its independence step without the MALA step.
+joint (gamma, lam) density, its gradient against finite differences, its
+fused recursion against ``run_recursion`` followed by the same arithmetic,
+and ``update_smoothing_collapsed`` alone against the (alpha, beta)
+posterior it must leave invariant, with every other parameter held fixed:
+the whole kernel, and its independence step without the MALA step.
 """
 
 import math
@@ -14,6 +15,8 @@ import pytest
 from scipy.integrate import simpson
 from scipy.stats import norm
 
+from lsgt.dists import log_ndtr_diff
+from lsgt.errors import StateRecursionError
 from lsgt.model import LAM_RANGE, LEVEL_FLOOR, SMOOTHING_PRIOR, run_recursion
 from lsgt import sampler
 from lsgt.sampler import StepSizeState, smoothing_marginal, update_smoothing_collapsed
@@ -96,12 +99,145 @@ def oracle_posterior(state, alpha, beta):
 
 
 def marginal_at(state, alpha, beta):
-    trial = state.theta.copy()
-    trial.alpha, trial.beta = alpha, beta
-    return smoothing_marginal(state, alpha, beta, run_recursion(state.y, trial, state.prior))
+    return smoothing_marginal(state, alpha, beta)
 
 
 POINTS = [(0.2, 0.3), (0.5, 0.5), (0.8, 0.2), (0.3, 0.8), (0.65, 0.45)]
+
+
+def reference_marginal(state, alpha, beta):
+    """(log target, gradient, paths) of the collapsed target: ``run_recursion``
+    at (alpha, beta), then three passes over its paths in the arithmetic of
+    ``smoothing_marginal``; None where the recursion raises."""
+    th = state.theta
+    trial = th.copy()
+    trial.alpha, trial.beta = alpha, beta
+    try:
+        paths = run_recursion(state.y, trial, state.prior)
+    except StateRecursionError:
+        return None
+    d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
+    d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
+    y, l, b = state.y[1:].tolist(), paths.l.tolist(), paths.b.tolist()
+    s2, omega2 = paths.sigma2hat.tolist(), th.omega2.tolist()
+    rho, tau = th.rho, th.tau
+    het = 2.0 * tau * th.chi2 * (1.0 - th.phi) ** 2
+
+    xg, w, r = [], [], []
+    p11, p12, h1, log_var = d_g, 0.0, 0.0, 0.0
+    for yt, lt, bt, s2t, om in zip(y, l, b, s2, omega2):
+        lp = lt if lt >= LEVEL_FLOOR else LEVEL_FLOOR
+        xt = lp ** rho
+        var = om * s2t
+        wt = 1.0 / var
+        rt = yt - lt
+        wx = wt * xt
+        p11 += wx * xt
+        p12 += wx * bt
+        h1 += wx * rt
+        log_var += math.log(var)
+        xg.append(xt)
+        w.append(wt)
+        r.append(rt)
+
+    c = p12 / p11
+    S = d_l + c * c * d_g
+    h2 = 0.0
+    u = []
+    for xt, bt, wt, rt in zip(xg, b, w, r):
+        ut = bt - c * xt
+        wu = wt * ut
+        S += wu * ut
+        h2 += wu * rt
+        u.append(ut)
+    m2 = h2 / S
+    m1 = (h1 - p12 * m2) / p11
+
+    root_s = math.sqrt(S)
+    z_lo, z_hi = (LAM_RANGE[0] - m2) * root_s, (LAM_RANGE[1] - m2) * root_s
+    log_z = log_ndtr_diff(z_lo, z_hi)
+    log_norm = 0.5 * math.log(2.0 * math.pi) + log_z
+    haz_lo = math.exp(-0.5 * z_lo * z_lo - log_norm)
+    haz_hi = math.exp(-0.5 * z_hi * z_hi - log_norm)
+    k1 = -root_s * (haz_hi - haz_lo)
+    k2 = (haz_hi * z_hi - haz_lo * z_lo) / (2.0 * S)
+
+    inv_p11, inv_s = 1.0 / p11, 1.0 / S
+    k1_s = k1 * inv_s
+    k_lam_e, k_lam_u = m2 + k1_s, 2.0 * k2 - inv_s - k1_s * m2
+    k_xg_e, k_xg_u = m1 - c * k1_s, c * inv_s - k1_s * m1 - 2.0 * c * k2
+    k_w_u = k2 - 0.5 * inv_s
+    keep_a, keep_b = 1.0 - alpha, 1.0 - beta
+    Q = d_g * m1 * m1 + d_l * m2 * m2
+    g_a = g_b = 0.0
+    dl = dba = dbb = 0.0
+    for xt, bt, wt, rt, ut, lt, s2t in zip(xg, b, w, r, u, l, s2):
+        et = rt - xt * m1 - bt * m2
+        we = wt * et
+        wu = wt * ut
+        Q += we * et
+        c_lam = we * k_lam_e + wu * k_lam_u
+        c_alpha = we - k1_s * wu
+        if lt >= LEVEL_FLOOR:
+            c_xg = we * k_xg_e + wu * k_xg_u - wt * xt * inv_p11
+            c_alpha += c_xg * rho * xt / lt
+            if het:
+                c_w = 0.5 - 0.5 * we * et - 0.5 * wt * xt * xt * inv_p11 + wu * (ut * k_w_u + k1_s * et)
+                c_alpha -= c_w * het * lt ** (2.0 * tau - 1.0) / s2t
+        g_a += c_alpha * dl + c_lam * dba
+        g_b += c_lam * dbb
+        dl_t = rt + keep_a * dl
+        dbb = alpha * rt - bt + keep_b * dbb
+        dba = beta * (dl_t - dl) + keep_b * dba
+        dl = dl_t
+
+    a, b = SMOOTHING_PRIOR
+    prior = a * math.log(alpha) + b * math.log1p(-alpha) + a * math.log(beta) + b * math.log1p(-beta)
+    value = -0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z + prior
+    grad = np.array([g_a * alpha * keep_a + a - (a + b) * alpha, g_b * beta * keep_b + a - (a + b) * beta])
+    return value, grad, paths
+
+
+def _floored_state(rng):
+    # the level decays from 30 to far below LEVEL_FLOOR at these weights
+    state = random_state(rng, T=24, hetero=True, rho=-0.5, tau=0.2)
+    state.y = np.concatenate([[30.0, 28.0, 25.0], np.full(21, 1e-14) * (1.0 + 0.1 * rng.random(21))])
+    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    return state
+
+
+def test_fused_pass_equals_recursion_then_passes(rng):
+    cases = [(random_state(rng, T=int(rng.integers(6, 45)), hetero=hetero), POINTS)
+             for hetero in (False, True) for _ in range(6)]
+    cases.append((_floored_state(rng), [(0.9, 0.3), (0.95, 0.6), (0.2, 0.5)]))
+    clamped = 0
+    for state, points in cases:
+        for alpha, beta in [(state.theta.alpha, state.theta.beta)] + points:
+            got = smoothing_marginal(state, alpha, beta)
+            value, grad, paths = reference_marginal(state, alpha, beta)
+            assert got.log_target == value
+            assert np.array_equal(got.grad, grad)
+            fused = got.paths()
+            for name in ("l", "b", "sigma2hat", "log_s"):
+                assert np.array_equal(getattr(fused, name), getattr(paths, name)), name
+            assert got.clamp_events == paths.clamp_events
+            clamped += got.clamp_events
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("values", [
+    [1e200, 2e200, 1.5e200, 3e200, 2.5e200, 1e200],   # the scale's level power overflows
+    [-1.7e308, 1.7e308, 1.6e308, 1.7e308, 1.5e308],   # the trend overflows to inf
+], ids=["scale", "trend"])
+def test_fused_pass_refuses_where_the_recursion_raises(rng, values):
+    state = random_state(rng, T=len(values), hetero=True, tau=1.0, phi=0.5)
+    state.y = np.array(values)
+    refused = [(a, b) for a, b in POINTS if reference_marginal(state, a, b) is None]
+    assert refused
+    for alpha, beta in refused:
+        got = smoothing_marginal(state, alpha, beta)
+        assert not math.isfinite(got.log_target)
+        assert got.l is None
 
 
 @pytest.mark.parametrize("seed,hetero", [(0, False), (1, True)], ids=["homoscedastic", "heteroscedastic"])
