@@ -7,14 +7,18 @@ One sweep (`sweep`) calls these kernels, in order:
 3. `update_smoothing_collapsed`, for non-seasonal fits: the smoothing
    weights by an independence step from their priors and a MALA step in
    logit space, both on their marginal with both trend coefficients
-   integrated out, then the local coefficient from its truncated marginal
-   and the global one given it;
+   integrated out (each point visited is one forward pass that runs the
+   recursion and gathers the regression's sums, and two passes more),
+   then the local coefficient from its truncated marginal and the global
+   one given it;
 4. `update_rho_gamma_grouped`: the trend power (grid, global coefficient
-   integrated out), the global coefficient (conjugate normal) and its
+   integrated out), the global coefficient (conjugate normal, from the
+   precision and score the grid formed for the chosen power) and its
    Cauchy latent;
 5. for non-seasonal fits `update_lambda_b1`: the local trend coefficient
    and initial trend (truncated conjugate normals with their latents,
-   iterated as a pair); for seasonal fits `update_smoothing_seasonal`:
+   iterated as a pair, each draw reading five sums formed once); for
+   seasonal fits `update_smoothing_seasonal`:
    the level and seasonal smoothing weights, then the m-1 free seed log
    seasonal factors (a MALA move each, reading one adjoint gradient and
    one likelihood per draw visited), then the trend weight from its prior,
@@ -169,18 +173,6 @@ def make_grids(prior: PriorConfig) -> Grids:
 # Conjugate normal machinery
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ConjugateNormalSpec:
-    """Observations y_i ~ N((w x_i + c_i) s_i, sigma2_i) with w ~ N(0, prior_variance)."""
-
-    y: np.ndarray
-    x: np.ndarray
-    s: np.ndarray
-    c: np.ndarray
-    sigma2: np.ndarray
-    prior_variance: float
-
-
 def normal_moments(precision: float, score: float, prior_variance: float) -> tuple[float, float]:
     """(mean, variance) of w with likelihood exp(score w - precision w^2 / 2), prior N(0, prior_variance)."""
     if not prior_variance > 0:
@@ -192,15 +184,6 @@ def normal_moments(precision: float, score: float, prior_variance: float) -> tup
     if not math.isfinite(mu):
         raise NumericalError(f"conjugate posterior mean {mu} invalid")
     return mu, var
-
-
-def conjugate_normal_posterior(spec: ConjugateNormalSpec) -> tuple[float, float]:
-    """Posterior (mean, variance) of the weight w."""
-    return normal_moments(
-        float((spec.x ** 2 * spec.s ** 2 / spec.sigma2).sum()),
-        float((spec.x * spec.s * (spec.y - spec.c * spec.s) / spec.sigma2).sum()),
-        spec.prior_variance,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -319,20 +302,13 @@ def update_omega2(state: ChainState, rng) -> np.ndarray:
 
 
 def gamma_conditional(state: ChainState) -> tuple[float, float]:
-    """Conjugate normal (mean, variance) of the global trend coefficient."""
-    th = state.theta
-    paths = state.paths
-    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
-    lam = effective_lam(th, state.prior)
-    spec = ConjugateNormalSpec(
-        y=state.y[1:],
-        x=lp ** th.rho,
-        s=state.a_app,
-        c=paths.l[:-1] + lam * paths.b[:-1],
-        sigma2=th.omega2 * paths.sigma2hat,
-        prior_variance=th.xi_gamma2 * state.s_gamma ** 2,
-    )
-    return conjugate_normal_posterior(spec)
+    """Conjugate normal (mean, variance) of the global trend coefficient.
+
+    The arithmetic of ``update_rho_gamma_grouped``'s draw, at the current
+    trend power.
+    """
+    prec, score, prior_var = gamma_regression(state, np.array([state.theta.rho]))
+    return normal_moments(float(prec[0]), float(score[0]), prior_var)
 
 
 def xi_conditional(value: float, scale: float) -> tuple[float, float]:
@@ -342,41 +318,54 @@ def xi_conditional(value: float, scale: float) -> tuple[float, float]:
 
 @dataclass
 class TrendBlock:
-    """Arrays the local-trend conditionals share while only lam and b1 move.
+    """Five sums that the local-trend conditionals share while only lam and b1 move.
 
     In a non-seasonal fit yhat = l + gamma * lp^rho + lam * b, and the trend
-    unrolls as b = b_free + decay * b1 with decay[t] = (1-beta)^t = db[t]/db1,
-    so the residual is r - lam * (b_free + decay * b1) and each conditional
-    is a few sums over these arrays.
+    unrolls as b = f + d * b1, with f the trend at b1 = 0 and
+    d[t] = (1-beta)^t = db[t]/db1.  With r = y[1:] - (l + gamma * lp^rho)
+    and precisions w = 1 / (omega2 * sigma2hat), each conditional is then a
+    product of sums of w times f^2, f d, d^2, f r and d r.
     """
 
-    r: np.ndarray        # y[1:] - (l + gamma * lp^rho): what lam * b must explain
-    w: np.ndarray        # precisions 1 / (omega2 * sigma2hat)
-    decay: np.ndarray    # (1-beta)^t for t = 0..T-2
-    b_free: np.ndarray   # b[:-1] at b1 = 0
+    wff: float
+    wfd: float
+    wdd: float
+    wfr: float
+    wdr: float
 
     @classmethod
     def of(cls, state: ChainState) -> "TrendBlock":
         th = state.theta
         paths = state.paths
-        lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
-        w = 1.0 / (th.omega2 * paths.sigma2hat)
-        decay = np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
-        return cls(r=state.y[1:] - (paths.l[:-1] + th.gamma * lp ** th.rho), w=w, decay=decay,
-                   b_free=paths.b[:-1] - decay * th.b1)
+        gamma, rho, b1, keep = th.gamma, th.rho, th.b1, 1.0 - th.beta
+        wff = wfd = wdd = wfr = wdr = 0.0
+        d = 1.0
+        columns = (state.y[1:], paths.l, paths.b, paths.sigma2hat, th.omega2)
+        try:
+            for yt, lt, bt, s2t, om in zip(*(c.tolist() for c in columns)):
+                lp = lt if lt >= LEVEL_FLOOR else LEVEL_FLOOR
+                rt = yt - (lt + gamma * lp ** rho)
+                ft = bt - d * b1
+                wt = 1.0 / (om * s2t)
+                wf, wd = wt * ft, wt * d
+                wff += wf * ft
+                wfd += wf * d
+                wdd += wd * d
+                wfr += wf * rt
+                wdr += wd * rt
+                d *= keep
+        except ArithmeticError as exc:
+            raise NumericalError(f"local-trend sums failed: {exc}") from exc
+        return cls(wff, wfd, wdd, wfr, wdr)
 
     def lambda_moments(self, b1: float, prior_variance: float) -> tuple[float, float]:
-        """Conjugate normal (mean, variance) of lam given b1."""
-        b = self.b_free + self.decay * b1
-        wb = self.w * b
-        return normal_moments(float((wb * b).sum()), float((wb * self.r).sum()), prior_variance)
+        """Conjugate normal (mean, variance) of lam given b1: design f + d * b1."""
+        return normal_moments(self.wff + b1 * (2.0 * self.wfd + b1 * self.wdd),
+                              self.wfr + b1 * self.wdr, prior_variance)
 
     def b1_moments(self, lam: float, prior_variance: float) -> tuple[float, float]:
-        """Conjugate normal (mean, variance) of b1 given lam: design lam * decay."""
-        wd = self.w * self.decay
-        return normal_moments(lam * lam * float((wd * self.decay).sum()),
-                              lam * float((wd * (self.r - lam * self.b_free)).sum()),
-                              prior_variance)
+        """Conjugate normal (mean, variance) of b1 given lam: design lam * d, residual r - lam * f."""
+        return normal_moments(lam * lam * self.wdd, lam * (self.wdr - lam * self.wfd), prior_variance)
 
 
 def lambda_conditional(state: ChainState) -> tuple[float, float]:
@@ -399,8 +388,8 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
     identified when the smoothed trend is nearly constant, so the pair is
     drawn ``TREND_REPEATS`` times to equilibrate along that ridge within
     one sweep.  Neither moves the level, the scale or the mixture
-    variances, so the ``TrendBlock`` arrays are formed once per call, each
-    draw reads a few sums over them, and the trend path and forecasts are
+    variances, so the five ``TrendBlock`` sums are formed once per call,
+    each draw reads only them, and the trend path and forecasts are
     refreshed once, after the last draw.
     """
     th = state.theta
@@ -489,6 +478,35 @@ def update_nu_collapsed(state: ChainState, rng) -> float:
     return state.theta.nu
 
 
+def gamma_regression(state: ChainState, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The global trend coefficient's data precision and score at each trend-power candidate, and its prior variance.
+
+    Given everything else, y[t] = (gamma * lp^rho + c[t]) * s[t] + noise
+    with c = l + lam * b, so gamma's likelihood is
+    exp(score * gamma - precision * gamma^2 / 2).
+    """
+    th = state.theta
+    paths = state.paths
+    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
+    lam = effective_lam(th, state.prior)
+    c = paths.l[:-1] + lam * paths.b[:-1]
+    s = state.a_app
+    sigma2 = th.omega2 * paths.sigma2hat
+    resid = (state.y[1:] - c * s) * s / sigma2
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.power(lp[None, :], candidates[:, None])
+        prec = (x ** 2 * (s ** 2 / sigma2)[None, :]).sum(axis=1)
+        score = (x * resid[None, :]).sum(axis=1)
+    return prec, score, th.xi_gamma2 * state.s_gamma ** 2
+
+
+def _rho_nll(candidates: np.ndarray, prec: np.ndarray, score: np.ndarray, prior_var: float) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        var_c = 1.0 / (prec + 1.0 / prior_var)
+        mu_c = var_c * score
+        return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + np.log(candidates ** 2 + 1.0)
+
+
 def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
     """Negative log posterior of the trend power with the trend coefficient
     integrated out analytically (conditional on the t-mixture variances).
@@ -498,30 +516,22 @@ def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
     conjugate normal integrates to mu^2/(2 var) + log(var)/2 up to terms
     that do not involve the power.
     """
-    th = state.theta
-    paths = state.paths
-    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
-    lam = effective_lam(th, state.prior)
-    c = paths.l[:-1] + lam * paths.b[:-1]
-    s = state.a_app
-    sigma2 = th.omega2 * paths.sigma2hat
-    prior_var = th.xi_gamma2 * state.s_gamma ** 2
-    resid = (state.y[1:] - c * s) * s / sigma2
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.power(lp[None, :], candidates[:, None])
-        prec = (x ** 2 * (s ** 2 / sigma2)[None, :]).sum(axis=1) + 1.0 / prior_var
-        lin = (x * resid[None, :]).sum(axis=1)
-        var_c = 1.0 / prec
-        mu_c = var_c * lin
-        return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + np.log(candidates ** 2 + 1.0)
+    return _rho_nll(candidates, *gamma_regression(state, candidates))
 
 
 def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, float]:
-    """Grouped draw of (trend power, trend coefficient), then the coefficient's Cauchy latent."""
+    """Grouped draw of (trend power, trend coefficient), then the coefficient's Cauchy latent.
+
+    The grid's per-candidate precision and score of the coefficient are
+    formed once: they give the power's marginal, and the chosen candidate's
+    give the coefficient's conjugate normal.
+    """
     th = state.theta
-    idx = _categorical_from_nll(rng, rho_marginal_nll(state, state.grids.rho))
-    th.rho = float(state.grids.rho[idx])
-    mu, var = gamma_conditional(state)
+    grid = state.grids.rho
+    prec, score, prior_var = gamma_regression(state, grid)
+    idx = _categorical_from_nll(rng, _rho_nll(grid, prec, score, prior_var))
+    th.rho = float(grid[idx])
+    mu, var = normal_moments(float(prec[idx]), float(score[idx]), prior_var)
     th.gamma = sample_normal(rng, mu, var)
     th.xi_gamma2 = sample_inverse_gamma(rng, *xi_conditional(th.gamma, state.s_gamma))
     recompute_yhat(state.y, state.paths, th, state.prior)
@@ -576,13 +586,26 @@ def update_phi_grid(state: ChainState, rng) -> float:
 # Gradient-assisted Metropolis-Hastings updates
 # ---------------------------------------------------------------------------
 
-def _logit(p: np.ndarray) -> np.ndarray:
-    return np.log(p / (1.0 - p))
+def _logits(p: float, q: float) -> np.ndarray:
+    return np.array([math.log(p / (1.0 - p)), math.log(q / (1.0 - q))])
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def _sigmoid(x: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-x))
+    except OverflowError:   # exp(-x) is inf in float64
+        return 0.0
+
+
+def _unit_weights(x: np.ndarray) -> tuple[float, float] | None:
+    """The two weights with logits ``x``, or None where one rounds to 0 or 1."""
+    p, q = map(_sigmoid, x.tolist())
+    return (p, q) if 0.0 < p < 1.0 and 0.0 < q < 1.0 else None
+
+
+def _open_unit(w: float) -> float:
+    """A weight drawn on [0, 1] moved into the open unit interval."""
+    return min(max(w, WEIGHT_LO), WEIGHT_HI)
 
 
 def _langevin_logq(dest: np.ndarray, src: np.ndarray, grad_src: np.ndarray, eps: float) -> float:
@@ -610,7 +633,7 @@ class MalaPoint:
 
 
 def _finite(point) -> bool:
-    return math.isfinite(point.log_target) and bool(np.isfinite(point.grad).all())
+    return math.isfinite(point.log_target) and all(map(math.isfinite, point.grad.tolist()))
 
 
 def _mala_move(rng, step: StepSizeState, adapting: bool, target: float,
@@ -647,10 +670,6 @@ def _mala_move(rng, step: StepSizeState, adapting: bool, target: float,
     else:
         step.record(reached is not here)
     return reached
-
-
-def _in_unit_interval(w: np.ndarray) -> bool:
-    return bool((w > 0.0).all() and (w < 1.0).all())
 
 
 @dataclass
@@ -857,11 +876,11 @@ def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
     1994).  ``visit_weights(alpha, beta)`` returns the point proposed; a
     non-finite target here means no move, there a rejection.
     """
-    w = np.clip(rng.beta(*SMOOTHING_PRIOR, size=2), WEIGHT_LO, WEIGHT_HI)
+    alpha, beta = rng.beta(*SMOOTHING_PRIOR, size=2).tolist()
     log_u = math.log(rng.random())
     if not math.isfinite(here.log_target):
         return here
-    there = visit_weights(float(w[0]), float(w[1]))
+    there = visit_weights(_open_unit(alpha), _open_unit(beta))
     if not math.isfinite(there.log_target):
         return here
     log_r = ((there.log_target - _weights_log_prior(there.theta.alpha, there.theta.beta))
@@ -898,14 +917,12 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
         return MalaPoint(trial, None, marginal.log_target, marginal.grad, marginal)
 
     def visit(x_star):
-        w = _sigmoid(x_star)
-        if not _in_unit_interval(w):
-            return None
-        return visit_weights(float(w[0]), float(w[1]))
+        w = _unit_weights(x_star)
+        return None if w is None else visit_weights(*w)
 
     start = visit_weights(th.alpha, th.beta)
     here = _independence_move(rng, start, visit_weights)
-    x = _logit(np.array([here.theta.alpha, here.theta.beta]))
+    x = _logits(here.theta.alpha, here.theta.beta)
     reached = _mala_move(rng, step, adapting, target, here, x, visit)
     marginal = reached.marginal
     if reached is not start:
@@ -968,14 +985,14 @@ def seasonal_weights_move(state: ChainState, rng, step: StepSizeState, adapting:
     th = state.theta
 
     def visit(x_star):
-        w = _sigmoid(x_star)
-        if not _in_unit_interval(w):
+        w = _unit_weights(x_star)
+        if w is None:
             return None
         trial = th.proposal_clone()
-        trial.alpha, trial.zeta = float(w[0]), float(w[1])
+        trial.alpha, trial.zeta = w
         return _seasonal_visit(state, trial)
 
-    x = _logit(np.array([th.alpha, th.zeta]))
+    x = _logits(th.alpha, th.zeta)
     reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_WEIGHTS)
     if reached is not here:
         th.alpha, th.zeta = reached.theta.alpha, reached.theta.zeta
@@ -1019,7 +1036,7 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
     here = seasonal_weights_move(state, rng, smooth_step, adapting, target, here)
     seasonal_seeds_move(state, rng, seas_step, adapting, target, here)
     th = state.theta
-    th.beta = min(max(float(rng.beta(*SMOOTHING_PRIOR)), WEIGHT_LO), WEIGHT_HI)
+    th.beta = _open_unit(float(rng.beta(*SMOOTHING_PRIOR)))
     recompute_trend_path(state.paths, th)
 
 
@@ -1154,7 +1171,8 @@ def fit(series: TimeSeries, prior: PriorConfig, cfg: SamplerConfig) -> Posterior
     """Run all chains for one series and collect post-burn-in draws.
 
     Chains are independent; one chain failing on a degenerate conditional
-    does not poison the others.  Identical (seed, config) input always
+    or a numerical error does not poison the others: its error is recorded
+    in its ``ChainDiagnostics``.  Identical (seed, config) input always
     yields bit-identical output.
     """
     prior_eff, m_eff = effective_prior(series, prior)
@@ -1168,7 +1186,7 @@ def fit(series: TimeSeries, prior: PriorConfig, cfg: SamplerConfig) -> Posterior
         rng = RngStream(cfg.seed, stream=c).generator()
         try:
             chain_draws, diag = _run_chain(y, m_eff, prior_eff, cfg, grids, scales, rng, c)
-        except DegenerateSeriesError as exc:
+        except (DegenerateSeriesError, NumericalError) as exc:
             logger.warning("series %s chain %d failed: %s", series.id, c, exc)
             diagnostics.append(ChainDiagnostics(chain=c, error=str(exc)))
             continue

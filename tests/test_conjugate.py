@@ -19,13 +19,12 @@ from lsgt.sampler import (
     ChainState,
     b1_conditional,
     chi2_conditional,
-    conjugate_normal_posterior,
-    ConjugateNormalSpec,
     delta2_conditional,
     eta_delta_conditional,
     eta_s_conditional,
     gamma_conditional,
     lambda_conditional,
+    normal_moments,
     omega2_conditional,
     psi2_conditional,
     update_chi2,
@@ -35,7 +34,7 @@ from lsgt.sampler import (
 )
 from lsgt.dists import sample_inverse_gamma
 
-from .helpers import random_state
+from .helpers import make_prior, random_state
 from .oracles import ig_moments, ig_reciprocal_moments, quad_moments_positive, quad_moments_real
 
 REL = 1e-3
@@ -184,40 +183,34 @@ def test_omega2_normal_limit(rng):
 # ---------------------------------------------------------------------------
 
 def test_conjugate_flat_prior_limit():
-    spec = ConjugateNormalSpec(
-        y=np.array([3.7]), x=np.ones(1), s=np.ones(1), c=np.zeros(1),
-        sigma2=np.ones(1), prior_variance=1e12,
-    )
-    mu, var = conjugate_normal_posterior(spec)
+    # one observation y = 3.7 of w with unit noise, prior variance 1e12
+    mu, var = normal_moments(1.0, 3.7, 1e12)
     assert mu == pytest.approx(3.7, abs=1e-6)
     assert var == pytest.approx(1.0, rel=1e-6)
 
 
 def test_conjugate_unit_example():
-    spec = ConjugateNormalSpec(
-        y=np.array([2.0]), x=np.ones(1), s=np.ones(1), c=np.zeros(1),
-        sigma2=np.ones(1), prior_variance=1.0,
-    )
-    mu, var = conjugate_normal_posterior(spec)
+    # one observation y = 2 of w with unit noise, unit prior variance
+    mu, var = normal_moments(1.0, 2.0, 1.0)
     assert var == pytest.approx(0.5, rel=1e-12)
     assert mu == pytest.approx(1.0, rel=1e-12)
 
 
 def test_conjugate_matches_quadrature(rng):
+    # y_i ~ N((w x_i + c_i) s_i, sigma2_i), w ~ N(0, 1.3)
     n = 6
-    spec = ConjugateNormalSpec(
-        y=rng.normal(0, 2, n),
-        x=rng.normal(0, 1, n),
-        s=np.abs(rng.normal(1, 0.2, n)),
-        c=rng.normal(0, 1, n),
-        sigma2=np.exp(rng.normal(0, 0.4, n)),
-        prior_variance=1.3,
-    )
-    mu, var = conjugate_normal_posterior(spec)
+    y = rng.normal(0, 2, n)
+    x = rng.normal(0, 1, n)
+    s = np.abs(rng.normal(1, 0.2, n))
+    c = rng.normal(0, 1, n)
+    sigma2 = np.exp(rng.normal(0, 0.4, n))
+    prior_variance = 1.3
+    mu, var = normal_moments(float((x ** 2 * s ** 2 / sigma2).sum()),
+                             float((x * s * (y - c * s) / sigma2).sum()), prior_variance)
 
     def log_density(w):
-        resid = spec.y - (w * spec.x + spec.c) * spec.s
-        return float(np.sum(-resid ** 2 / (2.0 * spec.sigma2))) - w ** 2 / (2.0 * spec.prior_variance)
+        resid = y - (w * x + c) * s
+        return float(np.sum(-resid ** 2 / (2.0 * sigma2))) - w ** 2 / (2.0 * prior_variance)
 
     mean_q, var_q = quad_moments_real(log_density)
     assert mean_q == pytest.approx(mu, rel=1e-6, abs=1e-9)
@@ -245,8 +238,25 @@ def test_gamma_conditional_matches_quadrature(rng):
     assert var_q == pytest.approx(var, rel=REL)
 
 
-def test_lambda_conditional_matches_quadrature(rng):
+def trend_state(rng, level):
+    """A non-seasonal state; at a given level, y = level * (1 + 1e-3 z) with
+    a homoscedastic sd of 1e-3 * level, where the trend sums have most room to cancel."""
     state = random_state(rng, T=10)
+    if level is None:
+        return state
+    y = level * (1.0 + 1e-3 * rng.standard_normal(state.T))
+    th = state.theta
+    th.phi, th.chi2 = 1.0, (1e-3 * level) ** 2
+    prior = make_prior(hetero=False)
+    return ChainState(y, prior, th, prior.resolved_scales(y), state.grids)
+
+
+LEVELS = pytest.mark.parametrize("level", [None, 1e8], ids=["random", "level_1e8"])
+
+
+@LEVELS
+def test_lambda_conditional_matches_quadrature(rng, level):
+    state = trend_state(rng, level)
     th = state.theta
     lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
     x = state.paths.b[:-1]
@@ -265,8 +275,9 @@ def test_lambda_conditional_matches_quadrature(rng):
     assert var_q == pytest.approx(var, rel=REL)
 
 
-def test_b1_conditional_matches_quadrature(rng):
-    state = random_state(rng, T=10)
+@LEVELS
+def test_b1_conditional_matches_quadrature(rng, level):
+    state = trend_state(rng, level)
     th = state.theta
     x = th.lam * np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
     # remainder terms: everything in yhat that does not involve b1
@@ -285,8 +296,26 @@ def test_b1_conditional_matches_quadrature(rng):
     assert var_q == pytest.approx(var, rel=REL)
 
 
+def fresh_trend_moments(state, draw_b1):
+    """(mean, variance) of lam given b1, or of b1 given lam, from explicit
+    arrays of a recursion run from scratch at the state's draw."""
+    th = state.theta
+    paths = run_recursion(state.y, th, state.prior)
+    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
+    r = state.y[1:] - (paths.l[:-1] + th.gamma * lp ** th.rho)
+    w = 1.0 / (th.omega2 * paths.sigma2hat)
+    b = paths.b[:-1]
+    if draw_b1:
+        d = np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
+        x, resid, prior_var = th.lam * d, r - th.lam * (b - d * th.b1), th.xi_b1_2 * state.s_b1 ** 2
+    else:
+        x, resid, prior_var = b, r, th.xi_lambda2 * state.s_lambda ** 2
+    var = 1.0 / (float((w * x * x).sum()) + 1.0 / prior_var)
+    return var * float((w * x * resid).sum()), var
+
+
 def test_update_lambda_b1_draws_fresh_conditionals_and_leaves_exact_paths(rng, monkeypatch):
-    # the kernel forms its arrays once per call and refreshes the paths once
+    # the kernel forms its sums once per call and refreshes the paths once
     # at the end; every one of its draws must still come from the conditional
     # of a state recomputed from scratch at the current draw
     draw = sampler.sample_truncated_normal
@@ -296,9 +325,7 @@ def test_update_lambda_b1_draws_fresh_conditionals_and_leaves_exact_paths(rng, m
         seen = []
 
         def spy(r, mean, var, lo, hi):
-            fresh = ChainState(state.y, state.prior, th.copy(),
-                               (state.s_gamma, state.s_lambda, state.s_b1), state.grids)
-            want = b1_conditional(fresh) if len(seen) % 2 else lambda_conditional(fresh)
+            want = fresh_trend_moments(state, draw_b1=len(seen) % 2 == 1)
             np.testing.assert_allclose((mean, var), want, rtol=1e-9)
             seen.append(mean)
             return draw(r, mean, var, lo, hi)

@@ -6,7 +6,7 @@ import pytest
 
 from lsgt import sampler
 from lsgt.data import TimeSeries
-from lsgt.errors import DegenerateSeriesError
+from lsgt.errors import DegenerateSeriesError, NumericalError
 from lsgt.model import HOMOSCEDASTIC, NON_SEASONAL, SEASONAL, PriorConfig, SeasonalPrior
 from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
@@ -135,6 +135,30 @@ def test_seasonal_fallback_warns(caplog):
     assert m_eff == 1
     assert prior_eff.model_kind == NON_SEASONAL
     assert any("non-seasonal" in r.message for r in caplog.records)
+
+
+def test_numerical_error_in_one_chain_keeps_the_other(monkeypatch):
+    # chains run one after the other, so the kernel's calls after the first
+    # chain's sweeps all belong to the second chain
+    series, _ = synthetic_series()
+    cfg = small_cfg(iterations=40, burn_in=20)
+    alone = fit(series, make_prior(), small_cfg(iterations=40, burn_in=20, chains=1))
+    kernel = sampler.update_lambda_b1
+    calls = []
+
+    def failing_in_chain_1(state, rng):
+        calls.append(None)
+        if len(calls) > cfg.iterations:
+            raise NumericalError("conjugate posterior variance nan invalid")
+        return kernel(state, rng)
+
+    monkeypatch.setattr(sampler, "update_lambda_b1", failing_in_chain_1)
+    samples = fit(series, make_prior(), cfg)
+    assert len(samples.draws) == len(alone.draws) == 20
+    assert all(draws_equal(a, b) for a, b in zip(samples.draws, alone.draws))
+    assert samples.diagnostics[0].error is None
+    assert samples.diagnostics[1].chain == 1
+    assert "variance nan invalid" in samples.diagnostics[1].error
 
 
 def test_constant_series_degenerate():
