@@ -307,7 +307,7 @@ def gamma_conditional(state: ChainState) -> tuple[float, float]:
     The arithmetic of ``update_rho_gamma_grouped``'s draw, at the current
     trend power.
     """
-    prec, score, prior_var = gamma_regression(state, np.array([state.theta.rho]))
+    prec, score, prior_var = _gamma_regression(state, np.array([state.theta.rho]))
     return normal_moments(float(prec[0]), float(score[0]), prior_var)
 
 
@@ -478,8 +478,9 @@ def update_nu_collapsed(state: ChainState, rng) -> float:
     return state.theta.nu
 
 
-def gamma_regression(state: ChainState, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """The global trend coefficient's data precision and score at each trend-power candidate, and its prior variance.
+def _gamma_regression(state: ChainState, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Data precision and score of the global trend coefficient at each
+    trend-power candidate, and the coefficient's prior variance.
 
     Given everything else, y[t] = (gamma * lp^rho + c[t]) * s[t] + noise
     with c = l + lam * b, so gamma's likelihood is
@@ -516,7 +517,7 @@ def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
     conjugate normal integrates to mu^2/(2 var) + log(var)/2 up to terms
     that do not involve the power.
     """
-    return _rho_nll(candidates, *gamma_regression(state, candidates))
+    return _rho_nll(candidates, *_gamma_regression(state, candidates))
 
 
 def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, float]:
@@ -528,7 +529,7 @@ def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, floa
     """
     th = state.theta
     grid = state.grids.rho
-    prec, score, prior_var = gamma_regression(state, grid)
+    prec, score, prior_var = _gamma_regression(state, grid)
     idx = _categorical_from_nll(rng, _rho_nll(grid, prec, score, prior_var))
     th.rho = float(grid[idx])
     mu, var = normal_moments(float(prec[idx]), float(score[idx]), prior_var)
