@@ -63,4 +63,4 @@ class MetricError(LsgtError):
 
 
 class ForecastError(LsgtError):
-    """Path simulation produced unusable values."""
+    """Forward simulation (forecast paths, synthetic series) produced unusable values or gave up."""

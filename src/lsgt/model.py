@@ -20,7 +20,9 @@ zero.
 
 All recursions here are pure scalar loops: they are the single source of
 truth that the sampler's incremental refreshes and the vectorised grid
-evaluations must agree with.
+evaluations must agree with.  ``simulate`` is the same recursion run
+forward with drawn observations; forecast paths and synthetic series both
+come from it, so their values continue ``run_recursion`` bit for bit.
 
 The loops run over Python floats (``ndarray.tolist()``) and write each
 result array back once; indexing numpy arrays element by element costs
@@ -45,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dists import t_log_normaliser
-from .errors import StateRecursionError
+from .errors import ForecastError, StateRecursionError
 
 LEVEL_FLOOR = 1e-10
 SEASONAL_SUM_TOL = 1e-12
@@ -325,6 +327,53 @@ def run_recursion(y, theta: ParameterDraw, cfg: PriorConfig) -> StatePaths:
     yhat_arr = np.array(yhat)
     return StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s), yhat=yhat_arr,
                       sigma2hat=np.array(sigma2hat), e=y[1:] - yhat_arr, clamp_events=clamps)
+
+
+def simulate(rng, theta: ParameterDraw, cfg: PriorConfig, l: float, b: float,
+             log_s: np.ndarray, t: int, steps: int, keep) -> list | None:
+    """Draw observations t..t+steps-1 by running the recursion forward.
+
+    ``l`` and ``b`` are the level and trend at step t-1, ``log_s`` the log
+    seasonal factors of steps 0..t-1 (just the m seeds when t <= m).  Each
+    step forms yhat and sigma2 as ``run_recursion`` does and draws
+    yhat + z * sqrt(sigma2) with one ``rng.standard_t(nu)``.  ``keep`` is
+    the caller's acceptance rule: it maps that draw to the value the roll
+    continues with, or to None to abandon the roll, which then returns
+    None; otherwise the ``steps`` kept values are returned.  A non-finite
+    level, trend or value, or an arithmetic error, raises ``ForecastError``.
+    """
+    seasonal = cfg.model_kind == SEASONAL
+    m = theta.m if seasonal else 1
+    alpha, beta, zeta = theta.alpha, theta.beta, theta.zeta
+    gamma, rho, nu = theta.gamma, theta.rho, theta.nu
+    chi2 = theta.chi2
+    phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * theta.tau
+    lam = effective_lam(theta, cfg)
+    log_s = log_s.tolist()
+    out = []
+    try:
+        for k in range(steps):
+            u = t + k
+            a_u = math.exp(log_s[u - m if u >= m else u]) if seasonal else 1.0
+            lp = l
+            if lp < LEVEL_FLOOR:
+                lp = LEVEL_FLOOR
+            yh = (l + gamma * lp ** rho + lam * b) * a_u
+            s2 = chi2 * (phi2 + q2 * lp ** p2)
+            y_u = keep(yh + rng.standard_t(nu) * math.sqrt(s2))
+            if y_u is None:
+                return None
+            l_u = alpha * (y_u / a_u) + (1.0 - alpha) * l
+            b = beta * (l_u - l) + (1.0 - beta) * b
+            if seasonal and u >= m:
+                log_s.append(zeta * math.log(y_u / l_u) + (1.0 - zeta) * log_s[u - m])
+            l = l_u
+            if not (math.isfinite(l) and math.isfinite(b) and math.isfinite(y_u)):
+                raise ForecastError(f"non-finite simulated state at step {k + 1}")
+            out.append(y_u)
+    except (ArithmeticError, ValueError) as exc:
+        raise ForecastError(f"simulation failed at step {k + 1}: {exc}") from exc
+    return out
 
 
 def applied_factors(log_s: np.ndarray, m: int, seasonal: bool) -> np.ndarray:

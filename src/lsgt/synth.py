@@ -1,28 +1,29 @@
 """Synthetic series generation, parameter-driven or prior-driven.
 
 ``generate_series`` rolls the observation model forward from explicit
-parameter values; ``draw_generative_params`` samples a complete parameter
-set from the fitting priors (with the proper error-variance prior filled
-in), which is what simulation-based calibration studies consume.  Series
-are rejected and redrawn until strictly positive, a condition on the data
-alone, so posterior calibration is unaffected.
+parameter values with ``model.simulate``, the simulator that forecasts
+use too, from the fit's level seed (``model.initial_level``);
+``draw_generative_params`` samples a complete parameter set from the
+fitting priors (with the proper error-variance prior filled in), which is
+what simulation-based calibration studies consume.  Series are rejected
+and redrawn until every value lies in (0, ``Y_CAP``), a condition on the
+data alone, so posterior calibration is unaffected.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .data import TimeSeries
+from .errors import ForecastError, SeriesValidationError
 from .model import (
     HETEROSCEDASTIC,
-    LEVEL_FLOOR,
     SEASONAL,
     SMOOTHING_PRIOR,
     ParameterDraw,
     PriorConfig,
-    effective_lam,
+    initial_level,
+    simulate,
 )
 from .sampler import Grids, make_grids
 
@@ -52,45 +53,24 @@ def default_params(m: int = 1, model_kind: str = "non_seasonal", T: int = 0) -> 
     )
 
 
-def _roll_model(rng, theta: ParameterDraw, cfg: PriorConfig, T: int, y1: float) -> np.ndarray | None:
-    """One forward simulation; None when a value leaves (0, Y_CAP)."""
-    seasonal = cfg.model_kind == SEASONAL
-    m = theta.m
-    lam = effective_lam(theta, cfg)
-    y = np.empty(T)
-    y[0] = y1
-    log_s = list(theta.log_s_init) if seasonal else [0.0]
-    # same level seed rule as the fit: deseasonalised first observation
-    l_cur = y1 / math.exp(log_s[0]) if seasonal else y1
-    b_cur = theta.b1
-    for t in range(1, T):
-        idx = t - m if t >= m else t
-        a_t = math.exp(log_s[idx]) if seasonal else 1.0
-        lp = l_cur if l_cur >= LEVEL_FLOOR else LEVEL_FLOOR
-        yh = (l_cur + theta.gamma * lp ** theta.rho + lam * b_cur) * a_t
-        s2 = theta.chi2 * (theta.phi ** 2 + (1.0 - theta.phi) ** 2 * lp ** (2.0 * theta.tau))
-        y_t = yh + rng.standard_t(theta.nu) * math.sqrt(s2)
-        if not (0.0 < y_t < Y_CAP) or not math.isfinite(y_t):
-            return None
-        y[t] = y_t
-        l_new = theta.alpha * (y_t / a_t) + (1.0 - theta.alpha) * l_cur
-        b_cur = theta.beta * (l_new - l_cur) + (1.0 - theta.beta) * b_cur
-        if seasonal and t >= m:
-            log_s.append(theta.zeta * math.log(y_t / l_new) + (1.0 - theta.zeta) * log_s[t - m])
-        l_cur = l_new
-    return y
+def _below_cap(v):
+    return v if 0.0 < v < Y_CAP else None
 
 
 def generate_series(rng, theta: ParameterDraw, cfg: PriorConfig, T: int,
                     series_id: str = "synthetic", h: int = 1, y1: float = 10.0,
                     category: str | None = None, max_attempts: int = 200) -> TimeSeries:
-    """Simulate a strictly positive series of length T from fixed parameters."""
+    """Simulate a series of length T, every value in (0, Y_CAP), from fixed parameters."""
     m = theta.m if cfg.model_kind == SEASONAL else 1
+    if T < 2 or m < 1:
+        raise SeriesValidationError(f"cannot simulate length {T} with m={m}: need T >= 2, m >= 1",
+                                    series_id=series_id)
+    l1 = initial_level([y1], m, cfg.model_kind, theta.log_s_init)
     for _ in range(max_attempts):
-        y = _roll_model(rng, theta, cfg, T, y1)
+        y = simulate(rng, theta, cfg, l1, theta.b1, theta.log_s_init, 1, T - 1, _below_cap)
         if y is not None:
-            return TimeSeries(id=series_id, values=tuple(y), m=m, h=h, category=category)
-    raise RuntimeError(f"could not simulate a positive series in {max_attempts} attempts")
+            return TimeSeries(id=series_id, values=(y1, *y), m=m, h=h, category=category)
+    raise ForecastError(f"could not simulate a series in (0, {Y_CAP:g}) in {max_attempts} attempts")
 
 
 def draw_generative_params(rng, prior: PriorConfig, grids: Grids, T: int,
@@ -133,7 +113,7 @@ def _truncated_cauchy(rng, scale: float, lo: float, hi: float) -> float:
         x = scale * rng.standard_cauchy()
         if lo < x < hi:
             return float(x)
-    raise RuntimeError("truncated cauchy rejection did not terminate")
+    raise ForecastError("truncated cauchy rejection did not terminate")
 
 
 def prior_predictive_series(rng, prior: PriorConfig, grids: Grids, T: int,
@@ -142,11 +122,11 @@ def prior_predictive_series(rng, prior: PriorConfig, grids: Grids, T: int,
     """Draw (params, series) jointly, rejecting on the series values only."""
     for _ in range(max_attempts):
         theta = draw_generative_params(rng, prior, grids, T, scales)
-        y = _roll_model(rng, theta, prior, T, y1)
+        l1 = initial_level([y1], theta.m, prior.model_kind, theta.log_s_init)
+        y = simulate(rng, theta, prior, l1, theta.b1, theta.log_s_init, 1, T - 1, _below_cap)
         if y is not None:
-            ts = TimeSeries(id="sbc", values=tuple(y), m=1, h=1)
-            return ts, theta
-    raise RuntimeError("prior-predictive rejection did not terminate")
+            return TimeSeries(id="sbc", values=(y1, *y), m=1, h=1), theta
+    raise ForecastError("prior-predictive rejection did not terminate")
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,10 @@ def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
     ["benchmark", "--input", "{tmp}/nope.json"],
     ["benchmark", "--config", "{tmp}/missing.cfg"],
     ["simulate", "--config", "{tmp}/bad.cfg"],
+    ["simulate", "--param", "gamma=-50", "--length", "60"],
+    ["simulate", "--length", "0"],
+    ["simulate", "--length", "-3"],
+    ["simulate", "--model", "sgt", "--m", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     # a valid collection, so that only the option is at fault; `fit` gets an empty one

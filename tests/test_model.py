@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lsgt.errors import StateRecursionError
+from lsgt.forecast import simulate_paths
 from lsgt.model import (
     HETEROSCEDASTIC,
     LEVEL_FLOOR,
@@ -19,6 +20,8 @@ from lsgt.model import (
     recompute_yhat,
     run_recursion,
 )
+from lsgt.sampler import PosteriorSamples
+from lsgt.synth import default_params, generate_series
 
 from .oracles import reference_nll, reference_recursion, sequential_nll
 
@@ -160,6 +163,52 @@ def test_recursion_error_carries_step():
     with pytest.raises(StateRecursionError) as err:
         run_recursion(y * 1e200, theta, PriorConfig(model_kind=NON_SEASONAL))
     assert err.value.t >= 1
+
+
+class FixedShocks:
+    """Generator stand-in: ``standard_t`` returns preset shocks in order."""
+
+    def __init__(self, shocks):
+        self.shocks = shocks
+        self.used = 0
+
+    def standard_t(self, df):
+        self.used += 1
+        return float(self.shocks[self.used - 1])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 12])
+def test_simulators_continue_the_fitted_recursion(m):
+    # a synthetic series, and a forecast path appended to it, are
+    # yhat + z * sqrt(sigma2hat) of run_recursion over the values before them,
+    # bit for bit; the shocks are small so that no roll is rejected
+    kind = SEASONAL if m > 1 else NON_SEASONAL
+    cfg = PriorConfig(model_kind=kind, nu_grid_size=10)
+    rng = np.random.default_rng(m)
+    for _ in range(10):
+        T, h = 2 * m + int(rng.integers(1, 20)), m + 3
+        theta = default_params(m=m, model_kind=kind, T=T)
+        theta.gamma, theta.rho = float(rng.uniform(-0.2, 0.2)), float(rng.uniform(-0.5, 1.0))
+        theta.alpha, theta.beta, theta.zeta = (float(v) for v in rng.uniform(0.05, 0.95, 3))
+        theta.chi2, theta.phi, theta.tau = (float(v) for v in rng.uniform(0.01, 0.9, 3))
+        theta.b1 = float(rng.normal(0.0, 0.3))
+        if kind == NON_SEASONAL:
+            theta.lam = float(rng.uniform(-0.5, 0.9))
+        z = rng.uniform(-0.5, 0.5, T - 1 + h)
+
+        shocks = FixedShocks(z[:T - 1])
+        series = generate_series(shocks, theta, cfg, T, h=h)
+        assert shocks.used == T - 1
+        y = np.array(series.values)
+        paths = run_recursion(y, theta, cfg)
+        assert np.array_equal(y[1:], paths.yhat + z[:T - 1] * np.sqrt(paths.sigma2hat))
+
+        shocks = FixedShocks(z[T - 1:])
+        samples = PosteriorSamples(draws=[theta], diagnostics=[], prior=cfg, m=m)
+        path = simulate_paths(samples, series, h, paths_per_draw=1, rng=shocks).mean  # one path
+        assert shocks.used == h
+        ext = run_recursion(np.concatenate([y, path]), theta, cfg)
+        assert np.array_equal(path, ext.yhat[T - 1:] + z[T - 1:] * np.sqrt(ext.sigma2hat[T - 1:]))
 
 
 def test_nll_zero_residuals():

@@ -12,9 +12,16 @@ import pytest
 from lsgt.data import TimeSeries
 from lsgt.errors import LsgtError
 from lsgt.forecast import simulate_paths
-from lsgt.model import HETEROSCEDASTIC, HOMOSCEDASTIC, NON_SEASONAL, SEASONAL, PriorConfig
+from lsgt.model import (
+    HETEROSCEDASTIC,
+    HOMOSCEDASTIC,
+    NON_SEASONAL,
+    SEASONAL,
+    ParameterDraw,
+    PriorConfig,
+)
 from lsgt.rng import RngStream
-from lsgt.sampler import SamplerConfig, fit
+from lsgt.sampler import PosteriorSamples, SamplerConfig, fit
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -73,3 +80,15 @@ def test_repeating_pattern_two_periods_fits(m):
     samples, result = fit_and_forecast(values, m, HETEROSCEDASTIC, iterations=200)
     assert samples.prior.model_kind == SEASONAL
     assert_finite_forecast(result)
+
+
+def test_forecast_overflow_is_a_typed_error():
+    # sigma2 = l^2 is finite at the fitted level 1.25e154, but a simulated
+    # step lifts the level, and the next l^2 overflows a Python float
+    series = TimeSeries(id="o", values=(1.25e154,) * 20, m=1, h=6)
+    theta = ParameterDraw(nu=3.0, gamma=0.0, rho=0.5, lam=0.0, alpha=0.9, beta=0.3, zeta=0.3,
+                          chi2=1.0, phi=0.0, tau=1.0, b1=0.0, log_s_init=np.zeros(1),
+                          omega2=np.ones(19))
+    samples = PosteriorSamples(draws=[theta], diagnostics=[], prior=PriorConfig(nu_grid_size=10), m=1)
+    with pytest.raises(LsgtError):
+        simulate_paths(samples, series, h=6, rng=RngStream(1, 0).generator())
