@@ -188,6 +188,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             setattr(params, name, float(value))
         except ValueError:
             raise LsgtError(f"--param {spec!r}: expected {name}=<number>") from None
+    try:
+        params.validate()
+    except ValueError as exc:
+        raise LsgtError(f"invalid generator parameter: {exc}") from None
     prior = PriorConfig(model_kind=model_kind, seasonal_prior=SeasonalPrior())
     collection = []
     for i in range(n_series):

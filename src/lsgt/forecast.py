@@ -1,7 +1,9 @@
 """Posterior-predictive path simulation and empirical forecast quantiles.
 
 Each path continues the fitted recursion through ``model.simulate``, the
-one forward simulator, which ``synth`` also uses.
+one forward simulator, which ``synth`` also uses.  It starts from the end
+state that the sampler saved with each kept draw (``model.EndState``), so
+no recursion over the observed series is run again here.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from .data import TimeSeries
 from .errors import ForecastError
-from .model import run_recursion, simulate
+from .model import simulate
 from .sampler import PosteriorSamples
 
 DEFAULT_LEVELS = (0.01, 0.05, 0.5, 0.95, 0.99)
@@ -51,9 +53,10 @@ def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int,
                    levels=DEFAULT_LEVELS) -> ForecastResult:
     """Simulate h-step posterior-predictive paths for every retained draw.
 
-    Each path rolls the state to the end of the observed series, then
-    continues it with ``model.simulate``, drawing each next observation
-    from its Student-t predictive.  The point forecast is the per-horizon median
+    Each path continues the draw's saved end state with
+    ``model.simulate``, drawing each next observation from its Student-t
+    predictive; end states that do not belong to a series of this length
+    raise ``ForecastError``.  The point forecast is the per-horizon median
     over all draws and paths (the mean is reported alongside); quantiles
     are empirical.
     """
@@ -69,8 +72,9 @@ def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int,
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ForecastError(f"quantile levels must lie in (0,1), got {levels}")
 
-    y = np.asarray(series.values, dtype=float)
-    T = len(y)
+    T = len(series.values)
+    if len(samples.ends) != len(samples.draws) or any(end.T != T for end in samples.ends):
+        raise ForecastError(f"the draws' end states do not belong to series {series.id!r} of length {T}")
     cfg = samples.prior
     total = len(samples.draws) * paths_per_draw
     sims = np.empty((total, h))
@@ -84,18 +88,16 @@ def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int,
         return SIM_FLOOR
 
     row = 0
-    for theta in samples.draws:
-        paths = run_recursion(y, theta, cfg)
-        l0 = float(paths.l[-1])
-        b0 = float(paths.b[-1])
+    for theta, end in zip(samples.draws, samples.ends):
+        t = end.log_s.shape[0]   # the roll reads the saved factors as steps 0..m-1
         for _ in range(paths_per_draw):
             # non-positive paths are redrawn; the last attempt floors them instead
             for _ in range(RETRY_CAP):
-                vals = simulate(rng, theta, cfg, l0, b0, paths.log_s, T, h, _positive)
+                vals = simulate(rng, theta, cfg, end.l, end.b, end.log_s, t, h, _positive)
                 if vals is not None:
                     break
             else:
-                vals = simulate(rng, theta, cfg, l0, b0, paths.log_s, T, h, floored)
+                vals = simulate(rng, theta, cfg, end.l, end.b, end.log_s, t, h, floored)
             sims[row] = vals
             row += 1
 

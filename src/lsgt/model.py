@@ -247,12 +247,34 @@ class StatePaths:
     e: np.ndarray
     clamp_events: int = 0
 
+    def end_state(self, m: int) -> "EndState":
+        """The state at the last step, which a forecast rolls on from; ``m`` is the draw's period."""
+        T = self.l.shape[0]
+        return EndState(T=T, l=float(self.l[-1]), b=float(self.b[-1]), log_s=self.log_s[T - m:].copy())
+
+
+@dataclass(frozen=True)
+class EndState:
+    """Level, trend and last m log seasonal factors at step T-1 of a fitted series of length T.
+
+    ``simulate`` continues the recursion from these alone, reading
+    ``log_s`` as the factors of steps 0..m-1 and starting at step m: the
+    seasonal recursion reads only the factor one period back, so the
+    re-indexed roll draws the same values as one started at step T.  A
+    non-seasonal draw keeps one unused zero.
+    """
+
+    T: int
+    l: float
+    b: float
+    log_s: np.ndarray
+
 
 def effective_lam(theta: ParameterDraw, cfg: PriorConfig) -> float:
     return 0.0 if cfg.model_kind == SEASONAL else theta.lam
 
 
-def initial_level(y, m: int, model_kind: str, log_s_init) -> float:
+def initial_level(y, model_kind: str, log_s_init) -> float:
     """Level seed: the first observation, deseasonalised by its seed factor."""
     if model_kind != SEASONAL:
         return float(y[0])
@@ -295,7 +317,7 @@ def run_recursion(y, theta: ParameterDraw, cfg: PriorConfig) -> StatePaths:
 
     t = 0
     try:
-        l_prev = initial_level(ys, m, cfg.model_kind, log_s)
+        l_prev = initial_level(ys, cfg.model_kind, log_s)
         b_prev = theta.b1
         l[0] = l_prev
         b[0] = b_prev

@@ -20,15 +20,21 @@ One sweep (`sweep`) calls these kernels, in order:
    iterated as a pair, each draw reading five sums formed once); for
    seasonal fits `update_smoothing_seasonal`:
    the level and seasonal smoothing weights, then the m-1 free seed log
-   seasonal factors (a MALA move each, reading one adjoint gradient and
-   one likelihood per draw visited), then the trend weight from its prior,
-   and, under the horseshoe prior, `update_horseshoe`: the shrinkage
-   hierarchy;
+   seasonal factors (a MALA move each; each proposal is one forward pass
+   that runs the recursion, sums the likelihood and forms the gradient's
+   per-step coefficients, then one adjoint pass back, and paths are built
+   only for the point a move reaches), then the trend weight from its
+   prior, and, under the horseshoe prior, `update_horseshoe`: the
+   shrinkage hierarchy;
 6. for heteroscedastic fits `update_tau_grid` and `update_phi_grid`: the
    variance power, then the mixing weight (grid, t-mixture integrated
    out);
 7. `update_nu_collapsed`: the degrees of freedom (grid, t-mixture
    integrated out).
+
+Every grid draw reads per-candidate constants that `make_grids` forms
+once.  Each kept draw is saved with the end state of its recursion
+(`model.EndState`), from which the forecast rolls on.
 
 The t-mixture latents enter the conjugate steps and the non-seasonal
 smoothing block, and are integrated out of the seasonal MALA moves and
@@ -65,8 +71,8 @@ from .dists import (
     sample_truncated_normal,
     t_log_normaliser,
 )
-from .errors import DegenerateSeriesError, NumericalError, StateRecursionError
-from .gradients import seasonal_gradient
+from .errors import DegenerateSeriesError, NumericalError
+from .gradients import seasonal_adjoint, seasonal_gradient
 from .model import (
     B1_RANGE,
     HETEROSCEDASTIC,
@@ -75,11 +81,13 @@ from .model import (
     NON_SEASONAL,
     SEASONAL,
     SMOOTHING_PRIOR,
+    EndState,
     ParameterDraw,
     PriorConfig,
     StatePaths,
     applied_factors,
     effective_lam,
+    initial_level,
     negative_log_likelihood,
     recompute_sigma2,
     recompute_trend_path,
@@ -137,9 +145,14 @@ class ChainDiagnostics:
 
 @dataclass
 class PosteriorSamples:
-    """Post-burn-in draws from all chains plus diagnostics."""
+    """Post-burn-in draws from all chains plus diagnostics.
+
+    ``ends[i]`` is the state in which the recursion of ``draws[i]`` over the
+    fitted series ends; the forecast rolls on from it.
+    """
 
     draws: list[ParameterDraw]
+    ends: list[EndState]
     diagnostics: list[ChainDiagnostics]
     prior: PriorConfig
     m: int
@@ -150,22 +163,44 @@ class PosteriorSamples:
 
 @dataclass(frozen=True)
 class Grids:
+    """The grid candidates, and the per-candidate constants that every grid draw reads.
+
+    Columns have shape (n, 1), to broadcast against a row of time steps.
+    """
+
     nu: np.ndarray
     nu_log_normaliser: np.ndarray  # t_log_normaliser of each df candidate
     rho: np.ndarray
     tau: np.ndarray
     phi: np.ndarray
+    nu_col: np.ndarray
+    nu_half1_col: np.ndarray       # (nu + 1) / 2
+    rho_col: np.ndarray
+    rho_penalty: np.ndarray        # log(rho^2 + 1), the power's prior term
+    tau_power_col: np.ndarray      # 2 tau, the level's exponent in the scale
+    phi_sq_col: np.ndarray         # phi^2
+    phi_keep_sq_col: np.ndarray    # (1 - phi)^2
 
 
 def make_grids(prior: PriorConfig) -> Grids:
     n = POWER_GRID_SIZE
     nu = np.asarray(build_nu_grid(prior.nu_lower, prior.nu_upper, prior.nu_grid_size).candidates)
+    rho = np.linspace(-0.5, 1.0, n)
+    tau = np.linspace(0.0, 1.0, n)
+    phi = np.linspace(0.0, 1.0, n)
     return Grids(
         nu=nu,
         nu_log_normaliser=t_log_normaliser(nu),
-        rho=np.linspace(-0.5, 1.0, n),
-        tau=np.linspace(0.0, 1.0, n),
-        phi=np.linspace(0.0, 1.0, n),
+        rho=rho,
+        tau=tau,
+        phi=phi,
+        nu_col=nu[:, None],
+        nu_half1_col=0.5 * (nu[:, None] + 1.0),
+        rho_col=rho[:, None],
+        rho_penalty=np.log(rho ** 2 + 1.0),
+        tau_power_col=2.0 * tau[:, None],
+        phi_sq_col=phi[:, None] ** 2,
+        phi_keep_sq_col=(1.0 - phi[:, None]) ** 2,
     )
 
 
@@ -307,7 +342,7 @@ def gamma_conditional(state: ChainState) -> tuple[float, float]:
     The arithmetic of ``update_rho_gamma_grouped``'s draw, at the current
     trend power.
     """
-    prec, score, prior_var = _gamma_regression(state, np.array([state.theta.rho]))
+    prec, score, prior_var = _gamma_regression(state, np.array([[state.theta.rho]]))
     return normal_moments(float(prec[0]), float(score[0]), prior_var)
 
 
@@ -442,11 +477,20 @@ def update_horseshoe(state: ChainState, rng):
 # ---------------------------------------------------------------------------
 
 def _categorical_from_nll(rng, nll: np.ndarray) -> int:
-    """Draw a grid index with weights exp(-nll), log-sum-exp stabilised."""
+    """Draw a grid index with weights exp(-nll), log-sum-exp stabilised.
+
+    The usual case, every nll finite or +inf, draws from the cumulative
+    weights exp(min - nll) directly: its +inf candidates weigh 0, exactly as
+    in the checked path below, which a NaN, a -inf or no finite candidate
+    takes.
+    """
     nll = np.asarray(nll, dtype=float)
+    with np.errstate(invalid="ignore"):
+        cum = np.exp(nll.min() - nll).cumsum()
+    total = float(cum[-1])
+    if 0.0 < total < math.inf:
+        return int(np.searchsorted(cum, rng.random() * total, side="right"))
     finite = np.isfinite(nll)
-    if finite.all():
-        return sample_categorical(rng, np.exp(-(nll - nll.min())))
     if not finite.any():
         raise DegenerateSeriesError("all grid candidates have non-finite posterior")
     w = np.zeros(nll.shape[0])
@@ -465,10 +509,12 @@ def nu_collapsed_nll(state: ChainState) -> np.ndarray:
     """
     grids = state.grids
     e2 = state.paths.e ** 2
-    s2 = state.paths.sigma2hat
-    nu = grids.nu[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        core = (0.5 * (nu + 1.0) * np.log1p(e2[None, :] / (nu * s2[None, :]))).sum(axis=1)
+        table = grids.nu_col * state.paths.sigma2hat
+        np.divide(e2, table, out=table)
+        np.log1p(table, out=table)
+        table *= grids.nu_half1_col
+        core = table.sum(axis=1)
     return core + e2.shape[0] * grids.nu_log_normaliser
 
 
@@ -478,34 +524,43 @@ def update_nu_collapsed(state: ChainState, rng) -> float:
     return state.theta.nu
 
 
-def _gamma_regression(state: ChainState, candidates: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _gamma_regression(state: ChainState, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Data precision and score of the global trend coefficient at each
-    trend-power candidate, and the coefficient's prior variance.
+    trend-power candidate of the column ``powers``, and the coefficient's
+    prior variance.
 
     Given everything else, y[t] = (gamma * lp^rho + c[t]) * s[t] + noise
     with c = l + lam * b, so gamma's likelihood is
-    exp(score * gamma - precision * gamma^2 / 2).
+    exp(score * gamma - precision * gamma^2 / 2).  A non-seasonal fit's
+    factors are all one, and multiplying by them is skipped.
     """
     th = state.theta
     paths = state.paths
     lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
     lam = effective_lam(th, state.prior)
     c = paths.l[:-1] + lam * paths.b[:-1]
-    s = state.a_app
     sigma2 = th.omega2 * paths.sigma2hat
-    resid = (state.y[1:] - c * s) * s / sigma2
+    if state.seasonal:
+        s = state.a_app
+        resid = (state.y[1:] - c * s) * s / sigma2
+        weight = s ** 2 / sigma2
+    else:
+        resid = (state.y[1:] - c) / sigma2
+        weight = 1.0 / sigma2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x = np.power(lp[None, :], candidates[:, None])
-        prec = (x ** 2 * (s ** 2 / sigma2)[None, :]).sum(axis=1)
-        score = (x * resid[None, :]).sum(axis=1)
+        x = np.power(lp, powers)
+        score = (x * resid).sum(axis=1)
+        x *= x
+        x *= weight
+        prec = x.sum(axis=1)
     return prec, score, th.xi_gamma2 * state.s_gamma ** 2
 
 
-def _rho_nll(candidates: np.ndarray, prec: np.ndarray, score: np.ndarray, prior_var: float) -> np.ndarray:
+def _rho_nll(prec: np.ndarray, score: np.ndarray, prior_var: float, penalty: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         var_c = 1.0 / (prec + 1.0 / prior_var)
         mu_c = var_c * score
-        return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + np.log(candidates ** 2 + 1.0)
+        return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + penalty
 
 
 def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
@@ -517,7 +572,7 @@ def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
     conjugate normal integrates to mu^2/(2 var) + log(var)/2 up to terms
     that do not involve the power.
     """
-    return _rho_nll(candidates, *_gamma_regression(state, candidates))
+    return _rho_nll(*_gamma_regression(state, candidates[:, None]), np.log(candidates ** 2 + 1.0))
 
 
 def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, float]:
@@ -528,10 +583,10 @@ def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, floa
     give the coefficient's conjugate normal.
     """
     th = state.theta
-    grid = state.grids.rho
-    prec, score, prior_var = _gamma_regression(state, grid)
-    idx = _categorical_from_nll(rng, _rho_nll(grid, prec, score, prior_var))
-    th.rho = float(grid[idx])
+    grids = state.grids
+    prec, score, prior_var = _gamma_regression(state, grids.rho_col)
+    idx = _categorical_from_nll(rng, _rho_nll(prec, score, prior_var, grids.rho_penalty))
+    th.rho = float(grids.rho[idx])
     mu, var = normal_moments(float(prec[idx]), float(score[idx]), prior_var)
     th.gamma = sample_normal(rng, mu, var)
     th.xi_gamma2 = sample_inverse_gamma(rng, *xi_conditional(th.gamma, state.s_gamma))
@@ -539,46 +594,63 @@ def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, floa
     return th.rho, th.gamma, th.xi_gamma2
 
 
-def _variance_grid_nll(state: ChainState, sigma2_c: np.ndarray) -> np.ndarray:
+def _variance_grid_nll(state: ChainState, table: np.ndarray) -> np.ndarray:
+    """Student-t negative log likelihood of each row of scales ``table``, which it overwrites.
+
+    Its callers run it under their ``np.errstate``.
+    """
     th = state.theta
     e2 = state.paths.e ** 2
+    log_scale = np.log(table).sum(axis=1)
+    table *= th.nu
+    np.divide(e2, table, out=table)
+    np.log1p(table, out=table)
+    return 0.5 * (th.nu + 1.0) * table.sum(axis=1) + 0.5 * log_scale
+
+
+def _tau_nll(state: ChainState, powers: np.ndarray) -> np.ndarray:
+    """The variance-power grid's nll at the column ``powers`` of 2 tau candidates."""
+    th = state.theta
+    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return (
-            0.5 * (th.nu + 1.0) * np.log1p(e2[None, :] / (th.nu * sigma2_c)).sum(axis=1)
-            + 0.5 * np.log(sigma2_c).sum(axis=1)
-        )
+        table = np.power(lp, powers)
+        table *= (1.0 - th.phi) ** 2
+        table += th.phi ** 2
+        table *= th.chi2
+        return _variance_grid_nll(state, table)
+
+
+def _phi_nll(state: ChainState, phi_sq: np.ndarray, phi_keep_sq: np.ndarray) -> np.ndarray:
+    """The mixing-weight grid's nll at the columns phi^2 and (1 - phi)^2 of its candidates."""
+    th = state.theta
+    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        table = phi_keep_sq * lp ** (2.0 * th.tau)
+        table += phi_sq
+        table *= th.chi2
+        return _variance_grid_nll(state, table)
 
 
 def tau_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    th = state.theta
-    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sigma2_c = th.chi2 * (
-            th.phi ** 2 + (1.0 - th.phi) ** 2 * np.power(lp[None, :], 2.0 * candidates[:, None])
-        )
-    return _variance_grid_nll(state, sigma2_c)
+    return _tau_nll(state, 2.0 * candidates[:, None])
 
 
 def phi_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    th = state.theta
-    lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sigma2_c = th.chi2 * (
-            candidates[:, None] ** 2 + (1.0 - candidates[:, None]) ** 2 * lp[None, :] ** (2.0 * th.tau)
-        )
-    return _variance_grid_nll(state, sigma2_c)
+    col = candidates[:, None]
+    return _phi_nll(state, col ** 2, (1.0 - col) ** 2)
 
 
 def update_tau_grid(state: ChainState, rng) -> float:
-    idx = _categorical_from_nll(rng, tau_grid_nll(state, state.grids.tau))
+    idx = _categorical_from_nll(rng, _tau_nll(state, state.grids.tau_power_col))
     state.theta.tau = float(state.grids.tau[idx])
     recompute_sigma2(state.paths, state.theta)
     return state.theta.tau
 
 
 def update_phi_grid(state: ChainState, rng) -> float:
-    idx = _categorical_from_nll(rng, phi_grid_nll(state, state.grids.phi))
-    state.theta.phi = float(state.grids.phi[idx])
+    grids = state.grids
+    idx = _categorical_from_nll(rng, _phi_nll(state, grids.phi_sq_col, grids.phi_keep_sq_col))
+    state.theta.phi = float(grids.phi[idx])
     recompute_sigma2(state.paths, state.theta)
     return state.theta.phi
 
@@ -617,20 +689,21 @@ def _langevin_logq(dest: np.ndarray, src: np.ndarray, grad_src: np.ndarray, eps:
 
 @dataclass
 class MalaPoint:
-    """A draw that a MALA move stands at or proposes, with its recursion.
+    """A draw that a MALA move stands at or proposes.
 
     ``log_target`` is the log density of the move's coordinates up to a
     constant and ``grad`` the gradient that steers proposals from here.
-    A seasonal point carries its recursion in ``paths``; an LGT point
-    carries the collapsed target in ``marginal``, which holds the recursion
-    it was formed on.
+    ``recursion`` is the forward pass the point was formed on: the collapsed
+    target (``SmoothingMarginal``) of an LGT point, or the ``SeasonalPass``
+    of a seasonal proposal.  Its ``paths()`` are what the state takes when
+    a move reaches the point.  It is None at the current seasonal draw,
+    whose paths the state already holds.
     """
 
     theta: ParameterDraw
-    paths: StatePaths | None
     log_target: float
     grad: np.ndarray | None
-    marginal: SmoothingMarginal | None = None
+    recursion: SmoothingMarginal | SeasonalPass | None = None
 
 
 def _finite(point) -> bool:
@@ -915,7 +988,7 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
         trial = th.proposal_clone()
         trial.alpha, trial.beta = alpha, beta
         marginal = smoothing_marginal(state, alpha, beta)
-        return MalaPoint(trial, None, marginal.log_target, marginal.grad, marginal)
+        return MalaPoint(trial, marginal.log_target, marginal.grad, marginal)
 
     def visit(x_star):
         w = _unit_weights(x_star)
@@ -925,7 +998,7 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     here = _independence_move(rng, start, visit_weights)
     x = _logits(here.theta.alpha, here.theta.beta)
     reached = _mala_move(rng, step, adapting, target, here, x, visit)
-    marginal = reached.marginal
+    marginal = reached.recursion
     if reached is not start:
         th.alpha, th.beta = reached.theta.alpha, reached.theta.beta
         state.set_paths(marginal.paths())
@@ -947,33 +1020,149 @@ def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorCon
     return -float(np.log1p((seeds / sp.scale) ** 2).sum())
 
 
-def seasonal_point(state: ChainState, theta: ParameterDraw, paths: StatePaths) -> MalaPoint:
-    """The SGT target at ``theta``, in (logit alpha, logit zeta, free seeds).
+def _seasonal_target(state: ChainState, theta: ParameterDraw, nll: float, grad_nll,
+                     recursion: SeasonalPass | None = None) -> MalaPoint:
+    """The SGT point at ``theta`` from its negative log likelihood and that likelihood's gradient.
 
-    One negative log likelihood and one adjoint gradient pass; the log
-    target adds the smoothing weights' Beta priors with their logit
+    The log target adds the smoothing weights' Beta priors with their logit
     Jacobian and the seasonal prior.  The gradient is that of the log
     target without the seasonal prior, which enters the acceptance ratio
     only: the seed proposals are steered by the likelihood alone.
     """
-    nll = negative_log_likelihood(paths, theta.nu)
-    if not math.isfinite(nll):
-        return MalaPoint(theta, paths, -math.inf, None)
-    grad = -seasonal_gradient(state.y, theta, state.prior, paths)
+    grad = -np.asarray(grad_nll)
     log_target = _seasonal_log_prior(theta.log_s_init, theta, state.prior) - nll
     a, b = SMOOTHING_PRIOR
     for i, w in enumerate((theta.alpha, theta.zeta)):
         grad[i] = float(grad[i]) * w * (1.0 - w) + a - (a + b) * w
         log_target += a * math.log(w) + b * math.log1p(-w)
-    return MalaPoint(theta, paths, log_target, grad)
+    return MalaPoint(theta, log_target, grad, recursion)
+
+
+def seasonal_point(state: ChainState, theta: ParameterDraw, paths: StatePaths) -> MalaPoint:
+    """The SGT target at ``theta``, in (logit alpha, logit zeta, free seeds), from its recursion.
+
+    One negative log likelihood and one ``seasonal_gradient`` pass, the
+    reference functions; the current draw's point is formed this way.
+    """
+    nll = negative_log_likelihood(paths, theta.nu)
+    if not math.isfinite(nll):
+        return MalaPoint(theta, -math.inf, None)
+    return _seasonal_target(state, theta, nll, seasonal_gradient(state.y, theta, state.prior, paths))
+
+
+@dataclass
+class SeasonalPass:
+    """``run_recursion``'s SGT paths as lists, with the likelihood and gradient coefficients formed alongside.
+
+    ``nll`` is ``negative_log_likelihood`` of the paths; ``obs``, ``c_dl``
+    and ``c_dla`` are the per-step coefficients that
+    ``gradients.seasonal_adjoint`` reads.
+    """
+
+    l: list
+    b: list
+    log_s: list
+    yhat: list
+    sigma2hat: list
+    e: list
+    clamp_events: int
+    nll: float
+    obs: list
+    c_dl: list
+    c_dla: list
+
+    def paths(self) -> StatePaths:
+        return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.array(self.log_s),
+                          yhat=np.array(self.yhat), sigma2hat=np.array(self.sigma2hat),
+                          e=np.array(self.e), clamp_events=self.clamp_events)
+
+
+def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
+    """One forward pass of the SGT model at ``theta`` over the observations ``y``.
+
+    The loop runs ``run_recursion`` step for step, with its checks; adds
+    each step's Student-t term in ``negative_log_likelihood``'s order; and
+    stores the coefficients that ``gradients._seasonal_pass`` forms from the
+    finished recursion.  The one-step forecast leaves out the local trend
+    term lam * b, which is 0 in the seasonal model.  Returns None, a
+    refusal, where ``run_recursion`` raises, where the likelihood is not
+    finite and where a coefficient meets an arithmetic error (with a finite
+    likelihood none can: each division's denominator is positive there).
+    """
+    T = len(y)
+    m = theta.m
+    alpha, beta, zeta = theta.alpha, theta.beta, theta.zeta
+    gamma, rho, tau, nu = theta.gamma, theta.rho, theta.tau, theta.nu
+    chi2 = theta.chi2
+    phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * tau
+    het = 2.0 * tau * chi2 * (1.0 - theta.phi) ** 2
+    gamma_rho, rho_1, tau_1 = gamma * rho, rho - 1.0, 2.0 * tau - 1.0
+    neg_half_nu, half_nu1 = -0.5 * nu, 0.5 * (nu + 1.0)
+    keep_a, keep_b, keep_z = 1.0 - alpha, 1.0 - beta, 1.0 - zeta
+
+    # local names: this is the sampler's hottest loop
+    exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
+    log_s = theta.log_s_init.tolist()
+    yhat, s2, e, obs, c_dl, c_dla = [], [], [], [], [], []
+    clamps = 0
+    acc = 0.0
+    try:
+        l_prev = initial_level(y, SEASONAL, log_s)
+        b_prev = theta.b1
+        l, b = [l_prev], [b_prev]
+        for t in range(1, T):
+            yt = y[t]
+            seasonal_step = t >= m
+            a_t = exp(log_s[t - m if seasonal_step else t])
+            lp = l_prev
+            if lp < LEVEL_FLOOR:
+                lp = LEVEL_FLOOR
+                clamps += 1
+                c_level = a_t
+                c_scale = 0.0
+            else:
+                c_level = (1.0 + gamma_rho * lp ** rho_1) * a_t
+                c_scale = het * lp ** tau_1
+            yh = (l_prev + gamma * lp ** rho) * a_t
+            s2t = chi2 * (phi2 + q2 * lp ** p2)
+            ob = yt / a_t
+            l_t = alpha * ob + keep_a * l_prev
+            b_t = beta * (l_t - l_prev) + keep_b * b_prev
+            if seasonal_step:
+                ls = zeta * log(yt / l_t) + keep_z * log_s[t - m]
+                if not isfinite(ls):
+                    return None
+                log_s.append(ls)
+            if not (isfinite(yh) and isfinite(s2t) and isfinite(l_t) and isfinite(b_t)):
+                return None
+            et = yt - yh
+            acc += half_nu1 * log1p(et * et / (nu * s2t)) + 0.5 * log(s2t)
+            k = half_nu1 / (nu * s2t + et * et)
+            c_dl.append(neg_half_nu * c_scale / s2t + k * (nu * c_scale - 2.0 * et * c_level))
+            c_dla.append(-(k * 2.0 * et * yh))
+            obs.append(ob)
+            yhat.append(yh)
+            s2.append(s2t)
+            e.append(et)
+            l.append(l_t)
+            b.append(b_t)
+            l_prev, b_prev = l_t, b_t
+    except (ArithmeticError, ValueError):
+        return None
+    nll = acc + (T - 1) * t_log_normaliser(nu)
+    if not math.isfinite(nll):
+        return None
+    return SeasonalPass(l=l, b=b, log_s=log_s, yhat=yhat, sigma2hat=s2, e=e, clamp_events=clamps,
+                        nll=nll, obs=obs, c_dl=c_dl, c_dla=c_dla)
 
 
 def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None:
-    try:
-        paths = run_recursion(state.y, trial, state.prior)
-    except StateRecursionError:
+    """A seasonal proposal: one forward pass, then the adjoint recurrence; None where refused."""
+    forward = seasonal_forward(state.y.tolist(), trial)
+    if forward is None:
         return None
-    return seasonal_point(state, trial, paths)
+    grad = seasonal_adjoint(trial, forward.l, forward.log_s, forward.obs, forward.c_dl, forward.c_dla)
+    return _seasonal_target(state, trial, forward.nll, grad, forward)
 
 
 SGT_WEIGHTS = slice(0, 2)     # (logit alpha, logit zeta) in a seasonal point
@@ -997,7 +1186,7 @@ def seasonal_weights_move(state: ChainState, rng, step: StepSizeState, adapting:
     reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_WEIGHTS)
     if reached is not here:
         th.alpha, th.zeta = reached.theta.alpha, reached.theta.zeta
-        state.set_paths(reached.paths)
+        state.set_paths(reached.recursion.paths())
     return reached
 
 
@@ -1019,7 +1208,7 @@ def seasonal_seeds_move(state: ChainState, rng, step: StepSizeState, adapting: b
     reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_SEEDS)
     if reached is not here:
         th.log_s_init = reached.theta.log_s_init
-        state.set_paths(reached.paths)
+        state.set_paths(reached.recursion.paths())
     return reached
 
 
@@ -1127,6 +1316,7 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
     seas_step = StepSizeState(log_eps=math.log(cfg.step_size_init))
 
     draws: list[ParameterDraw] = []
+    ends: list[EndState] = []
     for it in range(cfg.iterations):
         adapting = it < cfg.burn_in
         if it == cfg.burn_in and not state.seasonal:
@@ -1138,6 +1328,8 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
         sweep(state, rng, smooth_step, seas_step, adapting)
         if it >= cfg.burn_in:
             draws.append(state.theta.copy())
+            # the state's paths equal run_recursion at the draw, bit for bit
+            ends.append(state.paths.end_state(state.theta.m))
 
     diag = ChainDiagnostics(
         chain=chain_id,
@@ -1148,7 +1340,7 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
         clamp_events=state.clamp_events,
         truncation_clamps=state.trunc_events,
     )
-    return draws, diag
+    return draws, ends, diag
 
 
 def effective_prior(series: TimeSeries, prior: PriorConfig) -> tuple[PriorConfig, int]:
@@ -1182,17 +1374,19 @@ def fit(series: TimeSeries, prior: PriorConfig, cfg: SamplerConfig) -> Posterior
     grids = make_grids(prior_eff)
 
     draws: list[ParameterDraw] = []
+    ends: list[EndState] = []
     diagnostics: list[ChainDiagnostics] = []
     for c in range(cfg.chains):
         rng = RngStream(cfg.seed, stream=c).generator()
         try:
-            chain_draws, diag = _run_chain(y, m_eff, prior_eff, cfg, grids, scales, rng, c)
+            chain_draws, chain_ends, diag = _run_chain(y, m_eff, prior_eff, cfg, grids, scales, rng, c)
         except (DegenerateSeriesError, NumericalError) as exc:
             logger.warning("series %s chain %d failed: %s", series.id, c, exc)
             diagnostics.append(ChainDiagnostics(chain=c, error=str(exc)))
             continue
         draws.extend(chain_draws)
+        ends.extend(chain_ends)
         diagnostics.append(diag)
     if not draws:
         raise DegenerateSeriesError(f"series {series.id}: all chains failed")
-    return PosteriorSamples(draws=draws, diagnostics=diagnostics, prior=prior_eff, m=m_eff)
+    return PosteriorSamples(draws=draws, ends=ends, diagnostics=diagnostics, prior=prior_eff, m=m_eff)

@@ -65,7 +65,7 @@ def generate_series(rng, theta: ParameterDraw, cfg: PriorConfig, T: int,
     if T < 2 or m < 1:
         raise SeriesValidationError(f"cannot simulate length {T} with m={m}: need T >= 2, m >= 1",
                                     series_id=series_id)
-    l1 = initial_level([y1], m, cfg.model_kind, theta.log_s_init)
+    l1 = initial_level([y1], cfg.model_kind, theta.log_s_init)
     for _ in range(max_attempts):
         y = simulate(rng, theta, cfg, l1, theta.b1, theta.log_s_init, 1, T - 1, _below_cap)
         if y is not None:
@@ -122,7 +122,7 @@ def prior_predictive_series(rng, prior: PriorConfig, grids: Grids, T: int,
     """Draw (params, series) jointly, rejecting on the series values only."""
     for _ in range(max_attempts):
         theta = draw_generative_params(rng, prior, grids, T, scales)
-        l1 = initial_level([y1], theta.m, prior.model_kind, theta.log_s_init)
+        l1 = initial_level([y1], prior.model_kind, theta.log_s_init)
         y = simulate(rng, theta, prior, l1, theta.b1, theta.log_s_init, 1, T - 1, _below_cap)
         if y is not None:
             return TimeSeries(id="sbc", values=(y1, *y), m=1, h=1), theta

@@ -10,8 +10,9 @@ from lsgt.model import (
     ParameterDraw,
     PriorConfig,
     SeasonalPrior,
+    run_recursion,
 )
-from lsgt.sampler import ChainState, Grids, make_grids
+from lsgt.sampler import ChainState, PosteriorSamples, make_grids
 
 TEST_NU_GRID_SIZE = 12
 
@@ -62,3 +63,9 @@ def random_state(rng, T=9, seasonal=False, m=1, hetero=True, prior=None, **theta
     scales = prior.resolved_scales(y)
     grids = make_grids(prior)
     return ChainState(y, prior, theta, scales, grids)
+
+
+def posterior_samples(draws, prior, y, m=1):
+    """``PosteriorSamples`` of hand-made draws, each with the end state of its recursion over ``y``."""
+    ends = [run_recursion(y, theta, prior).end_state(theta.m) for theta in draws]
+    return PosteriorSamples(draws=draws, ends=ends, diagnostics=[], prior=prior, m=m)

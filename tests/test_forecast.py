@@ -6,9 +6,10 @@ from lsgt.errors import ForecastError
 from lsgt.forecast import simulate_paths
 from lsgt.model import NON_SEASONAL, SEASONAL, ParameterDraw, PriorConfig
 from lsgt.rng import RngStream
-from lsgt.sampler import PosteriorSamples
+from lsgt.sampler import SamplerConfig, fit
+from lsgt.synth import default_params, generate_series
 
-from .helpers import make_prior
+from .helpers import make_prior, posterior_samples
 
 
 def make_draw(T, m=1, **overrides):
@@ -21,8 +22,8 @@ def make_draw(T, m=1, **overrides):
     return ParameterDraw(**base)
 
 
-def make_samples(draws, prior=None, m=1):
-    return PosteriorSamples(draws=draws, diagnostics=[], prior=prior or make_prior(), m=m)
+def make_samples(draws, series, prior=None, m=1):
+    return posterior_samples(draws, prior or make_prior(), series.values, m=m)
 
 
 @pytest.fixture
@@ -33,7 +34,7 @@ def series():
 
 
 def test_deterministic_under_seed(series):
-    samples = make_samples([make_draw(series.length) for _ in range(10)])
+    samples = make_samples([make_draw(series.length) for _ in range(10)], series)
     a = simulate_paths(samples, series, h=6, rng=RngStream(9, 0).generator(), seed=9)
     b = simulate_paths(samples, series, h=6, rng=RngStream(9, 0).generator(), seed=9)
     assert np.array_equal(a.point, b.point)
@@ -46,7 +47,7 @@ def test_deterministic_under_seed(series):
 def test_quantile_monotonicity_and_interval_nesting(series, rng):
     draws = [make_draw(series.length, gamma=float(rng.normal(0, 0.3)),
                        chi2=float(np.exp(rng.normal(0, 0.5)))) for _ in range(40)]
-    samples = make_samples(draws)
+    samples = make_samples(draws, series)
     res = simulate_paths(samples, series, h=6, rng=RngStream(4, 0).generator(), seed=4)
     levels = sorted(res.quantiles)
     for lo, hi in zip(levels[:-1], levels[1:]):
@@ -62,7 +63,7 @@ def test_quantile_monotonicity_and_interval_nesting(series, rng):
 
 def test_noiseless_limit_collapses(series):
     draw = make_draw(series.length, chi2=1e-12, gamma=0.0, lam=0.0, phi=1.0)
-    samples = make_samples([draw])
+    samples = make_samples([draw], series)
     res = simulate_paths(samples, series, h=4, paths_per_draw=3,
                          rng=RngStream(5, 0).generator(), seed=5)
     level = series.values[-1] * draw.alpha + 0.0  # not the exact level; just sanity below
@@ -77,9 +78,9 @@ def test_seasonal_m1_equals_non_seasonal_pipeline(series):
     # produce identical paths given identical draws and seeds
     draw_s = make_draw(series.length, m=1, lam=0.0, zeta=1e-300)
     draw_n = make_draw(series.length, m=1, lam=0.0, zeta=1e-300)
-    seas = simulate_paths(make_samples([draw_s], prior=make_prior(seasonal=True), m=1),
+    seas = simulate_paths(make_samples([draw_s], series, prior=make_prior(seasonal=True), m=1),
                           series, h=5, rng=RngStream(6, 0).generator(), seed=6)
-    nons = simulate_paths(make_samples([draw_n], prior=make_prior(seasonal=False), m=1),
+    nons = simulate_paths(make_samples([draw_n], series, prior=make_prior(seasonal=False), m=1),
                           series, h=5, rng=RngStream(6, 0).generator(), seed=6)
     assert np.array_equal(seas.point, nons.point)
     for q in seas.quantiles:
@@ -92,7 +93,7 @@ def test_floor_policy_counts(series):
     # cap trips and the floor engages
     draw = make_draw(series.length, gamma=-0.99, rho=1.0, lam=0.0,
                      phi=0.0, tau=1.0, chi2=4.0, nu=2.0)
-    samples = make_samples([draw])
+    samples = make_samples([draw], series)
     res = simulate_paths(samples, series, h=8, paths_per_draw=4,
                          rng=RngStream(7, 0).generator(), seed=7)
     assert res.floor_events > 0
@@ -102,14 +103,39 @@ def test_floor_policy_counts(series):
 
 
 def test_forecast_errors(series):
-    samples = make_samples([])
+    samples = make_samples([], series)
     with pytest.raises(ForecastError):
         simulate_paths(samples, series, h=3)
-    samples = make_samples([make_draw(series.length)])
+    samples = make_samples([make_draw(series.length)], series)
     with pytest.raises(ForecastError):
         simulate_paths(samples, series, h=0)
     with pytest.raises(ForecastError):
         simulate_paths(samples, series, h=2, levels=(0.0, 0.5))
+
+
+@pytest.mark.parametrize("m", [1, 12], ids=["yearly", "monthly"])
+def test_forecast_from_end_states_equals_rerunning_the_recursion(m):
+    # the fit saves each kept draw's end state; forecasting from it must give
+    # the bytes of a forecast whose end states re-run the recursion per draw
+    kind = SEASONAL if m > 1 else NON_SEASONAL
+    prior = make_prior(seasonal=m > 1)
+    T, h = (30, 6) if m == 1 else (60, 18)
+    full = generate_series(RngStream(21, 0).generator(), default_params(m=m, model_kind=kind, T=T),
+                           prior, T, h=h)
+    series = TimeSeries(id="e", values=full.values, m=m, h=h)
+    fitted = fit(series, prior, SamplerConfig(iterations=40, burn_in=20, chains=2, seed=3))
+    rerun = make_samples(fitted.draws, series, prior=fitted.prior, m=fitted.m)
+    a = simulate_paths(fitted, series, h=h, rng=RngStream(5, 0).generator(), seed=5)
+    b = simulate_paths(rerun, series, h=h, rng=RngStream(5, 0).generator(), seed=5)
+    assert a.point.tobytes() == b.point.tobytes()
+    assert a.mean.tobytes() == b.mean.tobytes()
+    assert a.quantiles.keys() == b.quantiles.keys()
+    for q in a.quantiles:
+        assert a.quantiles[q].tobytes() == b.quantiles[q].tobytes()
+
+    shorter = TimeSeries(id="e", values=full.values[:-1], m=m, h=h)
+    with pytest.raises(ForecastError):
+        simulate_paths(fitted, shorter, h=h, rng=RngStream(5, 0).generator())
 
 
 def test_seasonal_forecast_rolls_factors():
@@ -122,7 +148,7 @@ def test_seasonal_forecast_rolls_factors():
     values = base * np.exp(np.tile(seeds, T // m))
     series = TimeSeries(id="s", values=tuple(values), m=m, h=8)
     draw = make_draw(T, m=m, log_s_init=seeds, lam=0.0, zeta=0.2, chi2=1e-10, phi=1.0)
-    samples = make_samples([draw], prior=make_prior(seasonal=True), m=m)
+    samples = make_samples([draw], series, prior=make_prior(seasonal=True), m=m)
     res = simulate_paths(samples, series, h=8, rng=RngStream(9, 0).generator(), seed=9)
     # horizons a full period apart share the seasonal direction: their ratio
     # pattern repeats approximately

@@ -6,10 +6,15 @@ from scipy import integrate, optimize
 from scipy.stats import norm
 from scipy.stats import t as t_dist
 
+from lsgt.dists import sample_categorical
 from lsgt.errors import DegenerateSeriesError
 from lsgt.model import LEVEL_FLOOR, effective_lam
 from lsgt.sampler import (
     _categorical_from_nll,
+    _gamma_regression,
+    _phi_nll,
+    _rho_nll,
+    _tau_nll,
     nu_collapsed_nll,
     phi_grid_nll,
     rho_marginal_nll,
@@ -45,6 +50,71 @@ def test_grid_partial_non_finite_excluded(rng):
     nll = np.array([0.0, math.inf, 0.0])
     draws = {_categorical_from_nll(rng, nll) for _ in range(200)}
     assert draws == {0, 2}
+
+
+def test_grid_draw_picks_the_index_of_the_checked_weights():
+    # from identical generator states, the direct draw from exp(min - nll)
+    # picks what sample_categorical picks from the weights exp(-(nll - min)),
+    # +inf candidates weighing 0 in both
+    gen = np.random.default_rng(17)
+    for i in range(300):
+        nll = gen.normal(0.0, 4.0, size=int(gen.integers(1, 120))) + gen.uniform(-1e4, 1e4)
+        if i % 2:
+            nll[gen.random(nll.size) < 0.4] = math.inf
+            nll[int(gen.integers(nll.size))] = gen.normal()
+        a, b = np.random.default_rng(i), np.random.default_rng(i)
+        assert _categorical_from_nll(a, nll) == sample_categorical(b, np.exp(-(nll - nll.min())))
+        assert a.random() == b.random()
+
+
+def _broadcast_tables(state):
+    """The grid nlls and gamma's regression, one broadcast expression each: the in-place tables' reference."""
+    th, paths, grids = state.theta, state.paths, state.grids
+    lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
+    e2 = paths.e ** 2
+    s2 = paths.sigma2hat
+    nu = grids.nu[:, None]
+    c = paths.l[:-1] + effective_lam(th, state.prior) * paths.b[:-1]
+    s = state.a_app
+    sigma2 = th.omega2 * s2
+    resid = (state.y[1:] - c * s) * s / sigma2
+    x = np.power(lp[None, :], grids.rho[:, None])
+    prec = (x ** 2 * (s ** 2 / sigma2)[None, :]).sum(axis=1)
+    score = (x * resid[None, :]).sum(axis=1)
+
+    def variance_nll(sigma2_c):
+        return (0.5 * (th.nu + 1.0) * np.log1p(e2[None, :] / (th.nu * sigma2_c)).sum(axis=1)
+                + 0.5 * np.log(sigma2_c).sum(axis=1))
+
+    tau, phi = grids.tau[:, None], grids.phi[:, None]
+    return {
+        "nu": (0.5 * (nu + 1.0) * np.log1p(e2[None, :] / (nu * s2[None, :]))).sum(axis=1)
+        + e2.shape[0] * grids.nu_log_normaliser,
+        "prec": prec,
+        "score": score,
+        "rho": _rho_nll(prec, score, th.xi_gamma2 * state.s_gamma ** 2, np.log(grids.rho ** 2 + 1.0)),
+        "tau": variance_nll(th.chi2 * (th.phi ** 2 + (1.0 - th.phi) ** 2 * np.power(lp[None, :], 2.0 * tau))),
+        "phi": variance_nll(th.chi2 * (phi ** 2 + (1.0 - phi) ** 2 * lp[None, :] ** (2.0 * th.tau))),
+    }
+
+
+@pytest.mark.parametrize("seasonal", [False, True], ids=["lgt", "sgt"])
+def test_grid_tables_equal_their_broadcast_forms(rng, seasonal):
+    for _ in range(10):
+        state = random_state(rng, T=int(rng.integers(8, 60)), seasonal=seasonal, m=4 if seasonal else 1)
+        grids = state.grids
+        want = _broadcast_tables(state)
+        prec, score, prior_var = _gamma_regression(state, grids.rho_col)
+        got = {
+            "nu": nu_collapsed_nll(state),
+            "prec": prec,
+            "score": score,
+            "rho": _rho_nll(prec, score, prior_var, grids.rho_penalty),
+            "tau": _tau_nll(state, grids.tau_power_col),
+            "phi": _phi_nll(state, grids.phi_sq_col, grids.phi_keep_sq_col),
+        }
+        for name in want:
+            assert np.array_equal(got[name], want[name]), name
 
 
 def test_nu_collapsed_nll_is_student_t_density(rng):

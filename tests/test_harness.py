@@ -221,6 +221,8 @@ def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["simulate", "--param", "gamma=abc"],
     ["simulate", "--param", "gamma"],
+    ["simulate", "--param", "alpha=2"],
+    ["simulate", "--param", "phi=3"],
     ["benchmark", "--quantiles", "0.5,abc"],
     ["benchmark", "--seasonal-prior", "foo"],
     ["benchmark", "--workers", "0"],

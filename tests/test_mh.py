@@ -4,8 +4,9 @@ These keep every non-MH parameter fixed and compare the empirical marginal
 of a long chain of only-MH updates against a direct numerical integration
 of likelihood x prior, which exercises the asymmetric proposal-density
 terms of the gradient-assisted scheme.  The seasonal kernel's remaining
-invariants (beta drawn from its prior, paths equal to the recursion) are
-checked here too.
+invariants (beta drawn from its prior, paths equal to the recursion, each
+proposal's one forward pass equal to the reference functions) are checked
+here too.
 """
 
 import math
@@ -16,9 +17,12 @@ from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
+from lsgt.errors import StateRecursionError
+from lsgt.gradients import seasonal_gradient
 from lsgt.model import SMOOTHING_PRIOR, negative_log_likelihood, run_recursion
 from lsgt.sampler import (
     StepSizeState,
+    _seasonal_visit,
     seasonal_point,
     seasonal_seeds_move,
     seasonal_weights_move,
@@ -170,3 +174,90 @@ def test_seasonal_kernel_leaves_paths_equal_to_the_recursion(rng):
         for name in ("l", "b", "log_s", "yhat", "e", "sigma2hat"):
             assert np.array_equal(getattr(state.paths, name), getattr(fresh, name)), name
     assert min(steps[0].accepted, steps[1].accepted) > 0
+
+
+def _seasonal_trials(state, rng, n=5):
+    """The current draw and ``n`` proposals of new weights and seeds around it."""
+    th = state.theta
+    trials = [th]
+    for _ in range(n):
+        trial = th.proposal_clone()
+        trial.alpha, trial.zeta = rng.uniform(0.05, 0.95, 2).tolist()
+        free = th.log_s_init[:-1] + rng.normal(0.0, 0.1, th.m - 1)
+        trial.log_s_init = np.append(free, -float(free.sum()))
+        trials.append(trial)
+    return trials
+
+
+def _reference_point(state, trial):
+    """run_recursion, then ``seasonal_point``; (None, None) where a MALA move refuses the point."""
+    try:
+        paths = run_recursion(state.y, trial, state.prior)
+    except StateRecursionError:
+        return None, None
+    point = seasonal_point(state, trial, paths)
+    if not (math.isfinite(point.log_target) and np.all(np.isfinite(point.grad))):
+        return None, None
+    return point, paths
+
+
+def _floored_seasonal_case(rng):
+    # the level decays from 30 to far below LEVEL_FLOOR at these weights; a
+    # small seasonal weight keeps the factors from absorbing the decay
+    state = random_state(rng, T=24, seasonal=True, m=2, hetero=True, rho=-0.5, tau=0.2,
+                         alpha=0.9, zeta=0.01)
+    state.y = np.concatenate([[30.0, 28.0, 25.0], np.full(21, 1e-14) * (1.0 + 0.1 * rng.random(21))])
+    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    trials = [state.theta]
+    for alpha, zeta in [(0.95, 0.02), (0.99, 0.01)]:
+        trial = state.theta.proposal_clone()
+        trial.alpha, trial.zeta = alpha, zeta
+        trials.append(trial)
+    return state, trials
+
+
+def test_seasonal_forward_pass_equals_the_reference(rng):
+    cases = []
+    for m in (2, 4, 12):
+        for hetero in (False, True):
+            for _ in range(2):
+                T = 2 * m + int(rng.integers(0, 30))
+                state = random_state(rng, T=T, seasonal=True, m=m, hetero=hetero)
+                cases.append((state, _seasonal_trials(state, rng)))
+    cases.append(_floored_seasonal_case(rng))
+    clamped = 0
+    for state, trials in cases:
+        for trial in trials:
+            want, paths = _reference_point(state, trial)
+            assert want is not None
+            got = _seasonal_visit(state, trial)
+            assert got.recursion.nll == negative_log_likelihood(paths, trial.nu)
+            assert got.log_target == want.log_target
+            assert np.array_equal(got.grad, want.grad)
+            assert np.array_equal(-got.grad[2:], seasonal_gradient(state.y, trial, state.prior, paths)[2:])
+            fused = got.recursion.paths()
+            for name in ("l", "b", "log_s", "yhat", "sigma2hat", "e"):
+                assert np.array_equal(getattr(fused, name), getattr(paths, name)), name
+            assert fused.clamp_events == paths.clamp_events
+            clamped += fused.clamp_events
+    assert clamped > 0
+
+
+@pytest.mark.parametrize("values", [
+    [1e200, 2e200, 1.5e200, 3e200, 2.5e200, 1e200],   # the scale's level power overflows
+    [1.2e154, 1.3e154, 1.1e154, 1.4e154, 1.2e154, 1.3e154, 1.1e154, 1.3e154],  # it may, by the weights
+    [-1.7e308, 1.7e308, 1.6e308, 1.7e308, 1.5e308],   # a factor's log of a negative ratio
+], ids=["scale", "edge", "sign"])
+def test_seasonal_forward_pass_refuses_where_the_reference_does(rng, values):
+    state = random_state(rng, T=len(values), seasonal=True, m=2, hetero=True, tau=1.0, phi=0.5)
+    state.y = np.array(values)
+    refused = 0
+    for trial in _seasonal_trials(state, rng, n=20):
+        want, _ = _reference_point(state, trial)
+        got = _seasonal_visit(state, trial)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.log_target == want.log_target
+            assert np.array_equal(got.grad, want.grad)
+        refused += want is None
+    assert refused

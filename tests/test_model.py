@@ -20,9 +20,9 @@ from lsgt.model import (
     recompute_yhat,
     run_recursion,
 )
-from lsgt.sampler import PosteriorSamples
 from lsgt.synth import default_params, generate_series
 
+from .helpers import posterior_samples
 from .oracles import reference_nll, reference_recursion, sequential_nll
 
 
@@ -204,7 +204,7 @@ def test_simulators_continue_the_fitted_recursion(m):
         assert np.array_equal(y[1:], paths.yhat + z[:T - 1] * np.sqrt(paths.sigma2hat))
 
         shocks = FixedShocks(z[T - 1:])
-        samples = PosteriorSamples(draws=[theta], diagnostics=[], prior=cfg, m=m)
+        samples = posterior_samples([theta], cfg, y, m=m)
         path = simulate_paths(samples, series, h, paths_per_draw=1, rng=shocks).mean  # one path
         assert shocks.used == h
         ext = run_recursion(np.concatenate([y, path]), theta, cfg)

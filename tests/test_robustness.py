@@ -21,7 +21,9 @@ from lsgt.model import (
     PriorConfig,
 )
 from lsgt.rng import RngStream
-from lsgt.sampler import PosteriorSamples, SamplerConfig, fit
+from lsgt.sampler import SamplerConfig, fit
+
+from .helpers import posterior_samples
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
 
@@ -89,6 +91,6 @@ def test_forecast_overflow_is_a_typed_error():
     theta = ParameterDraw(nu=3.0, gamma=0.0, rho=0.5, lam=0.0, alpha=0.9, beta=0.3, zeta=0.3,
                           chi2=1.0, phi=0.0, tau=1.0, b1=0.0, log_s_init=np.zeros(1),
                           omega2=np.ones(19))
-    samples = PosteriorSamples(draws=[theta], diagnostics=[], prior=PriorConfig(nu_grid_size=10), m=1)
+    samples = posterior_samples([theta], PriorConfig(nu_grid_size=10), series.values)
     with pytest.raises(LsgtError):
         simulate_paths(samples, series, h=6, rng=RngStream(1, 0).generator())
