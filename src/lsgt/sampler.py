@@ -479,17 +479,17 @@ def update_horseshoe(state: ChainState, rng):
 def _categorical_from_nll(rng, nll: np.ndarray) -> int:
     """Draw a grid index with weights exp(-nll), log-sum-exp stabilised.
 
-    The usual case, every nll finite or +inf, draws from the cumulative
-    weights exp(min - nll) directly: its +inf candidates weigh 0, exactly as
-    in the checked path below, which a NaN, a -inf or no finite candidate
-    takes.
+    The usual case, a finite smallest nll, draws from the cumulative weights
+    exp(min - nll) directly: they lie in [0, 1] with at least one 1, and +inf
+    candidates weigh 0 without a warning, exactly as in the checked path
+    below.  Only a non-finite minimum (a NaN, a -inf or no finite candidate)
+    could form inf - inf, and it takes the checked path.
     """
     nll = np.asarray(nll, dtype=float)
-    with np.errstate(invalid="ignore"):
-        cum = np.exp(nll.min() - nll).cumsum()
-    total = float(cum[-1])
-    if 0.0 < total < math.inf:
-        return int(np.searchsorted(cum, rng.random() * total, side="right"))
+    low = nll.min()
+    if math.isfinite(low):
+        cum = np.exp(low - nll).cumsum()
+        return int(np.searchsorted(cum, rng.random() * float(cum[-1]), side="right"))
     finite = np.isfinite(nll)
     if not finite.any():
         raise DegenerateSeriesError("all grid candidates have non-finite posterior")
@@ -641,9 +641,14 @@ def phi_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
 
 
 def update_tau_grid(state: ChainState, rng) -> float:
+    """Variance power from its grid; leaves sigma2hat stale for `update_phi_grid`.
+
+    The sweep always runs `update_phi_grid` next (``test_sampler.py::
+    test_sweep_calls_kernels_in_docstring_order`` pins that order), which
+    reads only l, e, chi2 and tau and refreshes sigma2hat itself.
+    """
     idx = _categorical_from_nll(rng, _tau_nll(state, state.grids.tau_power_col))
     state.theta.tau = float(state.grids.tau[idx])
-    recompute_sigma2(state.paths, state.theta)
     return state.theta.tau
 
 

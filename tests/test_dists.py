@@ -63,6 +63,26 @@ def test_inverse_gamma_invalid_args(rng):
         sample_inverse_gamma(rng, 0.0, 1.0)
     with pytest.raises(ValueError):
         sample_inverse_gamma(rng, 1.0, -1.0)
+    for bad in (0.0, math.nan, math.inf):
+        s = np.full(12, 1.5)
+        s[7] = bad
+        with pytest.raises(ValueError):
+            sample_inverse_gamma(rng, 2.0, s)
+
+
+@pytest.mark.parametrize("k", [0.5, 1.0, 5.5])
+def test_inverse_gamma_batch_is_the_two_parameter_gamma_draw_for_draw(k):
+    # a scalar-shape batch goes through standard_gamma; its values and the
+    # generator's state after it are those of gamma(k, 1 / scale)
+    gen = np.random.default_rng(29)
+    cases = [(gen.uniform(0.01, 50.0, size=n), None) for n in (1, 12, 125)] + [(2.5, 40)]
+    for i, (s, size) in enumerate(cases):
+        a, b = np.random.default_rng(i), np.random.default_rng(i)
+        got = sample_inverse_gamma(a, k, s, size=size)
+        want = 1.0 / b.gamma(k, 1.0 / np.asarray(s), size=size)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert a.random() == b.random()
 
 
 def test_normal_moments(rng):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,7 +56,8 @@ def test_grid_partial_non_finite_excluded(rng):
 def test_grid_draw_picks_the_index_of_the_checked_weights():
     # from identical generator states, the direct draw from exp(min - nll)
     # picks what sample_categorical picks from the weights exp(-(nll - min)),
-    # +inf candidates weighing 0 in both
+    # +inf candidates weighing 0 in both; that path runs without errstate,
+    # so it must warn about nothing
     gen = np.random.default_rng(17)
     for i in range(300):
         nll = gen.normal(0.0, 4.0, size=int(gen.integers(1, 120))) + gen.uniform(-1e4, 1e4)
@@ -63,7 +65,25 @@ def test_grid_draw_picks_the_index_of_the_checked_weights():
             nll[gen.random(nll.size) < 0.4] = math.inf
             nll[int(gen.integers(nll.size))] = gen.normal()
         a, b = np.random.default_rng(i), np.random.default_rng(i)
-        assert _categorical_from_nll(a, nll) == sample_categorical(b, np.exp(-(nll - nll.min())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            idx = _categorical_from_nll(a, nll)
+        assert idx == sample_categorical(b, np.exp(-(nll - nll.min())))
+        assert a.random() == b.random()
+    # a -inf or NaN minimum takes the checked path: the weights of the
+    # finite candidates alone, every other candidate weighing 0
+    for i in range(300):
+        nll = gen.normal(0.0, 4.0, size=int(gen.integers(2, 120)))
+        bad = gen.random(nll.size) < 0.3
+        nll[bad] = gen.choice([-math.inf, math.nan, math.inf], size=int(bad.sum()))
+        nll[int(gen.integers(nll.size))] = (-math.inf, math.nan)[i % 2]
+        finite = np.isfinite(nll)
+        if not finite.any():
+            continue
+        w = np.zeros(nll.size)
+        w[finite] = np.exp(-(nll[finite] - nll[finite].min()))
+        a, b = np.random.default_rng(i), np.random.default_rng(i)
+        assert _categorical_from_nll(a, nll) == sample_categorical(b, w)
         assert a.random() == b.random()
 
 
