@@ -48,29 +48,24 @@ __all__ = [
 def sample_inverse_gamma(rng, shape, scale, size=None):
     """Draw from IG(shape, scale); the reciprocal is Gamma(shape, rate=scale).
 
-    ``scale`` may be an array for a batch of independent draws.  A batch
-    with one shape k is drawn as ``standard_gamma(k, size) * (1 / scale)``:
-    numpy's ``Generator.gamma(k, theta)`` is ``theta * standard_gamma(k)``
-    draw for draw, so the values and the generator's state after them are
-    those of ``gamma(k, 1 / scale)``, without its two-parameter broadcast.
+    ``shape`` is a scalar; ``scale`` may be an array for a batch of
+    independent draws.  A batch is drawn as
+    ``standard_gamma(shape, size) * (1 / scale)``: numpy's
+    ``Generator.gamma(k, theta)`` is ``theta * standard_gamma(k)`` draw for
+    draw, so the values and the generator's state after them are those of
+    ``gamma(shape, 1 / scale)``, without its two-parameter broadcast.
     """
     if size is None and isinstance(shape, (float, int)) and isinstance(scale, (float, int)):
         if not (shape > 0 and scale > 0 and math.isfinite(shape) and math.isfinite(scale)):
             raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
         return 1.0 / rng.gamma(shape, 1.0 / scale)
+    shape = float(shape)
     scale_arr = np.asarray(scale, dtype=float)
     if size is None and scale_arr.ndim > 0:
         size = scale_arr.shape
-    if isinstance(shape, (float, int)):
-        if not (shape > 0 and math.isfinite(shape) and _positive_finite(scale_arr)):
-            raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
-        g = rng.standard_gamma(shape, size) * (1.0 / scale_arr)
-    else:
-        shape_arr = np.asarray(shape, dtype=float)
-        if not (_positive_finite(shape_arr) and _positive_finite(scale_arr)):
-            raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
-        g = rng.gamma(shape_arr, 1.0 / scale_arr, size=size)
-    out = 1.0 / g
+    if not (shape > 0 and math.isfinite(shape) and _positive_finite(scale_arr)):
+        raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
+    out = 1.0 / (rng.standard_gamma(shape, size) * (1.0 / scale_arr))
     if size is None and np.ndim(out) == 0:
         return float(out)
     return out
