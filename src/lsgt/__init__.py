@@ -12,14 +12,7 @@ from .data import TimeSeries, TrainTestSplit, load_collection, serialize_collect
 from .forecast import ForecastResult, simulate_paths
 from .harness import RunConfig, RunSummary, emit_report, run_benchmark
 from .metrics import EvalRecord, coverage_flags, mase, msis, smape
-from .model import (
-    ParameterDraw,
-    PriorConfig,
-    SeasonalPrior,
-    StatePaths,
-    negative_log_likelihood,
-    run_recursion,
-)
+from .model import ParameterDraw, PriorConfig, SeasonalPrior
 from .rng import RngStream
 from .sampler import PosteriorSamples, SamplerConfig, fit
 
@@ -43,9 +36,6 @@ __all__ = [
     "ParameterDraw",
     "PriorConfig",
     "SeasonalPrior",
-    "StatePaths",
-    "negative_log_likelihood",
-    "run_recursion",
     "RngStream",
     "PosteriorSamples",
     "SamplerConfig",

@@ -30,20 +30,8 @@ class SeriesValidationError(LsgtError):
         super().__init__(f"{prefix}: {message}")
 
 
-class StateRecursionError(LsgtError):
-    """A state recursion produced a non-finite intermediate value.
-
-    Callers inside the sampler treat this as -inf log-likelihood rather
-    than aborting the chain.
-    """
-
-    def __init__(self, t: int, message: str = "non-finite state"):
-        self.t = t
-        super().__init__(f"{message} at t={t}")
-
-
 class DegenerateSeriesError(LsgtError):
-    """A conditional update is degenerate (e.g. all residuals zero)."""
+    """A conditional update is degenerate (e.g. all residuals zero), or a chain cannot start."""
 
 
 class NumericalError(LsgtError):

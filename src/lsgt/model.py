@@ -18,17 +18,22 @@ seed factors cover the first period).  The m seed factors satisfy
 variant fixes all factors at one; the seasonal variant fixes ``lam`` at
 zero.
 
-All recursions here are pure scalar loops: they are the single source of
-truth that the sampler's incremental refreshes and the vectorised grid
-evaluations must agree with.  ``simulate`` is the same recursion run
-forward with drawn observations; forecast paths and synthetic series both
-come from it, so their values continue ``run_recursion`` bit for bit.
+The program runs the full recursion in the sampler's fused passes, one per
+variant: ``sampler.smoothing_marginal`` (non-seasonal) and
+``sampler.seasonal_forward`` (seasonal) form each move's likelihood terms
+alongside the states, and a chain starts from the paths of its variant's
+pass.  The loops here refresh parts of those paths in place
+(``recompute_*``) or run the recursion on with drawn observations
+(``simulate``); forecast paths and synthetic series both come from
+``simulate``, so their values continue the fitted recursion bit for bit.
+Every one of these loops is checked against one independent reference
+written from the equations above, ``tests/oracles.reference_recursion``.
 
 The loops run over Python floats (``ndarray.tolist()``) and write each
 result array back once; indexing numpy arrays element by element costs
-several times more.  They must stay bit-exact, because the incremental
-refreshes are checked for equality against the full recursion and every MH
-acceptance reads these values.  So each power, exp, log and log1p goes
+several times more.  They must stay bit-exact, because a refresh must
+leave the paths that the fused pass at the new draw would give, and every
+MH acceptance reads these values.  So each power, exp, log and log1p goes
 through libm (``**`` and ``math``), never through numpy's vectorised
 ``np.power``/``np.exp``, whose SIMD kernels differ from libm in the last
 bit for a few percent of inputs; and sums accumulate one term at a time
@@ -47,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dists import t_log_normaliser
-from .errors import ForecastError, StateRecursionError
+from .errors import ForecastError
 
 LEVEL_FLOOR = 1e-10
 SEASONAL_SUM_TOL = 1e-12
@@ -281,83 +286,13 @@ def initial_level(y, model_kind: str, log_s_init) -> float:
     return y[0] / math.exp(log_s_init[0])
 
 
-def run_recursion(y, theta: ParameterDraw, cfg: PriorConfig) -> StatePaths:
-    """Run the full state recursion for one parameter setting.
-
-    Pure function of its inputs.  Levels are floored at ``LEVEL_FLOOR``
-    before being raised to fractional powers (the clamp count is recorded);
-    any non-finite intermediate, or an arithmetic error (including one in
-    the level seed, step 0), raises ``StateRecursionError`` carrying the
-    step index, which samplers treat as -inf log-likelihood.
-    """
-    y = np.asarray(y, dtype=float)
-    T = y.shape[0]
-    seasonal = cfg.model_kind == SEASONAL
-    m = theta.m if seasonal else 1
-    if T < 2:
-        raise ValueError("need at least two observations")
-    if seasonal and T < 2 * m:
-        raise ValueError(f"seasonal recursion needs T >= 2m, got T={T}, m={m}")
-
-    alpha, beta, zeta = theta.alpha, theta.beta, theta.zeta
-    gamma, rho = theta.gamma, theta.rho
-    chi2 = theta.chi2
-    phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * theta.tau
-    lam = effective_lam(theta, cfg)
-
-    ys = y.tolist()
-    log_s = [0.0] * T
-    if seasonal:
-        log_s[:m] = theta.log_s_init.tolist()
-    l = [0.0] * T
-    b = [0.0] * T
-    yhat = [0.0] * (T - 1)
-    sigma2hat = [0.0] * (T - 1)
-    clamps = 0
-
-    t = 0
-    try:
-        l_prev = initial_level(ys, cfg.model_kind, log_s)
-        b_prev = theta.b1
-        l[0] = l_prev
-        b[0] = b_prev
-        for t in range(1, T):
-            a_t = math.exp(log_s[t - m if t >= m else t]) if seasonal else 1.0
-            lp = l_prev
-            if lp < LEVEL_FLOOR:
-                lp = LEVEL_FLOOR
-                clamps += 1
-            yh = (l_prev + gamma * lp ** rho + lam * b_prev) * a_t
-            s2 = chi2 * (phi2 + q2 * lp ** p2)
-            l_t = alpha * (ys[t] / a_t) + (1.0 - alpha) * l_prev
-            b_t = beta * (l_t - l_prev) + (1.0 - beta) * b_prev
-            if seasonal and t >= m:
-                log_s[t] = zeta * math.log(ys[t] / l_t) + (1.0 - zeta) * log_s[t - m]
-                if not math.isfinite(log_s[t]):
-                    raise StateRecursionError(t)
-            if not (math.isfinite(yh) and math.isfinite(s2) and math.isfinite(l_t) and math.isfinite(b_t)):
-                raise StateRecursionError(t)
-            yhat[t - 1] = yh
-            sigma2hat[t - 1] = s2
-            l[t] = l_t
-            b[t] = b_t
-            l_prev = l_t
-            b_prev = b_t
-    except (ArithmeticError, ValueError) as exc:
-        raise StateRecursionError(t) from exc
-
-    yhat_arr = np.array(yhat)
-    return StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s), yhat=yhat_arr,
-                      sigma2hat=np.array(sigma2hat), e=y[1:] - yhat_arr, clamp_events=clamps)
-
-
 def simulate(rng, theta: ParameterDraw, cfg: PriorConfig, l: float, b: float,
              log_s: np.ndarray, t: int, steps: int, keep) -> list | None:
     """Draw observations t..t+steps-1 by running the recursion forward.
 
     ``l`` and ``b`` are the level and trend at step t-1, ``log_s`` the log
     seasonal factors of steps 0..t-1 (just the m seeds when t <= m).  Each
-    step forms yhat and sigma2 as ``run_recursion`` does and draws
+    step forms yhat and sigma2 as the fitted recursion does and draws
     yhat + z * sqrt(sigma2) with one ``rng.standard_t(nu)``.  ``keep`` is
     the caller's acceptance rule: it maps that draw to the value the roll
     continues with, or to None to abandon the roll, which then returns

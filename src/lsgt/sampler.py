@@ -92,7 +92,6 @@ from .model import (
     recompute_sigma2,
     recompute_trend_path,
     recompute_yhat,
-    run_recursion,
 )
 from .rng import RngStream
 
@@ -226,7 +225,14 @@ def normal_moments(precision: float, score: float, prior_variance: float) -> tup
 # ---------------------------------------------------------------------------
 
 class ChainState:
-    """Mutable per-chain state: current draw and consistent paths."""
+    """Mutable per-chain state: current draw and consistent paths.
+
+    The starting paths come from the fused pass of the variant at
+    ``theta``: ``seasonal_forward``, or the collapsed pass
+    (``smoothing_marginal``) with the forecast then formed from
+    ``theta``'s (gamma, lam).  A start that the pass refuses raises
+    ``DegenerateSeriesError``.
+    """
 
     def __init__(self, y: np.ndarray, prior: PriorConfig, theta: ParameterDraw,
                  scales: tuple[float, float, float], grids: Grids):
@@ -242,7 +248,15 @@ class ChainState:
         self.clamp_events = 0
         self.trunc_events = 0
         self._a_app: np.ndarray | None = None
-        self.set_paths(run_recursion(y, theta, prior))
+        if self.seasonal:
+            start = seasonal_forward(y.tolist(), theta)
+        else:
+            start = smoothing_marginal(self, theta.alpha, theta.beta)
+        if start is None or start.l is None:
+            raise DegenerateSeriesError("the chain's starting draw gives no finite state paths")
+        self.set_paths(start.paths())
+        if not self.seasonal:
+            recompute_yhat(y, self.paths, theta, prior)
 
     def set_paths(self, paths: StatePaths) -> None:
         self.paths = paths
@@ -808,9 +822,10 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> Smoothin
 
     One forward loop runs the recursion at (alpha, beta), with every other
     parameter at the state's draw, and collects the regression's columns
-    and sums as it goes; two more passes form the value and gradient.  The
-    recursion is that of ``lsgt.model.run_recursion`` step for step, less
-    the forecast, which depends on the (gamma, lam) integrated out here.
+    and sums as it goes; two more passes form the value and gradient.  This
+    loop is the program's LGT recursion, less the forecast, which depends on
+    the (gamma, lam) integrated out here; the tests hold its paths equal to
+    ``tests/oracles.reference_recursion`` bit for bit.
     The value is formed from direct residuals and the Schur complement
     S = sum w (x_lam - c x_g)^2 + d_lam + c^2 d_g (c = p12 / p11) rather
     than from p11 p22 - p12^2, which cancels to zero or below on levels of
@@ -821,9 +836,9 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> Smoothin
     value or gradient.  The caller must treat either as a zero density.
     """
     th = state.theta
-    d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
-    d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
     try:
+        d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
+        d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
         return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist())
     except (ArithmeticError, ValueError):
         return _refused_marginal()
@@ -1057,7 +1072,7 @@ def seasonal_point(state: ChainState, theta: ParameterDraw, paths: StatePaths) -
 
 @dataclass
 class SeasonalPass:
-    """``run_recursion``'s SGT paths as lists, with the likelihood and gradient coefficients formed alongside.
+    """The SGT recursion's paths as lists, with the likelihood and gradient coefficients formed alongside.
 
     ``nll`` is ``negative_log_likelihood`` of the paths; ``obs``, ``c_dl``
     and ``c_dla`` are the per-step coefficients that
@@ -1085,14 +1100,17 @@ class SeasonalPass:
 def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
     """One forward pass of the SGT model at ``theta`` over the observations ``y``.
 
-    The loop runs ``run_recursion`` step for step, with its checks; adds
-    each step's Student-t term in ``negative_log_likelihood``'s order; and
+    This loop is the program's SGT recursion; the tests hold its paths
+    equal to ``tests/oracles.reference_recursion`` bit for bit.  It adds
+    each step's Student-t term in ``negative_log_likelihood``'s order and
     stores the coefficients that ``gradients._seasonal_pass`` forms from the
     finished recursion.  The one-step forecast leaves out the local trend
     term lam * b, which is 0 in the seasonal model.  Returns None, a
-    refusal, where ``run_recursion`` raises, where the likelihood is not
-    finite and where a coefficient meets an arithmetic error (with a finite
-    likelihood none can: each division's denominator is positive there).
+    refusal, where a level, trend, forecast, scale or log factor is not
+    finite, where the recursion meets an arithmetic error, where the
+    likelihood is not finite and where a coefficient meets an arithmetic
+    error (with a finite likelihood none can: each division's denominator
+    is positive there).
     """
     T = len(y)
     m = theta.m
@@ -1333,7 +1351,7 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
         sweep(state, rng, smooth_step, seas_step, adapting)
         if it >= cfg.burn_in:
             draws.append(state.theta.copy())
-            # the state's paths equal run_recursion at the draw, bit for bit
+            # the state's paths are the recursion at the kept draw, bit for bit
             ends.append(state.paths.end_state(state.theta.m))
 
     diag = ChainDiagnostics(

@@ -5,14 +5,18 @@ import numpy as np
 from lsgt.model import (
     HETEROSCEDASTIC,
     HOMOSCEDASTIC,
+    LEVEL_FLOOR,
     NON_SEASONAL,
     SEASONAL,
     ParameterDraw,
     PriorConfig,
     SeasonalPrior,
-    run_recursion,
+    StatePaths,
+    effective_lam,
 )
 from lsgt.sampler import ChainState, PosteriorSamples, make_grids
+
+from .oracles import reference_recursion
 
 TEST_NU_GRID_SIZE = 12
 
@@ -65,7 +69,29 @@ def random_state(rng, T=9, seasonal=False, m=1, hetero=True, prior=None, **theta
     return ChainState(y, prior, theta, scales, grids)
 
 
+def reference_paths(y, theta, prior):
+    """``oracles.reference_recursion`` at ``theta`` as ``StatePaths``, or None where it fails.
+
+    It fails where it meets an arithmetic error or leaves any of l, b,
+    log_s, yhat or sigma2hat not finite.  The clamp count is the number of
+    levels l[:-1] below ``LEVEL_FLOOR``, which the next step floors.
+    """
+    try:
+        l, b, log_s, yhat, sig2, e = reference_recursion(
+            y, theta.alpha, theta.beta, theta.zeta, theta.gamma, theta.rho,
+            effective_lam(theta, prior), theta.chi2, theta.phi, theta.tau, theta.b1,
+            theta.log_s_init, prior.model_kind == SEASONAL)
+    except (ArithmeticError, ValueError):
+        return None
+    paths = StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s), yhat=np.array(yhat),
+                       sigma2hat=np.array(sig2), e=np.array(e))
+    if not all(np.isfinite(v).all() for v in (paths.l, paths.b, paths.log_s, paths.yhat, paths.sigma2hat)):
+        return None
+    paths.clamp_events = int((paths.l[:-1] < LEVEL_FLOOR).sum())
+    return paths
+
+
 def posterior_samples(draws, prior, y, m=1):
     """``PosteriorSamples`` of hand-made draws, each with the end state of its recursion over ``y``."""
-    ends = [run_recursion(y, theta, prior).end_state(theta.m) for theta in draws]
+    ends = [reference_paths(y, theta, prior).end_state(theta.m) for theta in draws]
     return PosteriorSamples(draws=draws, ends=ends, diagnostics=[], prior=prior, m=m)

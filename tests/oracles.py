@@ -2,7 +2,11 @@
 
 Everything here is deliberately written from the model equations and
 textbook definitions, without importing the production update code, so the
-tests compare two routes to the same quantity.
+tests compare two routes to the same quantity.  ``reference_recursion`` is
+the one reference for the state recursion: the program runs its recursion
+only in the sampler's fused passes (``smoothing_marginal``,
+``seasonal_forward``) and in the refreshes and simulator of ``lsgt.model``,
+and each is checked against it.
 """
 
 import math
@@ -16,7 +20,12 @@ LEVEL_FLOOR = 1e-10
 
 def reference_recursion(y, alpha, beta, zeta, gamma, rho, lam, chi2, phi, tau,
                         b1, log_s_init, seasonal):
-    """Straight-line scalar implementation of the state recursions."""
+    """Straight-line scalar implementation of the state recursions.
+
+    Returns the lists (l, b, log_s, yhat, sigma2hat, e).  It checks
+    nothing: a non-finite value runs on, and an arithmetic error raises.
+    ``helpers.reference_paths`` turns the result into ``StatePaths``.
+    """
     y = list(map(float, y))
     T = len(y)
     m = len(log_s_init) if seasonal else 1

@@ -31,7 +31,6 @@ from lsgt.model import (
     SeasonalPrior,
     effective_lam,
     negative_log_likelihood,
-    run_recursion,
 )
 from lsgt.metrics import coverage_flags, mase, msis, smape
 from lsgt.rng import RngStream
@@ -50,7 +49,7 @@ from lsgt.sampler import (
 )
 from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, run_sbc
 
-from .helpers import make_prior, random_state
+from .helpers import make_prior, random_state, reference_paths
 from .oracles import (
     fd_gradient,
     ig_moments,
@@ -81,13 +80,13 @@ def test_criterion_1_gradient_correctness():
         T = int(rng.integers(2 * m + 4, 60))
         y = random_series(rng, T)
         theta = random_theta(rng, T, m=m)
-        paths = run_recursion(y, theta, cfg_s)
+        paths = reference_paths(y, theta, cfg_s)
         grad = seasonal_gradient(y, theta, cfg_s, paths)[:2]
 
         def f(x):
             trial = theta.copy()
             trial.alpha, trial.zeta = float(x[0]), float(x[1])
-            return negative_log_likelihood(run_recursion(y, trial, cfg_s), theta.nu)
+            return negative_log_likelihood(reference_paths(y, trial, cfg_s), theta.nu)
 
         fd = fd_gradient(f, [theta.alpha, theta.zeta], h=1e-6)
         err = float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)))
@@ -100,13 +99,13 @@ def test_criterion_1_gradient_correctness():
         T = int(rng.integers(2 * m + 4, 60))
         y = random_series(rng, T)
         theta = random_theta(rng, T, m=m)
-        paths = run_recursion(y, theta, cfg_s)
+        paths = reference_paths(y, theta, cfg_s)
         grad = seasonal_gradient(y, theta, cfg_s, paths)[2:]
 
         def g(free):
             trial = theta.copy()
             trial.log_s_init = np.append(free, -float(np.sum(free)))
-            return negative_log_likelihood(run_recursion(y, trial, cfg_s), theta.nu)
+            return negative_log_likelihood(reference_paths(y, trial, cfg_s), theta.nu)
 
         fd = fd_gradient(g, theta.log_s_init[: m - 1], h=1e-6)
         err = float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-3)))

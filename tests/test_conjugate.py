@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 from lsgt import sampler
-from lsgt.model import LEVEL_FLOOR, effective_lam, run_recursion
+from lsgt.model import LEVEL_FLOOR, effective_lam
 from lsgt.sampler import (
     ChainState,
     b1_conditional,
@@ -34,7 +34,7 @@ from lsgt.sampler import (
 )
 from lsgt.dists import sample_inverse_gamma
 
-from .helpers import make_prior, random_state
+from .helpers import make_prior, random_state, reference_paths
 from .oracles import ig_moments, ig_reciprocal_moments, quad_moments_positive, quad_moments_real
 
 REL = 1e-3
@@ -300,7 +300,7 @@ def fresh_trend_moments(state, draw_b1):
     """(mean, variance) of lam given b1, or of b1 given lam, from explicit
     arrays of a recursion run from scratch at the state's draw."""
     th = state.theta
-    paths = run_recursion(state.y, th, state.prior)
+    paths = reference_paths(state.y, th, state.prior)
     lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
     r = state.y[1:] - (paths.l[:-1] + th.gamma * lp ** th.rho)
     w = 1.0 / (th.omega2 * paths.sigma2hat)
@@ -335,7 +335,7 @@ def test_update_lambda_b1_draws_fresh_conditionals_and_leaves_exact_paths(rng, m
         update_lambda_b1(state, rng)
         assert len(seen) == 2 * sampler.TREND_REPEATS
         assert th.lam != lam0 and th.b1 != b10
-        full = run_recursion(state.y, th, state.prior)
+        full = reference_paths(state.y, th, state.prior)
         for name in ("l", "b", "yhat", "e", "sigma2hat"):
             np.testing.assert_array_equal(getattr(state.paths, name), getattr(full, name))
 

@@ -8,9 +8,9 @@ from lsgt.model import (
     ParameterDraw,
     PriorConfig,
     negative_log_likelihood,
-    run_recursion,
 )
 
+from .helpers import reference_paths
 from .oracles import fd_gradient, reference_seasonal_gradient
 
 
@@ -49,7 +49,7 @@ def nll_of_seasonal(y, theta, cfg):
         trial = theta.copy()
         trial.alpha, trial.zeta = float(x[0]), float(x[1])
         trial.log_s_init = np.append(x[2:], -float(np.sum(x[2:])))
-        return negative_log_likelihood(run_recursion(y, trial, cfg), theta.nu)
+        return negative_log_likelihood(reference_paths(y, trial, cfg), theta.nu)
 
     return f
 
@@ -67,7 +67,7 @@ def floored_case(m):
                           beta=0.3, zeta=0.4, chi2=1.0, phi=0.5, tau=0.2, b1=0.1,
                           log_s_init=seeds, omega2=np.ones(T - 1))
     cfg = PriorConfig(model_kind=SEASONAL)
-    assert int((run_recursion(y, theta, cfg).l[:-1] < LEVEL_FLOOR).sum()) == 5
+    assert int((reference_paths(y, theta, cfg).l[:-1] < LEVEL_FLOOR).sum()) == 5
     return y, theta
 
 
@@ -83,7 +83,7 @@ def test_seasonal_gradient_matches_fd(rng):
         cases.append((random_series(rng, T), random_theta(rng, T, m=12)))
     cases.append(floored_case(m=4))
     for y, theta in cases:
-        grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
+        grad = seasonal_gradient(y, theta, cfg, reference_paths(y, theta, cfg))
         fd = fd_gradient(nll_of_seasonal(y, theta, cfg), seasonal_coordinates(theta), h=1e-6)
         assert grad.shape == (theta.m + 1,)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.abs(fd).max()))
@@ -98,7 +98,7 @@ def test_seasonal_gradient_matches_forward_reference(rng):
         cases.append((random_series(rng, T), random_theta(rng, T, m=m)))
     cases += [floored_case(m=4), floored_case(m=12)]
     for y, theta in cases:
-        grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
+        grad = seasonal_gradient(y, theta, cfg, reference_paths(y, theta, cfg))
         ref = reference_seasonal_gradient(y, theta.alpha, theta.zeta, theta.gamma, theta.rho,
                                           theta.chi2, theta.phi, theta.tau, theta.nu,
                                           theta.log_s_init)
@@ -111,7 +111,7 @@ def test_seasonal_gradient_m2_single_direction(rng):
     T = 16
     y = random_series(rng, T)
     theta = random_theta(rng, T, m=2)
-    grad = seasonal_gradient(y, theta, cfg, run_recursion(y, theta, cfg))
+    grad = seasonal_gradient(y, theta, cfg, reference_paths(y, theta, cfg))
     assert grad.shape == (3,)   # alpha, zeta and the one free seed
     # constraint: the second seed always mirrors the first
     assert theta.log_s_init[1] == -theta.log_s_init[0]
@@ -127,6 +127,6 @@ def test_zero_scale_gives_non_finite_gradient_not_an_exception(rng):
     for m, T in ((4, 12), (12, 30)):
         y = random_series(rng, T)
         theta = random_theta(rng, T, m=m)
-        paths = run_recursion(y, theta, cfg)
+        paths = reference_paths(y, theta, cfg)
         paths.sigma2hat[-1] = 0.0
         assert not np.isfinite(seasonal_gradient(y, theta, cfg, paths)).any()

@@ -26,7 +26,7 @@ from lsgt.sampler import (
     update_tau_grid,
 )
 
-from .helpers import random_state
+from .helpers import random_state, reference_paths
 
 
 def test_grid_sampler_frequencies_match_weights(rng):
@@ -210,9 +210,7 @@ def test_rho_penalty_regression_locked(rng):
 def test_rho_update_refreshes_forecasts(rng):
     state = random_state(rng, T=15)
     update_rho_gamma_grouped(state, rng)
-    from lsgt.model import run_recursion
-
-    full = run_recursion(state.y, state.theta, state.prior)
+    full = reference_paths(state.y, state.theta, state.prior)
     assert state.paths.yhat.tolist() == full.yhat.tolist()
     assert state.paths.l.tolist() == full.l.tolist()
 
@@ -248,7 +246,5 @@ def test_tau_phi_updates_keep_state_consistent(rng):
     state = random_state(rng, T=14)
     update_tau_grid(state, rng)
     update_phi_grid(state, rng)
-    from lsgt.model import run_recursion
-
-    full = run_recursion(state.y, state.theta, state.prior)
+    full = reference_paths(state.y, state.theta, state.prior)
     assert state.paths.sigma2hat.tolist() == full.sigma2hat.tolist()

@@ -17,9 +17,8 @@ from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
-from lsgt.errors import StateRecursionError
 from lsgt.gradients import seasonal_gradient
-from lsgt.model import SMOOTHING_PRIOR, negative_log_likelihood, run_recursion
+from lsgt.model import SMOOTHING_PRIOR, negative_log_likelihood
 from lsgt.sampler import (
     StepSizeState,
     _seasonal_visit,
@@ -29,7 +28,7 @@ from lsgt.sampler import (
     update_smoothing_seasonal,
 )
 
-from .helpers import random_state
+from .helpers import random_state, reference_paths
 
 
 def only(move):
@@ -67,7 +66,7 @@ def test_smoothing_mh_matches_quadrature_posterior(rng):
         for j, z in enumerate(weights):
             trial = theta.copy()
             trial.alpha, trial.zeta = float(a), float(z)
-            nll = negative_log_likelihood(run_recursion(y, trial, prior), theta.nu)
+            nll = negative_log_likelihood(reference_paths(y, trial, prior), theta.nu)
             # prior times the logit Jacobian w (1 - w)
             log_post[i, j] = -nll + a_prior * math.log(a) + b_prior * math.log1p(-a) \
                 + a_prior * math.log(z) + b_prior * math.log1p(-z)
@@ -92,7 +91,7 @@ def test_seasonal_mh_matches_quadrature_posterior(rng):
     for i, s0 in enumerate(grid):
         trial = theta.copy()
         trial.log_s_init = np.array([s0, -s0])
-        nll = negative_log_likelihood(run_recursion(y, trial, prior), theta.nu)
+        nll = negative_log_likelihood(reference_paths(y, trial, prior), theta.nu)
         lp = -0.5 * (s0 ** 2 / (psi2[0] * delta2) + s0 ** 2 / (psi2[1] * delta2))
         log_post[i] = -nll + lp
     post = np.exp(log_post - log_post.max())
@@ -170,7 +169,7 @@ def test_seasonal_kernel_leaves_paths_equal_to_the_recursion(rng):
     steps = [StepSizeState(log_eps=math.log(eps)) for eps in (0.3, 0.03)]
     for _ in range(20):
         update_smoothing_seasonal(state, rng, *steps, False, 0.55)
-        fresh = run_recursion(state.y, state.theta, state.prior)
+        fresh = reference_paths(state.y, state.theta, state.prior)
         for name in ("l", "b", "log_s", "yhat", "e", "sigma2hat"):
             assert np.array_equal(getattr(state.paths, name), getattr(fresh, name)), name
     assert min(steps[0].accepted, steps[1].accepted) > 0
@@ -190,10 +189,9 @@ def _seasonal_trials(state, rng, n=5):
 
 
 def _reference_point(state, trial):
-    """run_recursion, then ``seasonal_point``; (None, None) where a MALA move refuses the point."""
-    try:
-        paths = run_recursion(state.y, trial, state.prior)
-    except StateRecursionError:
+    """The reference recursion, then ``seasonal_point``; (None, None) where a MALA move refuses the point."""
+    paths = reference_paths(state.y, trial, state.prior)
+    if paths is None:
         return None, None
     point = seasonal_point(state, trial, paths)
     if not (math.isfinite(point.log_target) and np.all(np.isfinite(point.grad))):
@@ -207,7 +205,7 @@ def _floored_seasonal_case(rng):
     state = random_state(rng, T=24, seasonal=True, m=2, hetero=True, rho=-0.5, tau=0.2,
                          alpha=0.9, zeta=0.01)
     state.y = np.concatenate([[30.0, 28.0, 25.0], np.full(21, 1e-14) * (1.0 + 0.1 * rng.random(21))])
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    state.set_paths(reference_paths(state.y, state.theta, state.prior))
     trials = [state.theta]
     for alpha, zeta in [(0.95, 0.02), (0.99, 0.01)]:
         trial = state.theta.proposal_clone()

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from lsgt.errors import StateRecursionError
 from lsgt.forecast import simulate_paths
 from lsgt.model import (
     HETEROSCEDASTIC,
@@ -18,12 +17,11 @@ from lsgt.model import (
     recompute_sigma2,
     recompute_trend_path,
     recompute_yhat,
-    run_recursion,
 )
 from lsgt.synth import default_params, generate_series
 
-from .helpers import posterior_samples
-from .oracles import reference_nll, reference_recursion, sequential_nll
+from .helpers import posterior_samples, reference_paths
+from .oracles import reference_nll, sequential_nll
 
 
 def make_theta(T, m=1, **overrides):
@@ -48,7 +46,7 @@ def test_alpha_one_tracks_data():
     theta = make_theta(len(y), alpha=1.0 - 1e-16, gamma=0.0, lam=0.0)
     # alpha exactly 1 is outside (0,1); use the recursion directly with 1.0
     theta.alpha = 1.0
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     np.testing.assert_array_equal(paths.l, y)
 
 
@@ -56,44 +54,22 @@ def test_alpha_zero_constant_level():
     y = np.array([3.0, 5.0, 4.0, 8.0, 6.0])
     theta = make_theta(len(y))
     theta.alpha = 0.0
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     np.testing.assert_array_equal(paths.l, np.full(len(y), y[0]))
 
 
 def test_pure_level_forecast():
     y = np.array([3.0, 5.0, 4.0, 8.0, 6.0])
     theta = make_theta(len(y), gamma=0.0, lam=0.0)
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     np.testing.assert_array_equal(paths.yhat, paths.l[:-1])
 
 
 def test_phi_one_homoscedastic():
     y = np.abs(np.random.default_rng(0).normal(10, 2, size=12)) + 1
     theta = make_theta(len(y), phi=1.0)
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     np.testing.assert_array_equal(paths.sigma2hat, np.full(len(y) - 1, theta.chi2))
-
-
-def test_recursion_bit_exact_vs_reference(rng):
-    for seasonal in (False, True):
-        m = 4 if seasonal else 1
-        T = 25
-        y = np.abs(rng.normal(50, 10, size=T)) + 5
-        seeds = seasonal_seeds(m, rng) if seasonal else np.zeros(1)
-        theta = make_theta(T, m=m, log_s_init=seeds, lam=0.0 if seasonal else 0.5)
-        cfg = PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL)
-        paths = run_recursion(y, theta, cfg)
-        l, b, log_s, yhat, sig2, e = reference_recursion(
-            y, theta.alpha, theta.beta, theta.zeta, theta.gamma, theta.rho,
-            0.0 if seasonal else theta.lam, theta.chi2, theta.phi, theta.tau,
-            theta.b1, seeds, seasonal,
-        )
-        assert paths.l.tolist() == l
-        assert paths.b.tolist() == b
-        assert paths.log_s.tolist() == log_s
-        assert paths.yhat.tolist() == yhat
-        assert paths.sigma2hat.tolist() == sig2
-        assert paths.e.tolist() == e
 
 
 def test_incremental_refreshes_match_full_recursion(rng):
@@ -108,7 +84,7 @@ def test_incremental_refreshes_match_full_recursion(rng):
         seasonal = m > 1
         theta = make_theta(T, m=m, log_s_init=seasonal_seeds(m, rng) if seasonal else np.zeros(1))
         cfg = PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL)
-        paths = run_recursion(y, theta, cfg)
+        paths = reference_paths(y, theta, cfg)
 
         theta.gamma, theta.rho, theta.lam = -0.2, 0.8, 0.1
         theta.b1 = -0.4
@@ -116,7 +92,7 @@ def test_incremental_refreshes_match_full_recursion(rng):
         recompute_trend_path(paths, theta)
         recompute_yhat(y, paths, theta, cfg)
         recompute_sigma2(paths, theta)
-        full = run_recursion(y, theta, cfg)
+        full = reference_paths(y, theta, cfg)
         assert paths.b.tolist() == full.b.tolist()
         assert paths.yhat.tolist() == full.yhat.tolist()
         assert paths.sigma2hat.tolist() == full.sigma2hat.tolist()
@@ -132,10 +108,10 @@ def test_seasonal_with_unit_factors_equals_non_seasonal(rng):
     y = np.abs(rng.normal(30, 5, size=T)) + 3
     seeds = np.zeros(2)
     theta_s = make_theta(T, m=2, log_s_init=seeds, zeta=1e-300, lam=0.3)
-    paths_s = run_recursion(y, theta_s, PriorConfig(model_kind=SEASONAL))
+    paths_s = reference_paths(y, theta_s, PriorConfig(model_kind=SEASONAL))
     theta_n = make_theta(T, lam=0.0)
     theta_n.alpha, theta_n.beta = theta_s.alpha, theta_s.beta
-    paths_n = run_recursion(y, theta_n, PriorConfig(model_kind=NON_SEASONAL))
+    paths_n = reference_paths(y, theta_n, PriorConfig(model_kind=NON_SEASONAL))
     np.testing.assert_allclose(paths_s.l, paths_n.l, rtol=1e-12)
     np.testing.assert_allclose(paths_s.yhat, paths_n.yhat, rtol=1e-12)
 
@@ -144,25 +120,6 @@ def test_seasonal_sum_constraint_product_one(rng):
     seeds = seasonal_seeds(6, rng)
     assert abs(np.sum(seeds)) < 1e-10
     assert np.prod(np.exp(seeds)) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_recursion_rejects_short_seasonal():
-    y = np.abs(np.random.default_rng(1).normal(10, 1, size=7)) + 1
-    theta = make_theta(len(y), m=4, log_s_init=np.zeros(4))
-    with pytest.raises(ValueError):
-        run_recursion(y, theta, PriorConfig(model_kind=SEASONAL))
-
-
-def test_recursion_error_carries_step():
-    y = np.array([1.0, 2.0, 3.0, 4.0])
-    theta = make_theta(len(y), gamma=1e308, rho=1.0, lam=0.0)
-    theta.chi2 = 1e308
-    theta.tau = 1.0
-    theta.phi = 0.0
-    # gamma * l blows up to inf at the first forecast
-    with pytest.raises(StateRecursionError) as err:
-        run_recursion(y * 1e200, theta, PriorConfig(model_kind=NON_SEASONAL))
-    assert err.value.t >= 1
 
 
 class FixedShocks:
@@ -180,7 +137,7 @@ class FixedShocks:
 @pytest.mark.parametrize("m", [1, 2, 4, 12])
 def test_simulators_continue_the_fitted_recursion(m):
     # a synthetic series, and a forecast path appended to it, are
-    # yhat + z * sqrt(sigma2hat) of run_recursion over the values before them,
+    # yhat + z * sqrt(sigma2hat) of the recursion over the values before them,
     # bit for bit; the shocks are small so that no roll is rejected
     kind = SEASONAL if m > 1 else NON_SEASONAL
     cfg = PriorConfig(model_kind=kind, nu_grid_size=10)
@@ -200,14 +157,14 @@ def test_simulators_continue_the_fitted_recursion(m):
         series = generate_series(shocks, theta, cfg, T, h=h)
         assert shocks.used == T - 1
         y = np.array(series.values)
-        paths = run_recursion(y, theta, cfg)
+        paths = reference_paths(y, theta, cfg)
         assert np.array_equal(y[1:], paths.yhat + z[:T - 1] * np.sqrt(paths.sigma2hat))
 
         shocks = FixedShocks(z[T - 1:])
         samples = posterior_samples([theta], cfg, y, m=m)
         path = simulate_paths(samples, series, h, paths_per_draw=1, rng=shocks).mean  # one path
         assert shocks.used == h
-        ext = run_recursion(np.concatenate([y, path]), theta, cfg)
+        ext = reference_paths(np.concatenate([y, path]), theta, cfg)
         assert np.array_equal(path, ext.yhat[T - 1:] + z[T - 1:] * np.sqrt(ext.sigma2hat[T - 1:]))
 
 
@@ -215,7 +172,7 @@ def test_nll_zero_residuals():
     T = 6
     theta = make_theta(T)
     y = np.ones(T)
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     paths.e[:] = 0.0
     nu = 5.0
     got = negative_log_likelihood(paths, nu)
@@ -228,7 +185,7 @@ def test_nll_single_cauchy_residual():
     # one residual, nu=1, scale 1: the Cauchy negative log density
     theta = make_theta(2, gamma=0.0, lam=0.0, chi2=1.0, phi=1.0)
     y = np.array([1.0, 3.0])
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     e = paths.e[0]
     got = negative_log_likelihood(paths, 1.0)
     assert got == pytest.approx(math.log(math.pi) + math.log1p(e * e), rel=1e-12)
@@ -240,7 +197,7 @@ def test_nll_matches_density_oracle(rng):
         y = np.abs(rng.normal(20, 4, size=T)) + 2
         theta = make_theta(T, gamma=rng.normal(0, 0.5), lam=rng.uniform(-0.5, 0.9))
         nu = math.exp(rng.uniform(0.5, 4))
-        paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+        paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
         assert negative_log_likelihood(paths, nu) == pytest.approx(
             reference_nll(paths.e, paths.sigma2hat, nu), rel=1e-10, abs=1e-10
         )
@@ -255,7 +212,7 @@ def test_nll_bit_exact_vs_sequential_sum(rng):
         y = scale * (np.abs(rng.normal(1.0, 0.2, size=T)) + 0.1)
         theta = make_theta(T, m=m, log_s_init=seasonal_seeds(m, rng) if seasonal else np.zeros(1),
                            lam=0.0 if seasonal else 0.5)
-        paths = run_recursion(y, theta, PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL))
+        paths = reference_paths(y, theta, PriorConfig(model_kind=SEASONAL if seasonal else NON_SEASONAL))
         for nu in (1.0, 3.7, 250.0):
             assert negative_log_likelihood(paths, nu) == sequential_nll(paths.e, paths.sigma2hat, nu)
 
@@ -263,7 +220,7 @@ def test_nll_bit_exact_vs_sequential_sum(rng):
 def test_nll_non_finite_sentinel():
     theta = make_theta(4)
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    paths = run_recursion(y, theta, PriorConfig(model_kind=NON_SEASONAL))
+    paths = reference_paths(y, theta, PriorConfig(model_kind=NON_SEASONAL))
     paths.sigma2hat[0] = 0.0
     assert negative_log_likelihood(paths, 3.0) == math.inf
 

@@ -2,7 +2,7 @@
 
 ``smoothing_marginal`` is checked against brute-force integration of the
 joint (gamma, lam) density, its gradient against finite differences, its
-fused recursion against ``run_recursion`` followed by the same arithmetic,
+fused recursion against the reference recursion followed by the same arithmetic,
 and ``update_smoothing_collapsed`` alone against the (alpha, beta)
 posterior it must leave invariant, with every other parameter held fixed:
 the whole kernel, and its independence step without the MALA step.
@@ -16,12 +16,11 @@ from scipy.integrate import simpson
 from scipy.stats import norm
 
 from lsgt.dists import log_ndtr_diff
-from lsgt.errors import StateRecursionError
-from lsgt.model import LAM_RANGE, LEVEL_FLOOR, SMOOTHING_PRIOR, run_recursion
+from lsgt.model import LAM_RANGE, LEVEL_FLOOR, SMOOTHING_PRIOR
 from lsgt import sampler
 from lsgt.sampler import StepSizeState, smoothing_marginal, update_smoothing_collapsed
 
-from .helpers import random_state
+from .helpers import random_state, reference_paths
 
 
 def _logit(p):
@@ -42,7 +41,7 @@ def _regression(state, alpha, beta):
     """(r, x_gamma, x_lam, variance) of y[t] - l[t-1] = gamma x_gamma + lam x_lam + noise."""
     trial = state.theta.copy()
     trial.alpha, trial.beta = alpha, beta
-    paths = run_recursion(state.y, trial, state.prior)
+    paths = reference_paths(state.y, trial, state.prior)
     l_prev = paths.l[:-1]
     x_g = np.maximum(l_prev, LEVEL_FLOOR) ** trial.rho
     return state.y[1:] - l_prev, x_g, paths.b[:-1], trial.omega2 * paths.sigma2hat
@@ -106,15 +105,14 @@ POINTS = [(0.2, 0.3), (0.5, 0.5), (0.8, 0.2), (0.3, 0.8), (0.65, 0.45)]
 
 
 def reference_marginal(state, alpha, beta):
-    """(log target, gradient, paths) of the collapsed target: ``run_recursion``
-    at (alpha, beta), then three passes over its paths in the arithmetic of
-    ``smoothing_marginal``; None where the recursion raises."""
+    """(log target, gradient, paths) of the collapsed target: the reference
+    recursion at (alpha, beta), then three passes over its paths in the
+    arithmetic of ``smoothing_marginal``; None where the recursion fails."""
     th = state.theta
     trial = th.copy()
     trial.alpha, trial.beta = alpha, beta
-    try:
-        paths = run_recursion(state.y, trial, state.prior)
-    except StateRecursionError:
+    paths = reference_paths(state.y, trial, state.prior)
+    if paths is None:
         return None
     d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
     d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
@@ -202,7 +200,7 @@ def _floored_state(rng):
     # the level decays from 30 to far below LEVEL_FLOOR at these weights
     state = random_state(rng, T=24, hetero=True, rho=-0.5, tau=0.2)
     state.y = np.concatenate([[30.0, 28.0, 25.0], np.full(21, 1e-14) * (1.0 + 0.1 * rng.random(21))])
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    state.set_paths(reference_paths(state.y, state.theta, state.prior))
     return state
 
 
@@ -277,12 +275,12 @@ def test_gradient_with_levels_below_floor(rng):
     # negative trend power and a scale power below 1/2 would blow up
     state = random_state(rng, T=24, hetero=True, rho=-0.5, tau=0.2)
     state.y = np.concatenate([[30.0, 28.0, 25.0], np.full(21, 1e-14) * (1.0 + 0.1 * rng.random(21))])
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    state.set_paths(reference_paths(state.y, state.theta, state.prior))
     points = [(0.9, 0.3), (0.95, 0.6)]
     for alpha, beta in points:
         trial = state.theta.copy()
         trial.alpha, trial.beta = alpha, beta
-        levels = run_recursion(state.y, trial, state.prior).l[:-1]
+        levels = reference_paths(state.y, trial, state.prior).l[:-1]
         assert (levels < LEVEL_FLOOR).any() and (levels > LEVEL_FLOOR).any()
     _fd_check(state, points)
 
@@ -309,7 +307,7 @@ def test_large_geometric_levels_give_finite_density():
     # formed from direct residuals does not
     state = random_state(np.random.Generator(np.random.Philox(7)), T=30, hetero=False, rho=1.0)
     state.y = np.geomspace(1.0, 3e8, 30)
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    state.set_paths(reference_paths(state.y, state.theta, state.prior))
     for alpha, beta in [(0.3, 0.3), (0.9, 0.9), (0.99, 0.05), (0.99, 0.99)]:
         target = marginal_at(state, alpha, beta)
         assert math.isfinite(target.log_target)
@@ -332,7 +330,7 @@ def _quadrature_case(rng):
     series = generate_series(rng, gen, PriorConfig(model_kind=NON_SEASONAL), T=14, y1=20.0)
     state = random_state(rng, T=14, lam=0.9, gamma=0.0)
     state.y = np.asarray(series.values)
-    state.set_paths(run_recursion(state.y, state.theta, state.prior))
+    state.set_paths(reference_paths(state.y, state.theta, state.prior))
 
     # posterior moments on a logit grid, where the Beta(1, 0.5) priors stay smooth
     x = np.linspace(-30.0, 30.0, 201)
@@ -381,7 +379,7 @@ def _check_kernel_draws(state, rng, step, want_mean, want_sd):
     # a biased acceptance ratio widens the weights' spread before it moves their means
     np.testing.assert_allclose(kept.std(axis=0), want_sd, rtol=0.03)
     # the coefficients drawn last must leave the paths consistent
-    fresh = run_recursion(state.y, th, state.prior)
+    fresh = reference_paths(state.y, th, state.prior)
     np.testing.assert_allclose(state.paths.yhat, fresh.yhat, rtol=1e-12)
 
 
