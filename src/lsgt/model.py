@@ -52,7 +52,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .dists import t_log_normaliser
-from .errors import ForecastError
+from .errors import ForecastError, NumericalError
 
 LEVEL_FLOOR = 1e-10
 SEASONAL_SUM_TOL = 1e-12
@@ -364,20 +364,28 @@ def recompute_trend_path(paths: StatePaths, theta: ParameterDraw) -> None:
 
 
 def recompute_yhat(y, paths: StatePaths, theta: ParameterDraw, cfg: PriorConfig) -> None:
-    """Refresh yhat and e in place after a change of gamma, rho, lam or b."""
+    """Refresh yhat and e in place after a change of gamma, rho, lam or b.
+
+    A residual that is not finite (a forecast that overflowed) raises
+    ``NumericalError``, and the paths are left as they were.
+    """
     gamma, rho = theta.gamma, theta.rho
     lam = effective_lam(theta, cfg)
     l = paths.l.tolist()
     b = paths.b.tolist()
     a = applied_factor_list(paths.log_s.tolist(), theta.m, cfg.model_kind == SEASONAL)
-    yhat = []
-    for l_prev, b_prev, a_t in zip(l, b, a):
+    yhat, e = [], []
+    for yt, l_prev, b_prev, a_t in zip(np.asarray(y, dtype=float)[1:].tolist(), l, b, a):
         lp = l_prev
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
-        yhat.append((l_prev + gamma * lp ** rho + lam * b_prev) * a_t)
+        yh = (l_prev + gamma * lp ** rho + lam * b_prev) * a_t
+        yhat.append(yh)
+        e.append(yt - yh)
+    if not all(map(math.isfinite, e)):
+        raise NumericalError("the one-step forecast gives a non-finite residual")
     paths.yhat[:] = yhat
-    np.subtract(np.asarray(y, dtype=float)[1:], paths.yhat, out=paths.e)
+    paths.e[:] = e
 
 
 def recompute_sigma2(paths: StatePaths, theta: ParameterDraw) -> None:

@@ -8,19 +8,20 @@ One sweep (`sweep`) calls these kernels, in order:
    weights by an independence step from their priors and a MALA step in
    logit space, both on their marginal with both trend coefficients
    integrated out (each point visited is one forward pass that runs the
-   recursion and gathers the regression's sums, and two passes more),
-   then the local coefficient from its truncated marginal and the global
-   one given it;
+   recursion and gathers the regression's sums, and two passes more; the
+   current point and the independence proposal skip the gradient, which
+   the point the MALA step starts from forms afterwards), then the local
+   coefficient from its truncated marginal and the global one given it;
 4. `update_rho_gamma_grouped`: the trend power (grid, global coefficient
-   integrated out), the global coefficient (conjugate normal, from the
-   precision and score the grid formed for the chosen power) and its
-   Cauchy latent;
+   integrated out, every candidate's precision and score a matrix-vector
+   product), the global coefficient (conjugate normal, from the chosen
+   candidate's row of the grid's table) and its Cauchy latent;
 5. for non-seasonal fits `update_lambda_b1`: the local trend coefficient
    and initial trend (truncated conjugate normals with their latents,
-   iterated as a pair, each draw reading five sums formed once); for
-   seasonal fits `update_smoothing_seasonal`:
-   the level and seasonal smoothing weights, then the m-1 free seed log
-   seasonal factors (a MALA move each; each proposal is one forward pass
+   iterated as a pair, each draw reading five sums formed once), then
+   yhat and e; for seasonal fits `update_smoothing_seasonal`: yhat and e,
+   then the level and seasonal smoothing weights, then the m-1 free seed
+   log seasonal factors (a MALA move each; each proposal is one forward pass
    that runs the recursion, sums the likelihood and forms the gradient's
    per-step coefficients, then one adjoint pass back, and paths are built
    only for the point a move reaches), then the trend weight from its
@@ -32,6 +33,10 @@ One sweep (`sweep`) calls these kernels, in order:
 7. `update_nu_collapsed`: the degrees of freedom (grid, t-mixture
    integrated out).
 
+The one-step forecasts yhat and residuals e are refreshed once per sweep,
+just before their first reader: kernels 3 and 4 change gamma, lam and rho
+but read neither, and leave both stale, so kernel 5 refreshes them, at the
+end of the non-seasonal kernel and at the start of the seasonal one.
 Every grid draw reads per-candidate constants that `make_grids` forms
 once.  Each kept draw is saved with the end state of its recursion
 (`model.EndState`), from which the forecast rolls on.
@@ -173,7 +178,7 @@ class Grids:
     tau: np.ndarray
     phi: np.ndarray
     nu_col: np.ndarray
-    nu_half1_col: np.ndarray       # (nu + 1) / 2
+    nu_half1: np.ndarray           # (nu + 1) / 2 of each df candidate
     rho_col: np.ndarray
     rho_penalty: np.ndarray        # log(rho^2 + 1), the power's prior term
     tau_power_col: np.ndarray      # 2 tau, the level's exponent in the scale
@@ -194,7 +199,7 @@ def make_grids(prior: PriorConfig) -> Grids:
         tau=tau,
         phi=phi,
         nu_col=nu[:, None],
-        nu_half1_col=0.5 * (nu[:, None] + 1.0),
+        nu_half1=0.5 * (nu + 1.0),
         rho_col=rho[:, None],
         rho_penalty=np.log(rho ** 2 + 1.0),
         tau_power_col=2.0 * tau[:, None],
@@ -251,7 +256,7 @@ class ChainState:
         if self.seasonal:
             start = seasonal_forward(y.tolist(), theta)
         else:
-            start = smoothing_marginal(self, theta.alpha, theta.beta)
+            start = smoothing_marginal(self, theta.alpha, theta.beta, gradient=False)
         if start is None or start.l is None:
             raise DegenerateSeriesError("the chain's starting draw gives no finite state paths")
         self.set_paths(start.paths())
@@ -344,9 +349,17 @@ def omega2_conditional(state: ChainState) -> tuple[float, np.ndarray]:
 
 
 def update_omega2(state: ChainState, rng) -> np.ndarray:
-    """Per-observation t-mixture variances."""
+    """Per-observation t-mixture variances.
+
+    A residual whose square overflows gives an infinite scale, which the
+    inverse-gamma draw refuses with ``ValueError``; that raises
+    ``NumericalError``, so ``fit`` records the chain as failed.
+    """
     shape, scale = omega2_conditional(state)
-    state.theta.omega2 = sample_inverse_gamma(rng, shape, scale)
+    try:
+        state.theta.omega2 = sample_inverse_gamma(rng, shape, scale)
+    except ValueError as exc:
+        raise NumericalError("mixture-variance conditional has a scale that is not finite") from exc
     return state.theta.omega2
 
 
@@ -356,8 +369,8 @@ def gamma_conditional(state: ChainState) -> tuple[float, float]:
     The arithmetic of ``update_rho_gamma_grouped``'s draw, at the current
     trend power.
     """
-    prec, score, prior_var = _gamma_regression(state, np.array([[state.theta.rho]]))
-    return normal_moments(float(prec[0]), float(score[0]), prior_var)
+    x, resid, weight, prior_var = _gamma_regression(state, np.array([[state.theta.rho]]))
+    return normal_moments(*_gamma_pair(x[0], resid, weight), prior_var)
 
 
 def xi_conditional(value: float, scale: float) -> tuple[float, float]:
@@ -439,7 +452,9 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
     one sweep.  Neither moves the level, the scale or the mixture
     variances, so the five ``TrendBlock`` sums are formed once per call,
     each draw reads only them, and the trend path and forecasts are
-    refreshed once, after the last draw.
+    refreshed once, after the last draw.  That refresh of yhat and e is the
+    non-seasonal sweep's only one: the smoothing block and the trend-power
+    grid before it leave them stale.
     """
     th = state.theta
     block = TrendBlock.of(state)
@@ -519,16 +534,16 @@ def nu_collapsed_nll(state: ChainState) -> np.ndarray:
     per time step, so the df conditioned on them barely moves; this
     collapsed draw from the Student-t likelihood breaks that ridge.  The
     df-dependent normalising constants matter here and are included; they
-    are formed once per grid, in ``make_grids``.
+    are formed once per grid, in ``make_grids``.  The squared standardised
+    residuals are formed once, as a row, and the table takes one division
+    by the df column and one log1p; (nu + 1) / 2 scales the row sums.
     """
     grids = state.grids
     e2 = state.paths.e ** 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = grids.nu_col * state.paths.sigma2hat
-        np.divide(e2, table, out=table)
+        table = np.divide(e2 / state.paths.sigma2hat, grids.nu_col)
         np.log1p(table, out=table)
-        table *= grids.nu_half1_col
-        core = table.sum(axis=1)
+        core = grids.nu_half1 * table.sum(axis=1)
     return core + e2.shape[0] * grids.nu_log_normaliser
 
 
@@ -538,15 +553,17 @@ def update_nu_collapsed(state: ChainState, rng) -> float:
     return state.theta.nu
 
 
-def _gamma_regression(state: ChainState, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Data precision and score of the global trend coefficient at each
-    trend-power candidate of the column ``powers``, and the coefficient's
-    prior variance.
+def _gamma_regression(state: ChainState, powers: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The global trend coefficient's regression at each trend-power candidate of the column ``powers``.
 
     Given everything else, y[t] = (gamma * lp^rho + c[t]) * s[t] + noise
-    with c = l + lam * b, so gamma's likelihood is
-    exp(score * gamma - precision * gamma^2 / 2).  A non-seasonal fit's
-    factors are all one, and multiplying by them is skipped.
+    with c = l + lam * b, so at candidate i gamma's likelihood is
+    exp(score_i * gamma - prec_i * gamma^2 / 2), with
+    score_i = sum_t x[i, t] * resid[t] and prec_i = sum_t x[i, t]^2 * weight[t].
+    Returns the table x = lp^powers, the rows resid and weight, and the
+    coefficient's prior variance.  A non-seasonal fit's factors are all
+    one, and multiplying by them is skipped.
     """
     th = state.theta
     paths = state.paths
@@ -563,15 +580,32 @@ def _gamma_regression(state: ChainState, powers: np.ndarray) -> tuple[np.ndarray
         weight = 1.0 / sigma2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x = np.power(lp, powers)
-        score = (x * resid).sum(axis=1)
-        x *= x
-        x *= weight
-        prec = x.sum(axis=1)
-    return prec, score, th.xi_gamma2 * state.s_gamma ** 2
+    return x, resid, weight, th.xi_gamma2 * state.s_gamma ** 2
 
 
-def _rho_nll(prec: np.ndarray, score: np.ndarray, prior_var: float, penalty: np.ndarray) -> np.ndarray:
+def _gamma_pair(x: np.ndarray, resid: np.ndarray, weight: np.ndarray) -> tuple[float, float]:
+    """(precision, score) of gamma at one candidate's row ``x`` as row sums, which gamma's draw reads.
+
+    The grid draws only candidates whose precision and score are finite, so
+    these sums do not overflow.
+    """
+    return float((x * x * weight).sum()), float((x * resid).sum())
+
+
+def _rho_nll(x: np.ndarray, resid: np.ndarray, weight: np.ndarray, prior_var: float,
+             penalty: np.ndarray) -> np.ndarray:
+    """The trend-power grid's nll from ``_gamma_regression``'s terms and the power's prior ``penalty``.
+
+    Every candidate's precision and score is one matrix-vector product;
+    their last bits may differ from ``_gamma_pair``'s, which only gamma's
+    draw reads.  A prior variance that underflowed to 0 raises
+    ``NumericalError``.
+    """
+    if not prior_var > 0:
+        raise NumericalError(f"trend-coefficient prior variance {prior_var} must be positive")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        score = x @ resid
+        prec = (x * x) @ weight
         var_c = 1.0 / (prec + 1.0 / prior_var)
         mu_c = var_c * score
         return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + penalty
@@ -592,19 +626,20 @@ def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
 def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, float]:
     """Grouped draw of (trend power, trend coefficient), then the coefficient's Cauchy latent.
 
-    The grid's per-candidate precision and score of the coefficient are
-    formed once: they give the power's marginal, and the chosen candidate's
-    give the coefficient's conjugate normal.
+    The grid's table of the coefficient's regressors is formed once: its
+    matrix-vector products give the power's marginal, and the chosen
+    candidate's row sums give the coefficient's conjugate normal.  yhat and
+    e are left stale: no kernel reads them before ``update_lambda_b1``
+    (non-seasonal) or ``update_smoothing_seasonal`` refreshes them.
     """
     th = state.theta
     grids = state.grids
-    prec, score, prior_var = _gamma_regression(state, grids.rho_col)
-    idx = _categorical_from_nll(rng, _rho_nll(prec, score, prior_var, grids.rho_penalty))
+    x, resid, weight, prior_var = _gamma_regression(state, grids.rho_col)
+    idx = _categorical_from_nll(rng, _rho_nll(x, resid, weight, prior_var, grids.rho_penalty))
     th.rho = float(grids.rho[idx])
-    mu, var = normal_moments(float(prec[idx]), float(score[idx]), prior_var)
+    mu, var = normal_moments(*_gamma_pair(x[idx], resid, weight), prior_var)
     th.gamma = sample_normal(rng, mu, var)
     th.xi_gamma2 = sample_inverse_gamma(rng, *xi_conditional(th.gamma, state.s_gamma))
-    recompute_yhat(state.y, state.paths, th, state.prior)
     return th.rho, th.gamma, th.xi_gamma2
 
 
@@ -711,7 +746,9 @@ class MalaPoint:
     """A draw that a MALA move stands at or proposes.
 
     ``log_target`` is the log density of the move's coordinates up to a
-    constant and ``grad`` the gradient that steers proposals from here.
+    constant and ``grad`` the gradient that steers proposals from here; it
+    is None at an LGT point formed value-only (``smoothing_marginal``) until
+    a MALA step starts from it.
     ``recursion`` is the forward pass the point was formed on: the collapsed
     target (``SmoothingMarginal``) of an LGT point, or the ``SeasonalPass``
     of a seasonal proposal.  Its ``paths()`` are what the state takes when
@@ -777,11 +814,12 @@ class SmoothingMarginal:
     ``gamma_mean - slope * (lam - lam_mean)``.  ``l``, ``b`` and
     ``sigma2hat`` are the recursion at the weights, as lists, and
     ``clamp_events`` its count of floored levels; they are None where the
-    recursion failed.
+    recursion failed.  A value-only target leaves ``grad`` None and keeps
+    in ``pass3`` what ``gradient()`` forms it from.
     """
 
     log_target: float
-    grad: np.ndarray
+    grad: np.ndarray | None
     gamma_mean: float
     gamma_prec: float
     lam_mean: float
@@ -791,12 +829,24 @@ class SmoothingMarginal:
     b: list | None = None
     sigma2hat: list | None = None
     clamp_events: int = 0
+    pass3: tuple | None = None
+
+    def gradient(self) -> np.ndarray:
+        """``grad``, formed on first call from the lists that the value was formed on.
+
+        It is bit for bit the gradient that the fused pass gives.  That pass
+        raises nothing once the value is formed: every division there is by
+        a positive number, and no power can overflow.
+        """
+        if self.grad is None:
+            self.grad = _value_and_gradient(*self.pass3)[1]
+        return self.grad
 
     def paths(self) -> StatePaths:
         """The recursion as ``StatePaths``, with yhat and e left for ``recompute_yhat``.
 
         The forecast needs (gamma, lam), which the target integrates out;
-        the caller fills it in once it has drawn them.
+        the sweep fills it in once the draws it depends on are made.
         """
         n = len(self.sigma2hat)
         return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.zeros(n + 1),
@@ -809,7 +859,8 @@ def _refused_marginal() -> SmoothingMarginal:
     return SmoothingMarginal(nan, np.array([nan, nan]), nan, nan, nan, nan, nan)
 
 
-def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> SmoothingMarginal:
+def smoothing_marginal(state: ChainState, alpha: float, beta: float,
+                       gradient: bool = True) -> SmoothingMarginal:
     """Collapsed target of the LGT smoothing weights at (alpha, beta).
 
     Given the mixture variances, y[t] - l[t-1] = gamma * x_g[t] + lam * b[t-1]
@@ -822,7 +873,10 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> Smoothin
 
     One forward loop runs the recursion at (alpha, beta), with every other
     parameter at the state's draw, and collects the regression's columns
-    and sums as it goes; two more passes form the value and gradient.  This
+    and sums as it goes; two more passes form the value and, where
+    ``gradient`` asks for it, the gradient (``_value_and_gradient``).
+    Without it, the third pass forms Q alone, and ``gradient()`` forms the
+    gradient later from the lists the first two passes kept.  This
     loop is the program's LGT recursion, less the forecast, which depends on
     the (gamma, lam) integrated out here; the tests hold its paths equal to
     ``tests/oracles.reference_recursion`` bit for bit.
@@ -839,7 +893,8 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> Smoothin
     try:
         d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
         d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
-        return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist())
+        return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist(),
+                                gradient)
     except (ArithmeticError, ValueError):
         return _refused_marginal()
 
@@ -854,14 +909,14 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> SmoothingMarginal:
-    rho, tau, chi2 = th.rho, th.tau, th.chi2
-    phi2, q2, p2 = th.phi ** 2, (1.0 - th.phi) ** 2, 2.0 * tau
-    het = 2.0 * tau * chi2 * (1.0 - th.phi) ** 2
+def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradient) -> SmoothingMarginal:
+    rho, chi2 = th.rho, th.chi2
+    phi2, q2, p2 = th.phi ** 2, (1.0 - th.phi) ** 2, 2.0 * th.tau
     keep_a, keep_b = 1.0 - alpha, 1.0 - beta
 
     # pass 1, with the recursion: the regression's columns, p11, p12,
     # x_g'W r and sum log(omega2 sigma2hat)
+    log, isfinite = math.log, math.isfinite
     l_prev, b_prev = y[0], th.b1
     l, b, s2 = [l_prev], [b_prev], []
     clamps = 0
@@ -876,7 +931,7 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
         s2t = chi2 * (phi2 + q2 * lp ** p2)
         l_t = alpha * yt + keep_a * l_prev
         b_t = beta * (l_t - l_prev) + keep_b * b_prev
-        if not (math.isfinite(s2t) and math.isfinite(l_t) and math.isfinite(b_t)):
+        if not (isfinite(s2t) and isfinite(l_t) and isfinite(b_t)):
             return _refused_marginal()
         var = om * s2t
         wt = 1.0 / var
@@ -885,7 +940,7 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
         p11 += wx * xt
         p12 += wx * b_prev
         h1 += wx * rt
-        log_var += math.log(var)
+        log_var += log(var)
         xg.append(xt)
         w.append(wt)
         r.append(rt)
@@ -898,31 +953,58 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
     c = p12 / p11
     S = d_l + c * c * d_g
     h2 = 0.0
-    u = []
     for xt, bt, wt, rt in zip(xg, b, w, r):
         ut = bt - c * xt
         wu = wt * ut
         S += wu * ut
         h2 += wu * rt
-        u.append(ut)
     m2 = h2 / S
     m1 = (h1 - p12 * m2) / p11
 
     root_s = math.sqrt(S)
     z_lo, z_hi = (LAM_RANGE[0] - m2) * root_s, (LAM_RANGE[1] - m2) * root_s
     log_z = log_ndtr_diff(z_lo, z_hi)
+
+    # pass 3: residuals and Q, with the gradient or without it
+    pass3 = (th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z, xg, b, w, r, l, s2)
+    if gradient:
+        Q, grad = _value_and_gradient(*pass3)
+        pass3 = None
+    else:
+        grad = None
+        Q = d_g * m1 * m1 + d_l * m2 * m2
+        for xt, bt, wt, rt in zip(xg, b, w, r):
+            et = rt - xt * m1 - bt * m2
+            Q += wt * et * et
+    value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
+             + _weights_log_prior(alpha, beta))
+    return SmoothingMarginal(log_target=value, grad=grad, gamma_mean=m1, gamma_prec=p11,
+                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, sigma2hat=s2,
+                             clamp_events=clamps, pass3=pass3)
+
+
+def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z,
+                        xg, b, w, r, l, s2) -> tuple[float, np.ndarray]:
+    """Pass 3 of ``_marginal_passes`` with the gradient: (Q, gradient in (logit alpha, logit beta)).
+
+    The gradient is a sum over steps of the coefficient of each per-step
+    quantity (r, x_g, x_lam, w) times its forward sensitivity; dl, dba, dbb
+    are d l[t-1]/d alpha, d b[t-1]/d alpha and d b[t-1]/d beta.  With
+    we = w e and wu = w u the coefficients are linear in we and wu, and the
+    k_* below collect their constant factors.  Q is formed in the order of
+    the value-only pass, and u as in pass 2, bit for bit.
+    """
+    rho, tau = th.rho, th.tau
+    het, tau_1 = 2.0 * tau * th.chi2 * (1.0 - th.phi) ** 2, 2.0 * tau - 1.0
+    keep_a, keep_b = 1.0 - alpha, 1.0 - beta
     # d log_z = k1 d m2 + k2 d S, with phi(z) / (Phi(z_hi) - Phi(z_lo)) at each bound
+    root_s = math.sqrt(S)
     log_norm = 0.5 * math.log(2.0 * math.pi) + log_z
     haz_lo = _exp_or_inf(-0.5 * z_lo * z_lo - log_norm)
     haz_hi = _exp_or_inf(-0.5 * z_hi * z_hi - log_norm)
     k1 = -root_s * (haz_hi - haz_lo)
     k2 = (haz_hi * z_hi - haz_lo * z_lo) / (2.0 * S)
 
-    # pass 3: residuals, Q, and the gradient as a sum over steps of the
-    # coefficient of each per-step quantity (r, x_g, x_lam, w) times its
-    # forward sensitivity; dl, dba, dbb are d l[t-1]/d alpha, d b[t-1]/d alpha
-    # and d b[t-1]/d beta.  With we = w e and wu = w u the coefficients are
-    # linear in we and wu, and the k_* below collect their constant factors.
     inv_p11, inv_s = 1.0 / p11, 1.0 / S
     k1_s = k1 * inv_s
     k_lam_e, k_lam_u = m2 + k1_s, 2.0 * k2 - inv_s - k1_s * m2
@@ -931,7 +1013,8 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
     Q = d_g * m1 * m1 + d_l * m2 * m2
     g_a = g_b = 0.0
     dl = dba = dbb = 0.0
-    for xt, bt, wt, rt, ut, lt, s2t in zip(xg, b, w, r, u, l, s2):
+    for xt, bt, wt, rt, lt, s2t in zip(xg, b, w, r, l, s2):
+        ut = bt - c * xt
         et = rt - xt * m1 - bt * m2
         we = wt * et
         wu = wt * ut
@@ -944,7 +1027,7 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
             if het:
                 # the coefficient of w, times w
                 c_w = 0.5 - 0.5 * we * et - 0.5 * wt * xt * xt * inv_p11 + wu * (ut * k_w_u + k1_s * et)
-                c_alpha -= c_w * het * lt ** (2.0 * tau - 1.0) / s2t
+                c_alpha -= c_w * het * lt ** tau_1 / s2t
         g_a += c_alpha * dl + c_lam * dba
         g_b += c_lam * dbb
         dl_t = rt + keep_a * dl
@@ -953,13 +1036,8 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
         dl = dl_t
 
     pa, pb = SMOOTHING_PRIOR
-    value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
-             + _weights_log_prior(alpha, beta))
-    grad = np.array([g_a * alpha * keep_a + pa - (pa + pb) * alpha,
-                     g_b * beta * keep_b + pa - (pa + pb) * beta])
-    return SmoothingMarginal(log_target=value, grad=grad, gamma_mean=m1, gamma_prec=p11,
-                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, sigma2hat=s2,
-                             clamp_events=clamps)
+    return Q, np.array([g_a * alpha * keep_a + pa - (pa + pb) * alpha,
+                        g_b * beta * keep_b + pa - (pa + pb) * beta])
 
 
 def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
@@ -967,8 +1045,9 @@ def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
 
     The proposal density is the prior part of the collapsed target, so the
     acceptance ratio is the ratio of the integrated likelihoods (Tierney
-    1994).  ``visit_weights(alpha, beta)`` returns the point proposed; a
-    non-finite target here means no move, there a rejection.
+    1994), and the step reads no gradient.  ``visit_weights(alpha, beta)``
+    returns the point proposed; a non-finite target here means no move,
+    there a rejection.
     """
     alpha, beta = rng.beta(*SMOOTHING_PRIOR, size=2).tolist()
     log_u = math.log(rng.random())
@@ -1000,22 +1079,27 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     leaves, where a local step of one size crawls.  A non-finite target at
     the current weights means no move; at a proposal it means rejection.
     Every point, the current one included, is one ``smoothing_marginal``
-    pass; the forecast is refreshed once, after gamma and lam are drawn.
+    pass.  The current point and the independence proposal are formed
+    value-only, since that step reads no gradient; the point the MALA step
+    starts from then forms its gradient, and each MALA proposal is formed
+    with its gradient in one pass.  yhat and e are left stale: no kernel
+    reads them before ``update_lambda_b1`` refreshes them.
     """
     th = state.theta
 
-    def visit_weights(alpha, beta):
+    def point(alpha, beta, gradient=False):
         trial = th.proposal_clone()
         trial.alpha, trial.beta = alpha, beta
-        marginal = smoothing_marginal(state, alpha, beta)
+        marginal = smoothing_marginal(state, alpha, beta, gradient)
         return MalaPoint(trial, marginal.log_target, marginal.grad, marginal)
 
     def visit(x_star):
         w = _unit_weights(x_star)
-        return None if w is None else visit_weights(*w)
+        return None if w is None else point(*w, gradient=True)
 
-    start = visit_weights(th.alpha, th.beta)
-    here = _independence_move(rng, start, visit_weights)
+    start = point(th.alpha, th.beta)
+    here = _independence_move(rng, start, point)
+    here.grad = here.recursion.gradient()
     x = _logits(here.theta.alpha, here.theta.beta)
     reached = _mala_move(rng, step, adapting, target, here, x, visit)
     marginal = reached.recursion
@@ -1028,7 +1112,6 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
         state.trunc_events += fell_back
         th.gamma = sample_normal(rng, marginal.gamma_mean - marginal.slope * (th.lam - marginal.lam_mean),
                                  1.0 / marginal.gamma_prec)
-        recompute_yhat(state.y, state.paths, th, state.prior)
     return reached is not start
 
 
@@ -1244,7 +1327,10 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
     visited are computed once.  SGT fixes lam = 0, so beta reaches neither
     the forecast nor the scale: its conditional is its Beta prior, drawn
     exactly (in the open unit interval), and the trend path follows it.
+    The kernel first refreshes yhat and e, which ``update_rho_gamma_grouped``
+    leaves stale and the current draw's point reads.
     """
+    recompute_yhat(state.y, state.paths, state.theta, state.prior)
     here = seasonal_point(state, state.theta, state.paths)
     here = seasonal_weights_move(state, rng, smooth_step, adapting, target, here)
     seasonal_seeds_move(state, rng, seas_step, adapting, target, here)

@@ -12,6 +12,7 @@ from lsgt.errors import DegenerateSeriesError
 from lsgt.model import LEVEL_FLOOR, effective_lam
 from lsgt.sampler import (
     _categorical_from_nll,
+    _gamma_pair,
     _gamma_regression,
     _phi_nll,
     _rho_nll,
@@ -22,7 +23,6 @@ from lsgt.sampler import (
     tau_grid_nll,
     update_nu_collapsed,
     update_phi_grid,
-    update_rho_gamma_grouped,
     update_tau_grid,
 )
 
@@ -98,9 +98,16 @@ def _broadcast_tables(state):
     s = state.a_app
     sigma2 = th.omega2 * s2
     resid = (state.y[1:] - c * s) * s / sigma2
+    weight = s ** 2 / sigma2
     x = np.power(lp[None, :], grids.rho[:, None])
-    prec = (x ** 2 * (s ** 2 / sigma2)[None, :]).sum(axis=1)
-    score = (x * resid[None, :]).sum(axis=1)
+    # the grid's precisions and scores are matrix-vector products; gamma's
+    # draw reads the chosen row's sums in the order of these row sums
+    prec_sums = (x ** 2 * weight[None, :]).sum(axis=1)
+    score_sums = (x * resid[None, :]).sum(axis=1)
+    prec, score = (x * x) @ weight, x @ resid
+    prior_var = th.xi_gamma2 * state.s_gamma ** 2
+    var_c = 1.0 / (prec + 1.0 / prior_var)
+    mu_c = var_c * score
 
     def variance_nll(sigma2_c):
         return (0.5 * (th.nu + 1.0) * np.log1p(e2[None, :] / (th.nu * sigma2_c)).sum(axis=1)
@@ -108,11 +115,11 @@ def _broadcast_tables(state):
 
     tau, phi = grids.tau[:, None], grids.phi[:, None]
     return {
-        "nu": (0.5 * (nu + 1.0) * np.log1p(e2[None, :] / (nu * s2[None, :]))).sum(axis=1)
+        "nu": 0.5 * (grids.nu + 1.0) * np.log1p((e2 / s2)[None, :] / nu).sum(axis=1)
         + e2.shape[0] * grids.nu_log_normaliser,
-        "prec": prec,
-        "score": score,
-        "rho": _rho_nll(prec, score, th.xi_gamma2 * state.s_gamma ** 2, np.log(grids.rho ** 2 + 1.0)),
+        "prec": prec_sums,
+        "score": score_sums,
+        "rho": -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + np.log(grids.rho ** 2 + 1.0),
         "tau": variance_nll(th.chi2 * (th.phi ** 2 + (1.0 - th.phi) ** 2 * np.power(lp[None, :], 2.0 * tau))),
         "phi": variance_nll(th.chi2 * (phi ** 2 + (1.0 - phi) ** 2 * lp[None, :] ** (2.0 * th.tau))),
     }
@@ -124,12 +131,13 @@ def test_grid_tables_equal_their_broadcast_forms(rng, seasonal):
         state = random_state(rng, T=int(rng.integers(8, 60)), seasonal=seasonal, m=4 if seasonal else 1)
         grids = state.grids
         want = _broadcast_tables(state)
-        prec, score, prior_var = _gamma_regression(state, grids.rho_col)
+        x, resid, weight, prior_var = _gamma_regression(state, grids.rho_col)
+        prec, score = np.array([_gamma_pair(row, resid, weight) for row in x]).T
         got = {
             "nu": nu_collapsed_nll(state),
             "prec": prec,
             "score": score,
-            "rho": _rho_nll(prec, score, prior_var, grids.rho_penalty),
+            "rho": _rho_nll(x, resid, weight, prior_var, grids.rho_penalty),
             "tau": _tau_nll(state, grids.tau_power_col),
             "phi": _phi_nll(state, grids.phi_sq_col, grids.phi_keep_sq_col),
         }
@@ -205,14 +213,6 @@ def test_rho_penalty_regression_locked(rng):
     p_with = w_with / w_with.sum()
     p_without = w_without / w_without.sum()
     assert np.max(np.abs(p_with - p_without)) > 1e-4
-
-
-def test_rho_update_refreshes_forecasts(rng):
-    state = random_state(rng, T=15)
-    update_rho_gamma_grouped(state, rng)
-    full = reference_paths(state.y, state.theta, state.prior)
-    assert state.paths.yhat.tolist() == full.yhat.tolist()
-    assert state.paths.l.tolist() == full.l.tolist()
 
 
 def test_variance_grid_nll_matches_direct(rng):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lsgt.errors import NumericalError
 from lsgt.forecast import simulate_paths
 from lsgt.model import (
     HETEROSCEDASTIC,
@@ -99,6 +100,21 @@ def test_incremental_refreshes_match_full_recursion(rng):
         assert paths.e.tolist() == full.e.tolist()
         if y.max() < LEVEL_FLOOR:
             assert full.clamp_events == T - 1
+
+
+@pytest.mark.parametrize("gamma", [1e308, -1e308])
+def test_overflowing_forecast_is_a_numerical_error(gamma):
+    # gamma * l^rho overflows to +-inf, and so does the residual; the refresh
+    # raises instead of handing the next kernel an infinite residual
+    y = np.array([25.0, 26.0, 24.0, 27.0, 28.0])
+    cfg = PriorConfig(model_kind=NON_SEASONAL)
+    theta = make_theta(len(y), rho=1.0)
+    paths = reference_paths(y, theta, cfg)
+    before = (paths.yhat.tolist(), paths.e.tolist())
+    theta.gamma = gamma
+    with pytest.raises(NumericalError):
+        recompute_yhat(y, paths, theta, cfg)
+    assert (paths.yhat.tolist(), paths.e.tolist()) == before
 
 
 def test_seasonal_with_unit_factors_equals_non_seasonal(rng):

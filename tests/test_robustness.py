@@ -42,6 +42,11 @@ ADVERSARIAL = [
     ("pattern4", (1.0, 2.0, 3.0, 4.0) * 2, 4),
     ("pattern12", tuple(float(v) for v in range(1, 13)) * 2, 12),
     ("level1e160", (1e160, 1.2e160, 1.1e160, 1.3e160, 1.25e160, 1.4e160), 1),
+    # the trend coefficient's prior variance underflows to 0
+    ("tiny1e160", tuple(1e-160 * _noise), 4),
+    # the last residuals' squares overflow in the mixture-variance conditional
+    ("ramp1e154", tuple(np.geomspace(1e120, 1.5e154, 20)), 1),
+    ("ramp1e154b", tuple(np.geomspace(6.25e110, 1.39e154, 23)), 1),
 ]
 
 

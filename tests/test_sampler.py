@@ -1,4 +1,5 @@
 import logging
+import math
 import re
 
 import numpy as np
@@ -12,9 +13,7 @@ from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
 from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, sbc_rank
 
-from .helpers import TEST_NU_GRID_SIZE, make_prior
-
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
+from .helpers import TEST_NU_GRID_SIZE, make_prior, random_state, reference_paths
 
 
 def synthetic_series(seed=11, T=40, m=1, seasonal=False, **param_overrides):
@@ -293,3 +292,66 @@ def test_sweep_calls_kernels_in_docstring_order(monkeypatch, seasonal, hetero, s
     # the kernels named in the module docstring's numbered list, in order
     documented = re.findall(r"`(update_\w+)`", sampler.__doc__)
     assert [name for name in documented if name in order] == order
+
+
+# kernels that read yhat or e, with the paths they read; update_phi_grid reads
+# the sigma2hat that update_tau_grid leaves stale, and refreshes it itself
+YHAT_READERS = ["update_omega2", "update_chi2", "seasonal_point", "update_tau_grid", "update_phi_grid",
+                "update_nu_collapsed"]
+
+
+@pytest.mark.parametrize("seasonal, hetero", [(False, True), (False, False), (True, True)],
+                         ids=["lgt_hetero", "lgt_homo", "sgt"])
+def test_every_reader_of_yhat_and_e_finds_the_current_draws_paths(monkeypatch, seasonal, hetero):
+    # the smoothing block and the trend-power grid leave yhat and e stale, and
+    # one refresh per sweep serves every kernel that reads them: at each such
+    # kernel's entry the paths are the reference recursion's at the draw
+    seen = []
+
+    def checking(name, kernel):
+        def wrapper(state, *args, **kwargs):
+            theta, paths = args[:2] if name == "seasonal_point" else (state.theta, state.paths)
+            want = reference_paths(state.y, theta, state.prior)
+            fields = ["l", "b", "log_s", "yhat", "e"]
+            if name != "update_phi_grid":
+                fields.append("sigma2hat")
+            for field in fields:
+                assert getattr(paths, field).tolist() == getattr(want, field).tolist(), (name, field)
+            seen.append(name)
+            return kernel(state, *args, **kwargs)
+        return wrapper
+
+    for name in YHAT_READERS:
+        monkeypatch.setattr(sampler, name, checking(name, getattr(sampler, name)))
+    m = 4 if seasonal else 1
+    series, _ = synthetic_series(seasonal=seasonal, m=m, T=44)
+    prior = make_prior(seasonal=seasonal, hetero=hetero)
+    fit(series, prior, small_cfg(iterations=30, burn_in=15, chains=1))
+    want = {"update_omega2", "update_chi2", "update_nu_collapsed"}
+    want |= {"seasonal_point"} if seasonal else set()
+    want |= {"update_tau_grid", "update_phi_grid"} if hetero else set()
+    assert set(seen) == want
+    assert seen.count("update_omega2") == 30
+
+
+def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
+    # the independence step reads values only: of the collapsed points a sweep
+    # visits, the one the MALA step starts from and the MALA proposal form a
+    # gradient; yhat and e are refreshed once, by update_lambda_b1
+    state = random_state(rng, T=30)
+    counts = dict.fromkeys(("_value_and_gradient", "recompute_yhat"), 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(sampler, name, counted(name, getattr(sampler, name)))
+    smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
+    seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
+    for it in range(20):
+        counts.update(dict.fromkeys(counts, 0))
+        sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
+        assert counts == {"_value_and_gradient": 2, "recompute_yhat": 1}
