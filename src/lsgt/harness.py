@@ -102,17 +102,6 @@ class RunSummary:
             "config": self.config,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunSummary":
-        return cls(
-            records=[EvalRecord(**r) for r in d["records"]],
-            category_stats=d["category_stats"],
-            overall=d["overall"],
-            errors=d["errors"],
-            n_series=d["n_series"],
-            config=d["config"],
-        )
-
 
 def evaluate_forecast(series: TimeSeries, test, result, levels) -> EvalRecord:
     """Metrics for one held-out window; raises MetricError when undefined."""

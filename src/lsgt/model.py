@@ -18,16 +18,19 @@ seed factors cover the first period).  The m seed factors satisfy
 variant fixes all factors at one; the seasonal variant fixes ``lam`` at
 zero.
 
-The program runs the full recursion in the sampler's fused passes, one per
-variant: ``sampler.smoothing_marginal`` (non-seasonal) and
-``sampler.seasonal_forward`` (seasonal) form each move's likelihood terms
-alongside the states, and a chain starts from the paths of its variant's
-pass.  The loops here refresh parts of those paths in place
-(``recompute_*``) or run the recursion on with drawn observations
-(``simulate``); forecast paths and synthetic series both come from
-``simulate``, so their values continue the fitted recursion bit for bit.
-Every one of these loops is checked against one independent reference
-written from the equations above, ``tests/oracles.reference_recursion``.
+The program runs the full recursion, and sums the likelihood, only in the
+sampler's fused passes, one per variant: ``sampler.smoothing_marginal``
+(non-seasonal) and ``sampler.seasonal_forward`` (seasonal) form each
+point's likelihood terms alongside the states, and a chain starts from the
+paths of its variant's pass.  Four loops remain here: three refresh parts
+of those paths in place, the trend (``recompute_trend_path``), the scale
+(``recompute_sigma2``) and a non-seasonal fit's residuals
+(``recompute_yhat``; a seasonal fit takes its residuals from the forward
+pass), and ``simulate`` runs the recursion on with drawn observations;
+forecast paths and synthetic series both come from ``simulate``, so their
+values continue the fitted recursion bit for bit.  Every one of these
+loops is checked against one independent reference written from the
+equations above, ``tests/oracles.reference_recursion``.
 
 The loops run over Python floats (``ndarray.tolist()``) and write each
 result array back once; indexing numpy arrays element by element costs
@@ -47,11 +50,11 @@ the float64 result would have led to.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dists import t_log_normaliser
 from .errors import ForecastError, NumericalError
 
 LEVEL_FLOOR = 1e-10
@@ -241,13 +244,13 @@ class StatePaths:
     """Deterministic per-draw trajectories.
 
     ``l``/``b``/``log_s`` have length T (``log_s[:m]`` are the seeds);
-    ``yhat``/``sigma2hat``/``e`` have length T-1 and align with y[1:].
+    ``sigma2hat`` and the residuals ``e`` = y - yhat have length T-1 and
+    align with y[1:].
     """
 
     l: np.ndarray
     b: np.ndarray
     log_s: np.ndarray
-    yhat: np.ndarray
     sigma2hat: np.ndarray
     e: np.ndarray
     clamp_events: int = 0
@@ -343,14 +346,6 @@ def applied_factors(log_s: np.ndarray, m: int, seasonal: bool) -> np.ndarray:
     return np.exp(log_s[idx])
 
 
-def applied_factor_list(log_s: list, m: int, seasonal: bool) -> list:
-    """``applied_factors`` through libm ``math.exp``, as a list for the scalar loops."""
-    if not seasonal:
-        return [1.0] * (len(log_s) - 1)
-    # log_s[t] for t = 1..m-1, then log_s[t - m] for t = m..T-1
-    return [math.exp(v) for v in log_s[1:m] + log_s[: len(log_s) - m]]
-
-
 def recompute_trend_path(paths: StatePaths, theta: ParameterDraw) -> None:
     """Refresh b in place after a change of b1 (or beta); l is unchanged."""
     beta = theta.beta
@@ -363,28 +358,23 @@ def recompute_trend_path(paths: StatePaths, theta: ParameterDraw) -> None:
     paths.b[:] = b
 
 
-def recompute_yhat(y, paths: StatePaths, theta: ParameterDraw, cfg: PriorConfig) -> None:
-    """Refresh yhat and e in place after a change of gamma, rho, lam or b.
+def recompute_yhat(y, paths: StatePaths, theta: ParameterDraw) -> None:
+    """Refresh the residuals e of a non-seasonal fit in place after a change of gamma, rho, lam or b.
 
-    A residual that is not finite (a forecast that overflowed) raises
-    ``NumericalError``, and the paths are left as they were.
+    A residual whose square is not finite (a forecast that overflowed, or
+    one far enough off) raises ``NumericalError``, and the paths are left
+    as they were.
     """
-    gamma, rho = theta.gamma, theta.rho
-    lam = effective_lam(theta, cfg)
-    l = paths.l.tolist()
-    b = paths.b.tolist()
-    a = applied_factor_list(paths.log_s.tolist(), theta.m, cfg.model_kind == SEASONAL)
-    yhat, e = [], []
-    for yt, l_prev, b_prev, a_t in zip(np.asarray(y, dtype=float)[1:].tolist(), l, b, a):
+    gamma, rho, lam = theta.gamma, theta.rho, theta.lam
+    e = []
+    for yt, l_prev, b_prev in zip(np.asarray(y, dtype=float)[1:].tolist(), paths.l.tolist(),
+                                  paths.b.tolist()):
         lp = l_prev
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
-        yh = (l_prev + gamma * lp ** rho + lam * b_prev) * a_t
-        yhat.append(yh)
-        e.append(yt - yh)
-    if not all(map(math.isfinite, e)):
-        raise NumericalError("the one-step forecast gives a non-finite residual")
-    paths.yhat[:] = yhat
+        e.append(yt - (l_prev + gamma * lp ** rho + lam * b_prev))
+    if not all(map(math.isfinite, map(operator.mul, e, e))):
+        raise NumericalError("the one-step forecast gives a residual whose square is not finite")
     paths.e[:] = e
 
 
@@ -402,24 +392,3 @@ def recompute_sigma2(paths: StatePaths, theta: ParameterDraw) -> None:
             pw = math.inf
         s2.append(chi2 * (phi2 + q2 * pw))
     paths.sigma2hat[:] = s2
-
-
-def negative_log_likelihood(paths: StatePaths, nu: float) -> float:
-    """Student-t negative log likelihood of the residuals.
-
-    Includes the df-dependent normalising constants (the df is itself
-    sampled, so they cannot be dropped).  Returns +inf instead of raising
-    when the inputs are degenerate.
-    """
-    if not nu > 0:
-        raise ValueError(f"nu must be positive, got {nu}")
-    n = paths.e.shape[0]
-    half_nu1 = 0.5 * (nu + 1.0)
-    acc = 0.0
-    try:
-        for et, s2t in zip(paths.e.tolist(), paths.sigma2hat.tolist()):
-            acc += half_nu1 * math.log1p(et * et / (nu * s2t)) + 0.5 * math.log(s2t)
-    except (ValueError, OverflowError, ZeroDivisionError):
-        return math.inf
-    total = acc + n * t_log_normaliser(nu)
-    return total if math.isfinite(total) else math.inf

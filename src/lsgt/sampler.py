@@ -18,25 +18,28 @@ One sweep (`sweep`) calls these kernels, in order:
    candidate's row of the grid's table) and its Cauchy latent;
 5. for non-seasonal fits `update_lambda_b1`: the local trend coefficient
    and initial trend (truncated conjugate normals with their latents,
-   iterated as a pair, each draw reading five sums formed once), then
-   yhat and e; for seasonal fits `update_smoothing_seasonal`: yhat and e,
-   then the level and seasonal smoothing weights, then the m-1 free seed
-   log seasonal factors (a MALA move each; each proposal is one forward pass
-   that runs the recursion, sums the likelihood and forms the gradient's
-   per-step coefficients, then one adjoint pass back, and paths are built
-   only for the point a move reaches), then the trend weight from its
-   prior, and, under the horseshoe prior, `update_horseshoe`: the
-   shrinkage hierarchy;
+   iterated as a pair, each draw reading five sums formed once), then the
+   residuals e; for seasonal fits `update_smoothing_seasonal`: the level
+   and seasonal smoothing weights, then the m-1 free seed log seasonal
+   factors (a MALA move each; every point visited, the current draw
+   included, is one forward pass that runs the recursion, sums the
+   likelihood and forms the gradient's per-step coefficients, then one
+   reverse pass back, and paths are built only for the point a move
+   reaches), then the trend weight from its prior, and, under the
+   horseshoe prior, `update_horseshoe`: the shrinkage hierarchy;
 6. for heteroscedastic fits `update_tau_grid` and `update_phi_grid`: the
    variance power, then the mixing weight (grid, t-mixture integrated
    out);
 7. `update_nu_collapsed`: the degrees of freedom (grid, t-mixture
    integrated out).
 
-The one-step forecasts yhat and residuals e are refreshed once per sweep,
-just before their first reader: kernels 3 and 4 change gamma, lam and rho
-but read neither, and leave both stale, so kernel 5 refreshes them, at the
-end of the non-seasonal kernel and at the start of the seasonal one.
+The residuals e are refreshed once per sweep, just before their first
+reader: kernels 3 and 4 change gamma, lam and rho but do not read e, and
+leave it stale, so kernel 5 refreshes it: the non-seasonal kernel at its
+end, with `recompute_yhat`, and the seasonal one at its start, from the
+forward pass that forms the current draw's point.  Either refresh refuses
+a residual whose square is not finite, so no later kernel squares one
+into an overflow.
 Every grid draw reads per-candidate constants that `make_grids` forms
 once.  Each kept draw is saved with the end state of its recursion
 (`model.EndState`), from which the forecast rolls on.
@@ -77,7 +80,6 @@ from .dists import (
     t_log_normaliser,
 )
 from .errors import DegenerateSeriesError, NumericalError
-from .gradients import seasonal_adjoint, seasonal_gradient
 from .model import (
     B1_RANGE,
     HETEROSCEDASTIC,
@@ -93,7 +95,6 @@ from .model import (
     applied_factors,
     effective_lam,
     initial_level,
-    negative_log_likelihood,
     recompute_sigma2,
     recompute_trend_path,
     recompute_yhat,
@@ -261,7 +262,7 @@ class ChainState:
             raise DegenerateSeriesError("the chain's starting draw gives no finite state paths")
         self.set_paths(start.paths())
         if not self.seasonal:
-            recompute_yhat(y, self.paths, theta, prior)
+            recompute_yhat(y, self.paths, theta)
 
     def set_paths(self, paths: StatePaths) -> None:
         self.paths = paths
@@ -351,9 +352,10 @@ def omega2_conditional(state: ChainState) -> tuple[float, np.ndarray]:
 def update_omega2(state: ChainState, rng) -> np.ndarray:
     """Per-observation t-mixture variances.
 
-    A residual whose square overflows gives an infinite scale, which the
-    inverse-gamma draw refuses with ``ValueError``; that raises
-    ``NumericalError``, so ``fit`` records the chain as failed.
+    The sweep's residual refresh keeps every residual's square finite; a
+    scale that is still not finite, which the inverse-gamma draw refuses
+    with ``ValueError``, raises ``NumericalError``, so ``fit`` records the
+    chain as failed.
     """
     shape, scale = omega2_conditional(state)
     try:
@@ -452,9 +454,9 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
     one sweep.  Neither moves the level, the scale or the mixture
     variances, so the five ``TrendBlock`` sums are formed once per call,
     each draw reads only them, and the trend path and forecasts are
-    refreshed once, after the last draw.  That refresh of yhat and e is the
+    refreshed once, after the last draw.  That refresh of e is the
     non-seasonal sweep's only one: the smoothing block and the trend-power
-    grid before it leave them stale.
+    grid before it leave it stale.
     """
     th = state.theta
     block = TrendBlock.of(state)
@@ -469,7 +471,7 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
         state.trunc_events += clamped
         th.xi_b1_2 = sample_inverse_gamma(rng, *xi_conditional(th.b1, state.s_b1))
     recompute_trend_path(state.paths, th)
-    recompute_yhat(state.y, state.paths, th, state.prior)
+    recompute_yhat(state.y, state.paths, th)
     return th.lam, th.xi_lambda2, th.b1, th.xi_b1_2
 
 
@@ -563,7 +565,9 @@ def _gamma_regression(state: ChainState, powers: np.ndarray
     score_i = sum_t x[i, t] * resid[t] and prec_i = sum_t x[i, t]^2 * weight[t].
     Returns the table x = lp^powers, the rows resid and weight, and the
     coefficient's prior variance.  A non-seasonal fit's factors are all
-    one, and multiplying by them is skipped.
+    one, and multiplying by them is skipped.  A sigma2 that underflowed to
+    0 gives non-finite entries, without a warning; the grid draw reads the
+    non-finite nll they lead to.
     """
     th = state.theta
     paths = state.paths
@@ -571,14 +575,14 @@ def _gamma_regression(state: ChainState, powers: np.ndarray
     lam = effective_lam(th, state.prior)
     c = paths.l[:-1] + lam * paths.b[:-1]
     sigma2 = th.omega2 * paths.sigma2hat
-    if state.seasonal:
-        s = state.a_app
-        resid = (state.y[1:] - c * s) * s / sigma2
-        weight = s ** 2 / sigma2
-    else:
-        resid = (state.y[1:] - c) / sigma2
-        weight = 1.0 / sigma2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if state.seasonal:
+            s = state.a_app
+            resid = (state.y[1:] - c * s) * s / sigma2
+            weight = s ** 2 / sigma2
+        else:
+            resid = (state.y[1:] - c) / sigma2
+            weight = 1.0 / sigma2
         x = np.power(lp, powers)
     return x, resid, weight, th.xi_gamma2 * state.s_gamma ** 2
 
@@ -628,9 +632,9 @@ def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, floa
 
     The grid's table of the coefficient's regressors is formed once: its
     matrix-vector products give the power's marginal, and the chosen
-    candidate's row sums give the coefficient's conjugate normal.  yhat and
-    e are left stale: no kernel reads them before ``update_lambda_b1``
-    (non-seasonal) or ``update_smoothing_seasonal`` refreshes them.
+    candidate's row sums give the coefficient's conjugate normal.  e is
+    left stale: no kernel reads it before ``update_lambda_b1``
+    (non-seasonal) or ``update_smoothing_seasonal`` refreshes it.
     """
     th = state.theta
     grids = state.grids
@@ -751,15 +755,14 @@ class MalaPoint:
     a MALA step starts from it.
     ``recursion`` is the forward pass the point was formed on: the collapsed
     target (``SmoothingMarginal``) of an LGT point, or the ``SeasonalPass``
-    of a seasonal proposal.  Its ``paths()`` are what the state takes when
-    a move reaches the point.  It is None at the current seasonal draw,
-    whose paths the state already holds.
+    of an SGT point.  Its ``paths()`` are what the state takes when a move
+    reaches the point.
     """
 
     theta: ParameterDraw
     log_target: float
     grad: np.ndarray | None
-    recursion: SmoothingMarginal | SeasonalPass | None = None
+    recursion: SmoothingMarginal | SeasonalPass
 
 
 def _finite(point) -> bool:
@@ -843,14 +846,14 @@ class SmoothingMarginal:
         return self.grad
 
     def paths(self) -> StatePaths:
-        """The recursion as ``StatePaths``, with yhat and e left for ``recompute_yhat``.
+        """The recursion as ``StatePaths``, with e left for ``recompute_yhat``.
 
-        The forecast needs (gamma, lam), which the target integrates out;
-        the sweep fills it in once the draws it depends on are made.
+        The residuals need (gamma, lam), which the target integrates out;
+        the sweep fills them in once the draws they depend on are made.
         """
         n = len(self.sigma2hat)
         return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.zeros(n + 1),
-                          yhat=np.empty(n), sigma2hat=np.array(self.sigma2hat), e=np.empty(n),
+                          sigma2hat=np.array(self.sigma2hat), e=np.empty(n),
                           clamp_events=self.clamp_events)
 
 
@@ -1082,8 +1085,8 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     pass.  The current point and the independence proposal are formed
     value-only, since that step reads no gradient; the point the MALA step
     starts from then forms its gradient, and each MALA proposal is formed
-    with its gradient in one pass.  yhat and e are left stale: no kernel
-    reads them before ``update_lambda_b1`` refreshes them.
+    with its gradient in one pass.  e is left stale: no kernel reads it
+    before ``update_lambda_b1`` refreshes it.
     """
     th = state.theta
 
@@ -1123,14 +1126,15 @@ def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorCon
     return -float(np.log1p((seeds / sp.scale) ** 2).sum())
 
 
-def _seasonal_target(state: ChainState, theta: ParameterDraw, nll: float, grad_nll,
-                     recursion: SeasonalPass | None = None) -> MalaPoint:
-    """The SGT point at ``theta`` from its negative log likelihood and that likelihood's gradient.
+def _seasonal_target(state: ChainState, theta: ParameterDraw, nll: float, grad_nll: list,
+                     recursion: SeasonalPass) -> MalaPoint:
+    """The SGT point at ``theta``, in (logit alpha, logit zeta, free seeds), from its forward pass.
 
-    The log target adds the smoothing weights' Beta priors with their logit
-    Jacobian and the seasonal prior.  The gradient is that of the log
-    target without the seasonal prior, which enters the acceptance ratio
-    only: the seed proposals are steered by the likelihood alone.
+    ``nll`` and ``grad_nll`` are the negative log likelihood and its
+    gradient.  The log target adds the smoothing weights' Beta priors with
+    their logit Jacobian and the seasonal prior.  The gradient is that of
+    the log target without the seasonal prior, which enters the acceptance
+    ratio only: the seed proposals are steered by the likelihood alone.
     """
     grad = -np.asarray(grad_nll)
     log_target = _seasonal_log_prior(theta.log_s_init, theta, state.prior) - nll
@@ -1141,31 +1145,18 @@ def _seasonal_target(state: ChainState, theta: ParameterDraw, nll: float, grad_n
     return MalaPoint(theta, log_target, grad, recursion)
 
 
-def seasonal_point(state: ChainState, theta: ParameterDraw, paths: StatePaths) -> MalaPoint:
-    """The SGT target at ``theta``, in (logit alpha, logit zeta, free seeds), from its recursion.
-
-    One negative log likelihood and one ``seasonal_gradient`` pass, the
-    reference functions; the current draw's point is formed this way.
-    """
-    nll = negative_log_likelihood(paths, theta.nu)
-    if not math.isfinite(nll):
-        return MalaPoint(theta, -math.inf, None)
-    return _seasonal_target(state, theta, nll, seasonal_gradient(state.y, theta, state.prior, paths))
-
-
 @dataclass
 class SeasonalPass:
     """The SGT recursion's paths as lists, with the likelihood and gradient coefficients formed alongside.
 
-    ``nll`` is ``negative_log_likelihood`` of the paths; ``obs``, ``c_dl``
-    and ``c_dla`` are the per-step coefficients that
-    ``gradients.seasonal_adjoint`` reads.
+    ``nll`` is the Student-t negative log likelihood of the residuals;
+    ``obs``, ``c_dl`` and ``c_dla`` are the per-step coefficients that
+    ``seasonal_gradient`` reads.
     """
 
     l: list
     b: list
     log_s: list
-    yhat: list
     sigma2hat: list
     e: list
     clamp_events: int
@@ -1176,8 +1167,8 @@ class SeasonalPass:
 
     def paths(self) -> StatePaths:
         return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.array(self.log_s),
-                          yhat=np.array(self.yhat), sigma2hat=np.array(self.sigma2hat),
-                          e=np.array(self.e), clamp_events=self.clamp_events)
+                          sigma2hat=np.array(self.sigma2hat), e=np.array(self.e),
+                          clamp_events=self.clamp_events)
 
 
 def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
@@ -1185,15 +1176,22 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
 
     This loop is the program's SGT recursion; the tests hold its paths
     equal to ``tests/oracles.reference_recursion`` bit for bit.  It adds
-    each step's Student-t term in ``negative_log_likelihood``'s order and
-    stores the coefficients that ``gradients._seasonal_pass`` forms from the
-    finished recursion.  The one-step forecast leaves out the local trend
-    term lam * b, which is 0 in the seasonal model.  Returns None, a
-    refusal, where a level, trend, forecast, scale or log factor is not
-    finite, where the recursion meets an arithmetic error, where the
-    likelihood is not finite and where a coefficient meets an arithmetic
-    error (with a finite likelihood none can: each division's denominator
-    is positive there).
+    each step's Student-t term, df-dependent constants included (the df is
+    itself sampled), in index order, and stores the per-step coefficients
+    of ``seasonal_gradient``: step t's term depends on l[t-1] through the
+    trend and the scale (``c_dl``) and on the applied log factor through
+    the forecast (``c_dla``); ``obs`` is y[t] / a_t, the deseasonalised
+    observation the level update reads.  A level floored at
+    ``LEVEL_FLOOR`` enters the trend and the scale as a constant.  The
+    tests hold the likelihood and the coefficients bit-equal to references
+    formed from the finished recursion (``tests/oracles``).  The one-step
+    forecast leaves out the local trend term lam * b, which is 0 in the
+    seasonal model.  Returns None, a refusal, where a level, trend,
+    forecast, scale or log factor is not finite, where the recursion meets
+    an arithmetic error, where the likelihood is not finite (so every
+    residual's square is finite in a pass it returns) and where a
+    coefficient meets an arithmetic error (with a finite likelihood none
+    can: each division's denominator is positive there).
     """
     T = len(y)
     m = theta.m
@@ -1209,7 +1207,7 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
     # local names: this is the sampler's hottest loop
     exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
     log_s = theta.log_s_init.tolist()
-    yhat, s2, e, obs, c_dl, c_dla = [], [], [], [], [], []
+    s2, e, obs, c_dl, c_dla = [], [], [], [], []
     clamps = 0
     acc = 0.0
     try:
@@ -1247,7 +1245,6 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
             c_dl.append(neg_half_nu * c_scale / s2t + k * (nu * c_scale - 2.0 * et * c_level))
             c_dla.append(-(k * 2.0 * et * yh))
             obs.append(ob)
-            yhat.append(yh)
             s2.append(s2t)
             e.append(et)
             l.append(l_t)
@@ -1258,16 +1255,64 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
     nll = acc + (T - 1) * t_log_normaliser(nu)
     if not math.isfinite(nll):
         return None
-    return SeasonalPass(l=l, b=b, log_s=log_s, yhat=yhat, sigma2hat=s2, e=e, clamp_events=clamps,
+    return SeasonalPass(l=l, b=b, log_s=log_s, sigma2hat=s2, e=e, clamp_events=clamps,
                         nll=nll, obs=obs, c_dl=c_dl, c_dla=c_dla)
 
 
+def seasonal_gradient(theta: ParameterDraw, l, log_s, obs, c_dl, c_dla) -> list:
+    """dL/d(alpha, zeta, free log seeds) of the SGT likelihood L, from ``seasonal_forward``'s coefficients.
+
+    It tracks the full chain: the constrained m-th seed, the dependence of
+    the level seed on the first seed, the feedback of both weights through
+    the seasonal recursion, the applied factor in each forecast and the
+    heteroscedastic scale; the local trend drops out because the seasonal
+    model runs with lam = 0.  Reverse mode: one backward pass over
+    t = T-1..1 yields alpha, zeta and all m-1 seeds in O(T), where one
+    forward pass per direction would cost O((m+1) T).
+
+    ``l`` and ``log_s`` are the recursion's levels and log factors (length
+    T); ``obs``, ``c_dl`` and ``c_dla`` hold step t's coefficients at index
+    t-1.  In tangent form step t adds c_dl * dl[t-1] + c_dla * dla to the
+    gradient (dla: derivative of the applied log factor), sets dl[t] =
+    -alpha * obs * dla + (1-alpha) dl[t-1] + (obs - l[t-1]) dalpha and, for
+    t >= m, dlog_s[t] = -(zeta/l[t]) dl[t] + (1-zeta) dlog_s[t-m] +
+    (log_s[t] - log_s[t-m]) / zeta dzeta.  No coefficient depends on the
+    direction, so the adjoints of dl and of every log_s[k] are accumulated
+    once, backwards, and each weight collects its source term times the
+    adjoint it feeds.  Free seed i moves log_s[i] by +1 and log_s[m-1] by
+    -1; the level seed l[0] = y[0] / s[0] moves with the first seed alone.
+    """
+    T = len(l)
+    m = theta.m
+    alpha, zeta = theta.alpha, theta.zeta
+    keep_a, keep_z = 1.0 - alpha, 1.0 - zeta
+
+    adj_l = 0.0          # adjoint of dl[t], then of dl[t-1] once step t is undone
+    adj_s = [0.0] * T    # adjoint of dlog_s[k]
+    g_alpha = 0.0
+    g_zeta = 0.0         # times zeta
+    for t in range(T - 1, 0, -1):
+        if t >= m:
+            adj_st = adj_s[t]
+            adj_l += -(zeta / l[t]) * adj_st
+            adj_s[t - m] += keep_z * adj_st
+            g_zeta += (log_s[t] - log_s[t - m]) * adj_st
+        ob = obs[t - 1]
+        adj_s[t - m if t >= m else t] += c_dla[t - 1] - alpha * ob * adj_l
+        g_alpha += (ob - l[t - 1]) * adj_l
+        adj_l = c_dl[t - 1] + keep_a * adj_l
+
+    grad = [g_alpha, g_zeta / zeta] + [adj_s[i] - adj_s[m - 1] for i in range(m - 1)]
+    grad[2] -= adj_l * l[0]   # dl[0] / dlog_s[0] = -y[0] / s[0] = -l[0]
+    return grad
+
+
 def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None:
-    """A seasonal proposal: one forward pass, then the adjoint recurrence; None where refused."""
+    """The SGT point at ``trial``: one forward pass, then one reverse pass; None where refused."""
     forward = seasonal_forward(state.y.tolist(), trial)
     if forward is None:
         return None
-    grad = seasonal_adjoint(trial, forward.l, forward.log_s, forward.obs, forward.c_dl, forward.c_dla)
+    grad = seasonal_gradient(trial, forward.l, forward.log_s, forward.obs, forward.c_dl, forward.c_dla)
     return _seasonal_target(state, trial, forward.nll, grad, forward)
 
 
@@ -1322,16 +1367,22 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
                               seas_step: StepSizeState, adapting: bool, target: float) -> None:
     """SGT smoothing weights, seed factors and trend weight.
 
-    A MALA move on (logit alpha, logit zeta), then one on the free seeds
-    from the point it reached, so the likelihood and gradient of each draw
-    visited are computed once.  SGT fixes lam = 0, so beta reaches neither
+    A MALA move on (logit alpha, logit zeta) from the current draw's point,
+    then one on the free seeds from the point it reached, so the likelihood
+    and gradient of each draw visited are computed once: every point, the
+    current one included, is one ``seasonal_forward`` pass and one
+    ``seasonal_gradient`` pass.  SGT fixes lam = 0, so beta reaches neither
     the forecast nor the scale: its conditional is its Beta prior, drawn
     exactly (in the open unit interval), and the trend path follows it.
-    The kernel first refreshes yhat and e, which ``update_rho_gamma_grouped``
-    leaves stale and the current draw's point reads.
+    The current point's pass also forms the residuals that
+    ``update_rho_gamma_grouped`` leaves stale, and the kernel copies them
+    into the state's paths, whose l, b, log s and sigma2hat are current; a
+    current draw that the pass refuses raises ``NumericalError``.
     """
-    recompute_yhat(state.y, state.paths, state.theta, state.prior)
-    here = seasonal_point(state, state.theta, state.paths)
+    here = _seasonal_visit(state, state.theta)
+    if here is None:
+        raise NumericalError("the current seasonal draw gives no finite likelihood")
+    state.paths.e[:] = here.recursion.e
     here = seasonal_weights_move(state, rng, smooth_step, adapting, target, here)
     seasonal_seeds_move(state, rng, seas_step, adapting, target, here)
     th = state.theta
@@ -1358,7 +1409,8 @@ def seasonal_seed_decomposition(y: np.ndarray, m: int) -> np.ndarray:
 def initial_draw(y: np.ndarray, m: int, prior: PriorConfig, grids: Grids) -> ParameterDraw:
     seasonal = prior.model_kind == SEASONAL
     hetero = prior.variance_mode == HETEROSCEDASTIC
-    chi2_0 = float(np.var(np.diff(y)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chi2_0 = float(np.var(np.diff(y)))   # inf or nan where the steps' squares overflow
     if not (chi2_0 > 0 and math.isfinite(chi2_0)):
         level = float(np.mean(y))
         try:

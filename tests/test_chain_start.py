@@ -22,7 +22,7 @@ from lsgt.synth import default_params, generate_series
 from .helpers import TEST_NU_GRID_SIZE, make_prior, random_state, reference_paths
 from .test_sampler import draws_equal
 
-PATH_FIELDS = ("l", "b", "log_s", "yhat", "sigma2hat", "e")
+PATH_FIELDS = ("l", "b", "log_s", "sigma2hat", "e")
 
 
 def assert_start_is_the_reference(state):

@@ -1,17 +1,11 @@
+"""The SGT likelihood's gradient: ``seasonal_forward``'s coefficients, then ``seasonal_gradient``'s reverse pass."""
+
 import numpy as np
-import pytest
 
-from lsgt.gradients import seasonal_gradient
-from lsgt.model import (
-    LEVEL_FLOOR,
-    SEASONAL,
-    ParameterDraw,
-    PriorConfig,
-    negative_log_likelihood,
-)
+from lsgt.model import LEVEL_FLOOR, SEASONAL, ParameterDraw, PriorConfig
 
-from .helpers import reference_paths
-from .oracles import fd_gradient, reference_seasonal_gradient
+from .helpers import forward_gradient, reference_paths
+from .oracles import fd_gradient, negative_log_likelihood, reference_seasonal_gradient
 
 
 def random_theta(rng, T, m):
@@ -83,14 +77,13 @@ def test_seasonal_gradient_matches_fd(rng):
         cases.append((random_series(rng, T), random_theta(rng, T, m=12)))
     cases.append(floored_case(m=4))
     for y, theta in cases:
-        grad = seasonal_gradient(y, theta, cfg, reference_paths(y, theta, cfg))
+        grad = forward_gradient(y, theta)
         fd = fd_gradient(nll_of_seasonal(y, theta, cfg), seasonal_coordinates(theta), h=1e-6)
         assert grad.shape == (theta.m + 1,)
         np.testing.assert_allclose(grad, fd, rtol=1e-4, atol=1e-6 * max(1.0, np.abs(fd).max()))
 
 
 def test_seasonal_gradient_matches_forward_reference(rng):
-    cfg = PriorConfig(model_kind=SEASONAL)
     cases = []
     for _ in range(60):
         m = int(rng.choice([2, 3, 4, 6, 12]))
@@ -98,7 +91,7 @@ def test_seasonal_gradient_matches_forward_reference(rng):
         cases.append((random_series(rng, T), random_theta(rng, T, m=m)))
     cases += [floored_case(m=4), floored_case(m=12)]
     for y, theta in cases:
-        grad = seasonal_gradient(y, theta, cfg, reference_paths(y, theta, cfg))
+        grad = forward_gradient(y, theta)
         ref = reference_seasonal_gradient(y, theta.alpha, theta.zeta, theta.gamma, theta.rho,
                                           theta.chi2, theta.phi, theta.tau, theta.nu,
                                           theta.log_s_init)
@@ -107,26 +100,10 @@ def test_seasonal_gradient_matches_forward_reference(rng):
 
 
 def test_seasonal_gradient_m2_single_direction(rng):
-    cfg = PriorConfig(model_kind=SEASONAL)
     T = 16
     y = random_series(rng, T)
     theta = random_theta(rng, T, m=2)
-    grad = seasonal_gradient(y, theta, cfg, reference_paths(y, theta, cfg))
+    grad = forward_gradient(y, theta)
     assert grad.shape == (3,)   # alpha, zeta and the one free seed
     # constraint: the second seed always mirrors the first
     assert theta.log_s_init[1] == -theta.log_s_init[0]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_zero_scale_gives_non_finite_gradient_not_an_exception(rng):
-    # float64 semantics: a division by a zero scale yields inf/nan, which
-    # makes the MH proposal reject; it must not raise ZeroDivisionError.
-    # The zero sits at the last step, which every direction reaches (zeta
-    # acts only from step m on)
-    cfg = PriorConfig(model_kind=SEASONAL)
-    for m, T in ((4, 12), (12, 30)):
-        y = random_series(rng, T)
-        theta = random_theta(rng, T, m=m)
-        paths = reference_paths(y, theta, cfg)
-        paths.sigma2hat[-1] = 0.0
-        assert not np.isfinite(seasonal_gradient(y, theta, cfg, paths)).any()

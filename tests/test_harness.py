@@ -10,11 +10,11 @@ from lsgt.data import TimeSeries, load_collection, serialize_collection
 from lsgt.harness import (
     MARKDOWN_COLUMNS,
     RunConfig,
-    RunSummary,
     emit_report,
     fit_and_forecast,
     run_benchmark,
 )
+from lsgt.metrics import EvalRecord
 from lsgt.model import NON_SEASONAL
 from lsgt.rng import RngStream
 from lsgt.synth import default_params, generate_series
@@ -106,8 +106,9 @@ def test_benchmark_first_n_and_ids(tmp_path):
 def test_summary_json_round_trip(tmp_path):
     write_collection(tmp_path / "c.json", n=2)
     summary = run_benchmark(quick_config(tmp_path / "c.json", tmp_path / "out"))
-    loaded = RunSummary.from_dict(json.loads((tmp_path / "out" / "summary.json").read_text()))
-    assert loaded == summary
+    loaded = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert loaded == json.loads(json.dumps(summary.to_dict()))
+    assert [EvalRecord(**r) for r in loaded["records"]] == summary.records
 
 
 def test_csv_row_count(tmp_path):

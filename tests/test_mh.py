@@ -17,24 +17,25 @@ from scipy.integrate import simpson
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
-from lsgt.gradients import seasonal_gradient
-from lsgt.model import SMOOTHING_PRIOR, negative_log_likelihood
+from lsgt.errors import NumericalError
+from lsgt.model import SMOOTHING_PRIOR
 from lsgt.sampler import (
     StepSizeState,
+    _seasonal_target,
     _seasonal_visit,
-    seasonal_point,
     seasonal_seeds_move,
     seasonal_weights_move,
     update_smoothing_seasonal,
 )
 
 from .helpers import random_state, reference_paths
+from .oracles import negative_log_likelihood, seasonal_gradient_from_paths
 
 
 def only(move):
     """One SGT move as a kernel of its own: (state, rng, step, adapting, target) -> accepted."""
     def update(state, rng, step, adapting, target):
-        here = seasonal_point(state, state.theta, state.paths)
+        here = _seasonal_visit(state, state.theta)
         return move(state, rng, step, adapting, target, here) is not here
     return update
 
@@ -170,9 +171,22 @@ def test_seasonal_kernel_leaves_paths_equal_to_the_recursion(rng):
     for _ in range(20):
         update_smoothing_seasonal(state, rng, *steps, False, 0.55)
         fresh = reference_paths(state.y, state.theta, state.prior)
-        for name in ("l", "b", "log_s", "yhat", "e", "sigma2hat"):
+        for name in ("l", "b", "log_s", "e", "sigma2hat"):
             assert np.array_equal(getattr(state.paths, name), getattr(fresh, name)), name
     assert min(steps[0].accepted, steps[1].accepted) > 0
+
+
+def test_refused_current_seasonal_draw_is_a_numerical_error(rng):
+    # the trend-power grid may leave a draw whose forecast overflows; the
+    # current draw's forward pass refuses it, and the kernel raises the
+    # error that fit records per chain, leaving the paths as they were
+    state = random_state(rng, T=12, seasonal=True, m=2)
+    before = state.paths.e.tolist()
+    state.theta.gamma = 1e308
+    steps = [StepSizeState(log_eps=math.log(0.3)) for _ in range(2)]
+    with pytest.raises(NumericalError):
+        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+    assert state.paths.e.tolist() == before
 
 
 def _seasonal_trials(state, rng, n=5):
@@ -189,11 +203,14 @@ def _seasonal_trials(state, rng, n=5):
 
 
 def _reference_point(state, trial):
-    """The reference recursion, then ``seasonal_point``; (None, None) where a MALA move refuses the point."""
+    """The reference recursion, likelihood and gradient; (None, None) where a MALA move refuses the point."""
     paths = reference_paths(state.y, trial, state.prior)
     if paths is None:
         return None, None
-    point = seasonal_point(state, trial, paths)
+    nll = negative_log_likelihood(paths, trial.nu)
+    if not math.isfinite(nll):
+        return None, None
+    point = _seasonal_target(state, trial, nll, seasonal_gradient_from_paths(state.y, trial, paths), None)
     if not (math.isfinite(point.log_target) and np.all(np.isfinite(point.grad))):
         return None, None
     return point, paths
@@ -232,23 +249,26 @@ def test_seasonal_forward_pass_equals_the_reference(rng):
             assert got.recursion.nll == negative_log_likelihood(paths, trial.nu)
             assert got.log_target == want.log_target
             assert np.array_equal(got.grad, want.grad)
-            assert np.array_equal(-got.grad[2:], seasonal_gradient(state.y, trial, state.prior, paths)[2:])
+            assert np.array_equal(-got.grad[2:], seasonal_gradient_from_paths(state.y, trial, paths)[2:])
             fused = got.recursion.paths()
-            for name in ("l", "b", "log_s", "yhat", "sigma2hat", "e"):
+            for name in ("l", "b", "log_s", "sigma2hat", "e"):
                 assert np.array_equal(getattr(fused, name), getattr(paths, name)), name
             assert fused.clamp_events == paths.clamp_events
             clamped += fused.clamp_events
     assert clamped > 0
 
 
-@pytest.mark.parametrize("values", [
-    [1e200, 2e200, 1.5e200, 3e200, 2.5e200, 1e200],   # the scale's level power overflows
-    [1.2e154, 1.3e154, 1.1e154, 1.4e154, 1.2e154, 1.3e154, 1.1e154, 1.3e154],  # it may, by the weights
-    [-1.7e308, 1.7e308, 1.6e308, 1.7e308, 1.5e308],   # a factor's log of a negative ratio
-], ids=["scale", "edge", "sign"])
-def test_seasonal_forward_pass_refuses_where_the_reference_does(rng, values):
+@pytest.mark.parametrize("values, chi2", [
+    ([1e200, 2e200, 1.5e200, 3e200, 2.5e200, 1e200], None),   # the scale's level power overflows
+    ([1.2e154, 1.3e154, 1.1e154, 1.4e154, 1.2e154, 1.3e154, 1.1e154, 1.3e154], None),  # it may, by the weights
+    ([-1.7e308, 1.7e308, 1.6e308, 1.7e308, 1.5e308], None),   # a factor's log of a negative ratio
+    ([25.0, 27.0, 24.0, 26.0, 28.0, 25.0, 27.0], 0.0),        # a zero scale divides a residual
+], ids=["scale", "edge", "sign", "zero"])
+def test_seasonal_forward_pass_refuses_where_the_reference_does(rng, values, chi2):
     state = random_state(rng, T=len(values), seasonal=True, m=2, hetero=True, tau=1.0, phi=0.5)
     state.y = np.array(values)
+    if chi2 is not None:
+        state.theta.chi2 = chi2
     refused = 0
     for trial in _seasonal_trials(state, rng, n=20):
         want, _ = _reference_point(state, trial)

@@ -25,8 +25,6 @@ from lsgt.sampler import SamplerConfig, fit
 
 from .helpers import posterior_samples
 
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 _noise = np.random.default_rng(3).uniform(0.9, 1.1, size=24)
 
 # (id, values, m); m > 1 asks for the seasonal model

@@ -294,41 +294,39 @@ def test_sweep_calls_kernels_in_docstring_order(monkeypatch, seasonal, hetero, s
     assert [name for name in documented if name in order] == order
 
 
-# kernels that read yhat or e, with the paths they read; update_phi_grid reads
-# the sigma2hat that update_tau_grid leaves stale, and refreshes it itself
-YHAT_READERS = ["update_omega2", "update_chi2", "seasonal_point", "update_tau_grid", "update_phi_grid",
+# kernels that read e, with the paths they read; update_phi_grid reads the
+# sigma2hat that update_tau_grid leaves stale, and refreshes it itself
+E_READERS = ["update_omega2", "update_chi2", "update_tau_grid", "update_phi_grid",
                 "update_nu_collapsed"]
 
 
 @pytest.mark.parametrize("seasonal, hetero", [(False, True), (False, False), (True, True)],
                          ids=["lgt_hetero", "lgt_homo", "sgt"])
 def test_every_reader_of_yhat_and_e_finds_the_current_draws_paths(monkeypatch, seasonal, hetero):
-    # the smoothing block and the trend-power grid leave yhat and e stale, and
-    # one refresh per sweep serves every kernel that reads them: at each such
+    # the smoothing block and the trend-power grid leave e stale, and one
+    # refresh per sweep serves every kernel that reads it: at each such
     # kernel's entry the paths are the reference recursion's at the draw
     seen = []
 
     def checking(name, kernel):
         def wrapper(state, *args, **kwargs):
-            theta, paths = args[:2] if name == "seasonal_point" else (state.theta, state.paths)
-            want = reference_paths(state.y, theta, state.prior)
-            fields = ["l", "b", "log_s", "yhat", "e"]
+            want = reference_paths(state.y, state.theta, state.prior)
+            fields = ["l", "b", "log_s", "e"]
             if name != "update_phi_grid":
                 fields.append("sigma2hat")
             for field in fields:
-                assert getattr(paths, field).tolist() == getattr(want, field).tolist(), (name, field)
+                assert getattr(state.paths, field).tolist() == getattr(want, field).tolist(), (name, field)
             seen.append(name)
             return kernel(state, *args, **kwargs)
         return wrapper
 
-    for name in YHAT_READERS:
+    for name in E_READERS:
         monkeypatch.setattr(sampler, name, checking(name, getattr(sampler, name)))
     m = 4 if seasonal else 1
     series, _ = synthetic_series(seasonal=seasonal, m=m, T=44)
     prior = make_prior(seasonal=seasonal, hetero=hetero)
     fit(series, prior, small_cfg(iterations=30, burn_in=15, chains=1))
     want = {"update_omega2", "update_chi2", "update_nu_collapsed"}
-    want |= {"seasonal_point"} if seasonal else set()
     want |= {"update_tau_grid", "update_phi_grid"} if hetero else set()
     assert set(seen) == want
     assert seen.count("update_omega2") == 30
@@ -337,7 +335,7 @@ def test_every_reader_of_yhat_and_e_finds_the_current_draws_paths(monkeypatch, s
 def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
     # the independence step reads values only: of the collapsed points a sweep
     # visits, the one the MALA step starts from and the MALA proposal form a
-    # gradient; yhat and e are refreshed once, by update_lambda_b1
+    # gradient; e is refreshed once, by update_lambda_b1
     state = random_state(rng, T=30)
     counts = dict.fromkeys(("_value_and_gradient", "recompute_yhat"), 0)
 
@@ -355,3 +353,30 @@ def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
         counts.update(dict.fromkeys(counts, 0))
         sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
         assert counts == {"_value_and_gradient": 2, "recompute_yhat": 1}
+
+
+def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch, rng):
+    # the current draw and each of the two MALA proposals are one forward
+    # pass; every pass that is not refused is followed by one reverse pass,
+    # and the current draw's pass refreshes e, so recompute_yhat never runs
+    state = random_state(rng, T=30, seasonal=True, m=4)
+    counts = dict.fromkeys(("seasonal_forward", "refused", "seasonal_gradient", "recompute_yhat"), 0)
+
+    def counted(name, f):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            out = f(*args, **kwargs)
+            counts["refused"] += name == "seasonal_forward" and out is None
+            return out
+        return wrapper
+
+    for name in ("seasonal_forward", "seasonal_gradient", "recompute_yhat"):
+        monkeypatch.setattr(sampler, name, counted(name, getattr(sampler, name)))
+    smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
+    seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
+    for it in range(20):
+        counts.update(dict.fromkeys(counts, 0))
+        sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
+        assert counts["seasonal_forward"] == 3
+        assert counts["seasonal_gradient"] == counts["seasonal_forward"] - counts["refused"]
+        assert counts["recompute_yhat"] == 0
