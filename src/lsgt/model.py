@@ -9,7 +9,7 @@ scale:
     l[t]        = alpha * (y[t] / s_applied[t]) + (1 - alpha) * l[t-1]
     b[t]        = beta * (l[t] - l[t-1]) + (1 - beta) * b[t-1]
     log s[t]    = zeta * log(y[t] / l[t]) + (1 - zeta) * log s[t-m]
-    sigma2[t+1] = chi2 * (phi^2 + (1 - phi)^2 * l[t]^(2*tau))
+    sigma2[t+1] = chi2 * g[t],  g[t] = phi^2 + (1 - phi)^2 * l[t]^(2*tau)
 
 Seasonal factors are indexed by the step at which they were estimated; the
 factor applied at step t is the one estimated a full period earlier (the
@@ -22,15 +22,19 @@ The program runs the full recursion, and sums the likelihood, only in the
 sampler's fused passes, one per variant: ``sampler.smoothing_marginal``
 (non-seasonal) and ``sampler.seasonal_forward`` (seasonal) form each
 point's likelihood terms alongside the states, and a chain starts from the
-paths of its variant's pass.  Four loops remain here: three refresh parts
-of those paths in place, the trend (``recompute_trend_path``), the scale
-(``recompute_sigma2``) and a non-seasonal fit's residuals
-(``recompute_yhat``; a seasonal fit takes its residuals from the forward
-pass), and ``simulate`` runs the recursion on with drawn observations;
-forecast paths and synthetic series both come from ``simulate``, so their
-values continue the fitted recursion bit for bit.  Every one of these
-loops is checked against one independent reference written from the
-equations above, ``tests/oracles.reference_recursion``.
+paths of its variant's pass.  The paths hold only what the sweep reads:
+the scale g without chi2, which each reader multiplies in, so a draw of
+chi2 refreshes nothing; and, in a non-seasonal fit only, the trend b,
+which a seasonal fit never reads because lam = 0 there.  Three loops
+remain here: two refresh parts of the paths in place, each once, after the
+draw that changes it, the scale (``recompute_scale``) and a non-seasonal
+fit's trend and residuals together (``recompute_trend_and_residuals``; a
+seasonal fit takes its residuals from the forward pass), and ``simulate``
+runs the recursion on with drawn observations; forecast paths and
+synthetic series both come from ``simulate``, so their values continue
+the fitted recursion bit for bit.  Every one of these loops is checked
+against one independent reference written from the equations above,
+``tests/oracles.reference_recursion``.
 
 The loops run over Python floats (``ndarray.tolist()``) and write each
 result array back once; indexing numpy arrays element by element costs
@@ -243,22 +247,28 @@ class ParameterDraw:
 class StatePaths:
     """Deterministic per-draw trajectories.
 
-    ``l``/``b``/``log_s`` have length T (``log_s[:m]`` are the seeds);
-    ``sigma2hat`` and the residuals ``e`` = y - yhat have length T-1 and
-    align with y[1:].
+    ``l``/``b``/``log_s`` have length T (``log_s[:m]`` are the seeds); a
+    seasonal fit keeps no trend, and ``b`` is None there.  The scale ``g``
+    and the residuals ``e`` = y - yhat have length T-1 and align with
+    y[1:]; the variance of step t is ``chi2 * g[t-1]``, one correctly
+    rounded product, as every reader forms it.
     """
 
     l: np.ndarray
-    b: np.ndarray
+    b: np.ndarray | None
     log_s: np.ndarray
-    sigma2hat: np.ndarray
+    g: np.ndarray
     e: np.ndarray
     clamp_events: int = 0
 
     def end_state(self, m: int) -> "EndState":
-        """The state at the last step, which a forecast rolls on from; ``m`` is the draw's period."""
+        """The state at the last step, which a forecast rolls on from; ``m`` is the draw's period.
+
+        A seasonal fit's trend is 0 there: ``simulate`` multiplies it by lam = 0.
+        """
         T = self.l.shape[0]
-        return EndState(T=T, l=float(self.l[-1]), b=float(self.b[-1]), log_s=self.log_s[T - m:].copy())
+        b = 0.0 if self.b is None else float(self.b[-1])
+        return EndState(T=T, l=float(self.l[-1]), b=b, log_s=self.log_s[T - m:].copy())
 
 
 @dataclass(frozen=True)
@@ -336,53 +346,42 @@ def simulate(rng, theta: ParameterDraw, cfg: PriorConfig, l: float, b: float,
     return out
 
 
-def applied_factors(log_s: np.ndarray, m: int, seasonal: bool) -> np.ndarray:
-    """Factors multiplying yhat[1..T-1]: step t applies exp(log_s[t - m]), or exp(log_s[t]) for t < m."""
-    T = log_s.shape[0]
-    if not seasonal:
-        return np.ones(T - 1)
-    idx = np.arange(1, T)
+def applied_factors(log_s: np.ndarray, m: int) -> np.ndarray:
+    """Seasonal factors of yhat[1..T-1]: step t applies exp(log_s[t - m]), or exp(log_s[t]) for t < m."""
+    idx = np.arange(1, log_s.shape[0])
     idx = np.where(idx >= m, idx - m, idx)
     return np.exp(log_s[idx])
 
 
-def recompute_trend_path(paths: StatePaths, theta: ParameterDraw) -> None:
-    """Refresh b in place after a change of b1 (or beta); l is unchanged."""
-    beta = theta.beta
+def recompute_trend_and_residuals(y, paths: StatePaths, theta: ParameterDraw) -> None:
+    """Refresh b and the residuals e of a non-seasonal fit in place, in one loop.
+
+    They follow a change of b1, beta, gamma, rho or lam; l is unchanged.  A residual whose square is not finite (a forecast that
+    overflowed, or one far enough off) raises ``NumericalError``, and the
+    paths are left as they were.
+    """
+    beta, gamma, rho, lam = theta.beta, theta.gamma, theta.rho, theta.lam
+    keep_b = 1.0 - beta
     l = paths.l.tolist()
     b_prev = theta.b1
-    b = [b_prev]
-    for l_prev, l_t in zip(l, l[1:]):
-        b_prev = beta * (l_t - l_prev) + (1.0 - beta) * b_prev
-        b.append(b_prev)
-    paths.b[:] = b
-
-
-def recompute_yhat(y, paths: StatePaths, theta: ParameterDraw) -> None:
-    """Refresh the residuals e of a non-seasonal fit in place after a change of gamma, rho, lam or b.
-
-    A residual whose square is not finite (a forecast that overflowed, or
-    one far enough off) raises ``NumericalError``, and the paths are left
-    as they were.
-    """
-    gamma, rho, lam = theta.gamma, theta.rho, theta.lam
-    e = []
-    for yt, l_prev, b_prev in zip(np.asarray(y, dtype=float)[1:].tolist(), paths.l.tolist(),
-                                  paths.b.tolist()):
+    b, e = [b_prev], []
+    for yt, l_prev, l_t in zip(np.asarray(y, dtype=float)[1:].tolist(), l, l[1:]):
         lp = l_prev
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
         e.append(yt - (l_prev + gamma * lp ** rho + lam * b_prev))
+        b_prev = beta * (l_t - l_prev) + keep_b * b_prev
+        b.append(b_prev)
     if not all(map(math.isfinite, map(operator.mul, e, e))):
         raise NumericalError("the one-step forecast gives a residual whose square is not finite")
+    paths.b[:] = b
     paths.e[:] = e
 
 
-def recompute_sigma2(paths: StatePaths, theta: ParameterDraw) -> None:
-    """Refresh sigma2hat in place after a change of chi2, phi or tau."""
-    chi2 = theta.chi2
+def recompute_scale(paths: StatePaths, theta: ParameterDraw) -> None:
+    """Refresh the scale g in place after a change of phi or tau."""
     phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * theta.tau
-    s2 = []
+    g = []
     for lp in paths.l[:-1].tolist():
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
@@ -390,5 +389,5 @@ def recompute_sigma2(paths: StatePaths, theta: ParameterDraw) -> None:
             pw = lp ** p2
         except OverflowError:  # a float64 power overflows to inf
             pw = math.inf
-        s2.append(chi2 * (phi2 + q2 * pw))
-    paths.sigma2hat[:] = s2
+        g.append(phi2 + q2 * pw)
+    paths.g[:] = g

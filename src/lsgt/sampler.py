@@ -33,13 +33,19 @@ One sweep (`sweep`) calls these kernels, in order:
 7. `update_nu_collapsed`: the degrees of freedom (grid, t-mixture
    integrated out).
 
-The residuals e are refreshed once per sweep, just before their first
-reader: kernels 3 and 4 change gamma, lam and rho but do not read e, and
-leave it stale, so kernel 5 refreshes it: the non-seasonal kernel at its
-end, with `recompute_yhat`, and the seasonal one at its start, from the
-forward pass that forms the current draw's point.  Either refresh refuses
-a residual whose square is not finite, so no later kernel squares one
-into an overflow.
+The paths (`model.StatePaths`) hold only what the kernels read, and each
+is refreshed once per sweep, by the kernel whose draw changes it.  The
+scale g leaves chi2 out, and every reader multiplies it in, so kernel 2
+refreshes nothing; kernel 6 refreshes g once, after both variance grids
+(`recompute_scale`).  The residuals e are refreshed just before their
+first reader: kernels 3 and 4 change gamma, lam and rho but do not read
+e, and leave it stale, so kernel 5 refreshes it: the non-seasonal kernel
+at its end, in one loop with the trend b that its draw of b1 moves
+(`recompute_trend_and_residuals`), and the seasonal one at its start,
+from the forward pass that forms the current draw's point.  A seasonal
+fit keeps no trend path: with lam = 0 nothing reads it.  Either refresh
+refuses a residual whose square is not finite, so no later kernel squares
+one into an overflow.
 Every grid draw reads per-candidate constants that `make_grids` forms
 once.  Each kept draw is saved with the end state of its recursion
 (`model.EndState`), from which the forecast rolls on.
@@ -93,11 +99,9 @@ from .model import (
     PriorConfig,
     StatePaths,
     applied_factors,
-    effective_lam,
     initial_level,
-    recompute_sigma2,
-    recompute_trend_path,
-    recompute_yhat,
+    recompute_scale,
+    recompute_trend_and_residuals,
 )
 from .rng import RngStream
 
@@ -235,7 +239,7 @@ class ChainState:
 
     The starting paths come from the fused pass of the variant at
     ``theta``: ``seasonal_forward``, or the collapsed pass
-    (``smoothing_marginal``) with the forecast then formed from
+    (``smoothing_marginal``) with the residuals then formed from
     ``theta``'s (gamma, lam).  A start that the pass refuses raises
     ``DegenerateSeriesError``.
     """
@@ -253,7 +257,6 @@ class ChainState:
         self.grids = grids
         self.clamp_events = 0
         self.trunc_events = 0
-        self._a_app: np.ndarray | None = None
         if self.seasonal:
             start = seasonal_forward(y.tolist(), theta)
         else:
@@ -262,18 +265,11 @@ class ChainState:
             raise DegenerateSeriesError("the chain's starting draw gives no finite state paths")
         self.set_paths(start.paths())
         if not self.seasonal:
-            recompute_yhat(y, self.paths, theta)
+            recompute_trend_and_residuals(y, self.paths, theta)
 
     def set_paths(self, paths: StatePaths) -> None:
         self.paths = paths
         self.clamp_events += paths.clamp_events
-        self._a_app = None
-
-    @property
-    def a_app(self) -> np.ndarray:
-        if self._a_app is None:
-            self._a_app = applied_factors(self.paths.log_s, self.m, self.seasonal)
-        return self._a_app
 
 
 @dataclass
@@ -337,16 +333,15 @@ def chi2_conditional(state: ChainState) -> tuple[float, float]:
 
 
 def update_chi2(state: ChainState, rng) -> float:
-    """Global error variance from its inverse-gamma conditional."""
+    """Global error variance from its inverse-gamma conditional; the paths hold no chi2 to refresh."""
     shape, scale = chi2_conditional(state)
     state.theta.chi2 = sample_inverse_gamma(rng, shape, scale)
-    recompute_sigma2(state.paths, state.theta)
     return state.theta.chi2
 
 
 def omega2_conditional(state: ChainState) -> tuple[float, np.ndarray]:
     th = state.theta
-    return 0.5 * (th.nu + 1.0), state.paths.e ** 2 / (2.0 * state.paths.sigma2hat) + 0.5 * th.nu
+    return 0.5 * (th.nu + 1.0), state.paths.e ** 2 / (2.0 * (th.chi2 * state.paths.g)) + 0.5 * th.nu
 
 
 def update_omega2(state: ChainState, rng) -> np.ndarray:
@@ -387,7 +382,7 @@ class TrendBlock:
     In a non-seasonal fit yhat = l + gamma * lp^rho + lam * b, and the trend
     unrolls as b = f + d * b1, with f the trend at b1 = 0 and
     d[t] = (1-beta)^t = db[t]/db1.  With r = y[1:] - (l + gamma * lp^rho)
-    and precisions w = 1 / (omega2 * sigma2hat), each conditional is then a
+    and precisions w = 1 / (omega2 * chi2 * g), each conditional is then a
     product of sums of w times f^2, f d, d^2, f r and d r.
     """
 
@@ -401,16 +396,16 @@ class TrendBlock:
     def of(cls, state: ChainState) -> "TrendBlock":
         th = state.theta
         paths = state.paths
-        gamma, rho, b1, keep = th.gamma, th.rho, th.b1, 1.0 - th.beta
+        gamma, rho, b1, keep, chi2 = th.gamma, th.rho, th.b1, 1.0 - th.beta, th.chi2
         wff = wfd = wdd = wfr = wdr = 0.0
         d = 1.0
-        columns = (state.y[1:], paths.l, paths.b, paths.sigma2hat, th.omega2)
+        columns = (state.y[1:], paths.l, paths.b, paths.g, th.omega2)
         try:
-            for yt, lt, bt, s2t, om in zip(*(c.tolist() for c in columns)):
+            for yt, lt, bt, gt, om in zip(*(c.tolist() for c in columns)):
                 lp = lt if lt >= LEVEL_FLOOR else LEVEL_FLOOR
                 rt = yt - (lt + gamma * lp ** rho)
                 ft = bt - d * b1
-                wt = 1.0 / (om * s2t)
+                wt = 1.0 / (om * (chi2 * gt))
                 wf, wd = wt * ft, wt * d
                 wff += wf * ft
                 wfd += wf * d
@@ -453,10 +448,10 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
     drawn ``TREND_REPEATS`` times to equilibrate along that ridge within
     one sweep.  Neither moves the level, the scale or the mixture
     variances, so the five ``TrendBlock`` sums are formed once per call,
-    each draw reads only them, and the trend path and forecasts are
-    refreshed once, after the last draw.  That refresh of e is the
-    non-seasonal sweep's only one: the smoothing block and the trend-power
-    grid before it leave it stale.
+    each draw reads only them, and the trend path and residuals are
+    refreshed together, in one loop, after the last draw.  That refresh of
+    e is the non-seasonal sweep's only one: the smoothing block and the
+    trend-power grid before it leave it stale.
     """
     th = state.theta
     block = TrendBlock.of(state)
@@ -470,8 +465,7 @@ def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float
         th.b1, clamped = sample_truncated_normal(rng, mu_b, var_b, B1_LO, B1_HI)
         state.trunc_events += clamped
         th.xi_b1_2 = sample_inverse_gamma(rng, *xi_conditional(th.b1, state.s_b1))
-    recompute_trend_path(state.paths, th)
-    recompute_yhat(state.y, state.paths, th)
+    recompute_trend_and_residuals(state.y, state.paths, th)
     return th.lam, th.xi_lambda2, th.b1, th.xi_b1_2
 
 
@@ -543,7 +537,7 @@ def nu_collapsed_nll(state: ChainState) -> np.ndarray:
     grids = state.grids
     e2 = state.paths.e ** 2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        table = np.divide(e2 / state.paths.sigma2hat, grids.nu_col)
+        table = np.divide(e2 / (state.theta.chi2 * state.paths.g), grids.nu_col)
         np.log1p(table, out=table)
         core = grids.nu_half1 * table.sum(axis=1)
     return core + e2.shape[0] * grids.nu_log_normaliser
@@ -564,24 +558,24 @@ def _gamma_regression(state: ChainState, powers: np.ndarray
     exp(score_i * gamma - prec_i * gamma^2 / 2), with
     score_i = sum_t x[i, t] * resid[t] and prec_i = sum_t x[i, t]^2 * weight[t].
     Returns the table x = lp^powers, the rows resid and weight, and the
-    coefficient's prior variance.  A non-seasonal fit's factors are all
-    one, and multiplying by them is skipped.  A sigma2 that underflowed to
-    0 gives non-finite entries, without a warning; the grid draw reads the
-    non-finite nll they lead to.
+    coefficient's prior variance.  A seasonal fit has lam = 0, so c = l
+    there; a non-seasonal fit's factors are all one, and multiplying by
+    them is skipped.  A sigma2 that underflowed to 0 gives non-finite
+    entries, without a warning; the grid draw reads the non-finite nll
+    they lead to.
     """
     th = state.theta
     paths = state.paths
     lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
-    lam = effective_lam(th, state.prior)
-    c = paths.l[:-1] + lam * paths.b[:-1]
-    sigma2 = th.omega2 * paths.sigma2hat
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigma2 = th.omega2 * (th.chi2 * paths.g)
         if state.seasonal:
-            s = state.a_app
+            c = paths.l[:-1]
+            s = applied_factors(paths.log_s, state.m)
             resid = (state.y[1:] - c * s) * s / sigma2
             weight = s ** 2 / sigma2
         else:
-            resid = (state.y[1:] - c) / sigma2
+            resid = (state.y[1:] - (paths.l[:-1] + th.lam * paths.b[:-1])) / sigma2
             weight = 1.0 / sigma2
         x = np.power(lp, powers)
     return x, resid, weight, th.xi_gamma2 * state.s_gamma ** 2
@@ -694,11 +688,11 @@ def phi_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
 
 
 def update_tau_grid(state: ChainState, rng) -> float:
-    """Variance power from its grid; leaves sigma2hat stale for `update_phi_grid`.
+    """Variance power from its grid; leaves the scale g stale for `update_phi_grid`.
 
     The sweep always runs `update_phi_grid` next (``test_sampler.py::
     test_sweep_calls_kernels_in_docstring_order`` pins that order), which
-    reads only l, e, chi2 and tau and refreshes sigma2hat itself.
+    reads only l, e, chi2 and tau and refreshes g itself.
     """
     idx = _categorical_from_nll(rng, _tau_nll(state, state.grids.tau_power_col))
     state.theta.tau = float(state.grids.tau[idx])
@@ -709,7 +703,7 @@ def update_phi_grid(state: ChainState, rng) -> float:
     grids = state.grids
     idx = _categorical_from_nll(rng, _phi_nll(state, grids.phi_sq_col, grids.phi_keep_sq_col))
     state.theta.phi = float(grids.phi[idx])
-    recompute_sigma2(state.paths, state.theta)
+    recompute_scale(state.paths, state.theta)
     return state.theta.phi
 
 
@@ -814,8 +808,8 @@ class SmoothingMarginal:
     the Gaussian posterior of (gamma, lam) given the weights: lam has
     precision ``lam_prec`` around ``lam_mean`` before truncation, and gamma
     given lam has precision ``gamma_prec`` around
-    ``gamma_mean - slope * (lam - lam_mean)``.  ``l``, ``b`` and
-    ``sigma2hat`` are the recursion at the weights, as lists, and
+    ``gamma_mean - slope * (lam - lam_mean)``.  ``l``, ``b`` and the
+    scale ``g`` are the recursion at the weights, as lists, and
     ``clamp_events`` its count of floored levels; they are None where the
     recursion failed.  A value-only target leaves ``grad`` None and keeps
     in ``pass3`` what ``gradient()`` forms it from.
@@ -830,7 +824,7 @@ class SmoothingMarginal:
     slope: float
     l: list | None = None
     b: list | None = None
-    sigma2hat: list | None = None
+    g: list | None = None
     clamp_events: int = 0
     pass3: tuple | None = None
 
@@ -846,15 +840,14 @@ class SmoothingMarginal:
         return self.grad
 
     def paths(self) -> StatePaths:
-        """The recursion as ``StatePaths``, with e left for ``recompute_yhat``.
+        """The recursion as ``StatePaths``, with e left for ``recompute_trend_and_residuals``.
 
         The residuals need (gamma, lam), which the target integrates out;
         the sweep fills them in once the draws they depend on are made.
         """
-        n = len(self.sigma2hat)
+        n = len(self.g)
         return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.zeros(n + 1),
-                          sigma2hat=np.array(self.sigma2hat), e=np.empty(n),
-                          clamp_events=self.clamp_events)
+                          g=np.array(self.g), e=np.empty(n), clamp_events=self.clamp_events)
 
 
 def _refused_marginal() -> SmoothingMarginal:
@@ -868,7 +861,7 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float,
 
     Given the mixture variances, y[t] - l[t-1] = gamma * x_g[t] + lam * b[t-1]
     + e[t] is a two-column Gaussian regression with x_g = max(l, floor)^rho,
-    precisions w = 1 / (omega2 * sigma2hat) and priors N(0, xi s^2) on gamma
+    precisions w = 1 / (omega2 * chi2 * g) and priors N(0, xi s^2) on gamma
     and on lam, lam truncated to ``LAM_RANGE``.  Its evidence is
     (1/2) sum log w - Q/2 - (1/2) log det P + log(Phi(z_hi) - Phi(z_lo)),
     with P the posterior precision, Q the minimised quadratic form and z the
@@ -918,10 +911,10 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradie
     keep_a, keep_b = 1.0 - alpha, 1.0 - beta
 
     # pass 1, with the recursion: the regression's columns, p11, p12,
-    # x_g'W r and sum log(omega2 sigma2hat)
+    # x_g'W r and sum log(omega2 chi2 g)
     log, isfinite = math.log, math.isfinite
     l_prev, b_prev = y[0], th.b1
-    l, b, s2 = [l_prev], [b_prev], []
+    l, b, g = [l_prev], [b_prev], []
     clamps = 0
     xg, w, r = [], [], []
     p11, p12, h1, log_var = d_g, 0.0, 0.0, 0.0
@@ -931,7 +924,8 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradie
             lp = LEVEL_FLOOR
             clamps += 1
         xt = lp ** rho
-        s2t = chi2 * (phi2 + q2 * lp ** p2)
+        gt = phi2 + q2 * lp ** p2
+        s2t = chi2 * gt
         l_t = alpha * yt + keep_a * l_prev
         b_t = beta * (l_t - l_prev) + keep_b * b_prev
         if not (isfinite(s2t) and isfinite(l_t) and isfinite(b_t)):
@@ -947,7 +941,7 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradie
         xg.append(xt)
         w.append(wt)
         r.append(rt)
-        s2.append(s2t)
+        g.append(gt)
         l.append(l_t)
         b.append(b_t)
         l_prev, b_prev = l_t, b_t
@@ -969,7 +963,7 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradie
     log_z = log_ndtr_diff(z_lo, z_hi)
 
     # pass 3: residuals and Q, with the gradient or without it
-    pass3 = (th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z, xg, b, w, r, l, s2)
+    pass3 = (th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z, xg, b, w, r, l, g)
     if gradient:
         Q, grad = _value_and_gradient(*pass3)
         pass3 = None
@@ -982,12 +976,12 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradie
     value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
              + _weights_log_prior(alpha, beta))
     return SmoothingMarginal(log_target=value, grad=grad, gamma_mean=m1, gamma_prec=p11,
-                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, sigma2hat=s2,
+                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, g=g,
                              clamp_events=clamps, pass3=pass3)
 
 
 def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z,
-                        xg, b, w, r, l, s2) -> tuple[float, np.ndarray]:
+                        xg, b, w, r, l, g) -> tuple[float, np.ndarray]:
     """Pass 3 of ``_marginal_passes`` with the gradient: (Q, gradient in (logit alpha, logit beta)).
 
     The gradient is a sum over steps of the coefficient of each per-step
@@ -997,8 +991,8 @@ def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi
     k_* below collect their constant factors.  Q is formed in the order of
     the value-only pass, and u as in pass 2, bit for bit.
     """
-    rho, tau = th.rho, th.tau
-    het, tau_1 = 2.0 * tau * th.chi2 * (1.0 - th.phi) ** 2, 2.0 * tau - 1.0
+    rho, tau, chi2 = th.rho, th.tau, th.chi2
+    het, tau_1 = 2.0 * tau * chi2 * (1.0 - th.phi) ** 2, 2.0 * tau - 1.0
     keep_a, keep_b = 1.0 - alpha, 1.0 - beta
     # d log_z = k1 d m2 + k2 d S, with phi(z) / (Phi(z_hi) - Phi(z_lo)) at each bound
     root_s = math.sqrt(S)
@@ -1016,7 +1010,7 @@ def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi
     Q = d_g * m1 * m1 + d_l * m2 * m2
     g_a = g_b = 0.0
     dl = dba = dbb = 0.0
-    for xt, bt, wt, rt, lt, s2t in zip(xg, b, w, r, l, s2):
+    for xt, bt, wt, rt, lt, gt in zip(xg, b, w, r, l, g):
         ut = bt - c * xt
         et = rt - xt * m1 - bt * m2
         we = wt * et
@@ -1030,7 +1024,7 @@ def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi
             if het:
                 # the coefficient of w, times w
                 c_w = 0.5 - 0.5 * we * et - 0.5 * wt * xt * xt * inv_p11 + wu * (ut * k_w_u + k1_s * et)
-                c_alpha -= c_w * het * lt ** tau_1 / s2t
+                c_alpha -= c_w * het * lt ** tau_1 / (chi2 * gt)
         g_a += c_alpha * dl + c_lam * dba
         g_b += c_lam * dbb
         dl_t = rt + keep_a * dl
@@ -1149,15 +1143,15 @@ def _seasonal_target(state: ChainState, theta: ParameterDraw, nll: float, grad_n
 class SeasonalPass:
     """The SGT recursion's paths as lists, with the likelihood and gradient coefficients formed alongside.
 
-    ``nll`` is the Student-t negative log likelihood of the residuals;
-    ``obs``, ``c_dl`` and ``c_dla`` are the per-step coefficients that
-    ``seasonal_gradient`` reads.
+    There is no trend path: with lam = 0 nothing reads it.  ``nll`` is the
+    Student-t negative log likelihood of the residuals; ``obs``, ``c_dl``
+    and ``c_dla`` are the per-step coefficients that ``seasonal_gradient``
+    reads.
     """
 
     l: list
-    b: list
     log_s: list
-    sigma2hat: list
+    g: list
     e: list
     clamp_events: int
     nll: float
@@ -1166,9 +1160,8 @@ class SeasonalPass:
     c_dla: list
 
     def paths(self) -> StatePaths:
-        return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.array(self.log_s),
-                          sigma2hat=np.array(self.sigma2hat), e=np.array(self.e),
-                          clamp_events=self.clamp_events)
+        return StatePaths(l=np.array(self.l), b=None, log_s=np.array(self.log_s), g=np.array(self.g),
+                          e=np.array(self.e), clamp_events=self.clamp_events)
 
 
 def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
@@ -1186,8 +1179,9 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
     tests hold the likelihood and the coefficients bit-equal to references
     formed from the finished recursion (``tests/oracles``).  The one-step
     forecast leaves out the local trend term lam * b, which is 0 in the
-    seasonal model.  Returns None, a refusal, where a level, trend,
-    forecast, scale or log factor is not finite, where the recursion meets
+    seasonal model, so the pass forms no trend at all.  Returns None, a
+    refusal, where a level, forecast, scale or log factor is not finite,
+    where the recursion meets
     an arithmetic error, where the likelihood is not finite (so every
     residual's square is finite in a pass it returns) and where a
     coefficient meets an arithmetic error (with a finite likelihood none
@@ -1195,25 +1189,24 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
     """
     T = len(y)
     m = theta.m
-    alpha, beta, zeta = theta.alpha, theta.beta, theta.zeta
+    alpha, zeta = theta.alpha, theta.zeta
     gamma, rho, tau, nu = theta.gamma, theta.rho, theta.tau, theta.nu
     chi2 = theta.chi2
     phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * tau
     het = 2.0 * tau * chi2 * (1.0 - theta.phi) ** 2
     gamma_rho, rho_1, tau_1 = gamma * rho, rho - 1.0, 2.0 * tau - 1.0
     neg_half_nu, half_nu1 = -0.5 * nu, 0.5 * (nu + 1.0)
-    keep_a, keep_b, keep_z = 1.0 - alpha, 1.0 - beta, 1.0 - zeta
+    keep_a, keep_z = 1.0 - alpha, 1.0 - zeta
 
     # local names: this is the sampler's hottest loop
     exp, log, log1p, isfinite = math.exp, math.log, math.log1p, math.isfinite
     log_s = theta.log_s_init.tolist()
-    s2, e, obs, c_dl, c_dla = [], [], [], [], []
+    g, e, obs, c_dl, c_dla = [], [], [], [], []
     clamps = 0
     acc = 0.0
     try:
         l_prev = initial_level(y, SEASONAL, log_s)
-        b_prev = theta.b1
-        l, b = [l_prev], [b_prev]
+        l = [l_prev]
         for t in range(1, T):
             yt = y[t]
             seasonal_step = t >= m
@@ -1228,16 +1221,16 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
                 c_level = (1.0 + gamma_rho * lp ** rho_1) * a_t
                 c_scale = het * lp ** tau_1
             yh = (l_prev + gamma * lp ** rho) * a_t
-            s2t = chi2 * (phi2 + q2 * lp ** p2)
+            gt = phi2 + q2 * lp ** p2
+            s2t = chi2 * gt
             ob = yt / a_t
             l_t = alpha * ob + keep_a * l_prev
-            b_t = beta * (l_t - l_prev) + keep_b * b_prev
             if seasonal_step:
                 ls = zeta * log(yt / l_t) + keep_z * log_s[t - m]
                 if not isfinite(ls):
                     return None
                 log_s.append(ls)
-            if not (isfinite(yh) and isfinite(s2t) and isfinite(l_t) and isfinite(b_t)):
+            if not (isfinite(yh) and isfinite(s2t) and isfinite(l_t)):
                 return None
             et = yt - yh
             acc += half_nu1 * log1p(et * et / (nu * s2t)) + 0.5 * log(s2t)
@@ -1245,17 +1238,16 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
             c_dl.append(neg_half_nu * c_scale / s2t + k * (nu * c_scale - 2.0 * et * c_level))
             c_dla.append(-(k * 2.0 * et * yh))
             obs.append(ob)
-            s2.append(s2t)
+            g.append(gt)
             e.append(et)
             l.append(l_t)
-            b.append(b_t)
-            l_prev, b_prev = l_t, b_t
+            l_prev = l_t
     except (ArithmeticError, ValueError):
         return None
     nll = acc + (T - 1) * t_log_normaliser(nu)
     if not math.isfinite(nll):
         return None
-    return SeasonalPass(l=l, b=b, log_s=log_s, sigma2hat=s2, e=e, clamp_events=clamps,
+    return SeasonalPass(l=l, log_s=log_s, g=g, e=e, clamp_events=clamps,
                         nll=nll, obs=obs, c_dl=c_dl, c_dla=c_dla)
 
 
@@ -1320,47 +1312,43 @@ SGT_WEIGHTS = slice(0, 2)     # (logit alpha, logit zeta) in a seasonal point
 SGT_SEEDS = slice(2, None)    # the m-1 free seed log factors
 
 
-def seasonal_weights_move(state: ChainState, rng, step: StepSizeState, adapting: bool,
-                          target: float, here: MalaPoint) -> MalaPoint:
-    """MALA on (logit alpha, logit zeta) from ``here``, the current draw's point."""
-    th = state.theta
+def seasonal_move(state: ChainState, rng, step: StepSizeState, adapting: bool, target: float,
+                  here: MalaPoint, coords: slice, trial_at) -> MalaPoint:
+    """MALA on the coordinates ``coords`` of an SGT point from ``here``, the current draw's point.
 
-    def visit(x_star):
-        w = _unit_weights(x_star)
-        if w is None:
-            return None
-        trial = th.proposal_clone()
-        trial.alpha, trial.zeta = w
-        return _seasonal_visit(state, trial)
-
-    x = _logits(th.alpha, th.zeta)
-    reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_WEIGHTS)
-    if reached is not here:
-        th.alpha, th.zeta = reached.theta.alpha, reached.theta.zeta
-        state.set_paths(reached.recursion.paths())
-    return reached
-
-
-def seasonal_seeds_move(state: ChainState, rng, step: StepSizeState, adapting: bool,
-                        target: float, here: MalaPoint) -> MalaPoint:
-    """MALA on the m-1 free seed log factors from ``here``, the current draw's point.
-
-    The balancing m-th seed is recomputed so the seed logs sum to zero
-    exactly.
+    ``trial_at(theta, x_star)`` returns ``theta`` with those coordinates at
+    ``x_star``, or None outside the support.  The state takes the draw and
+    the paths of the point reached.
     """
     th = state.theta
+    x = np.concatenate([_logits(th.alpha, th.zeta), th.log_s_init[: th.m - 1]])[coords]
 
-    def visit(free_star):
-        trial = th.proposal_clone()
-        trial.log_s_init = np.append(free_star, -float(free_star.sum()))
-        return _seasonal_visit(state, trial)
+    def visit(x_star):
+        trial = trial_at(th, x_star)
+        return None if trial is None else _seasonal_visit(state, trial)
 
-    x = th.log_s_init[: th.m - 1].copy()
-    reached = _mala_move(rng, step, adapting, target, here, x, visit, SGT_SEEDS)
+    reached = _mala_move(rng, step, adapting, target, here, x, visit, coords)
     if reached is not here:
-        th.log_s_init = reached.theta.log_s_init
+        state.theta = reached.theta
         state.set_paths(reached.recursion.paths())
     return reached
+
+
+def _weights_trial(theta: ParameterDraw, x_star: np.ndarray) -> ParameterDraw | None:
+    """``theta`` with (alpha, zeta) at the logits ``x_star``; None where a weight rounds to 0 or 1."""
+    w = _unit_weights(x_star)
+    if w is None:
+        return None
+    trial = theta.proposal_clone()
+    trial.alpha, trial.zeta = w
+    return trial
+
+
+def _seeds_trial(theta: ParameterDraw, free_star: np.ndarray) -> ParameterDraw:
+    """``theta`` with the free seeds ``free_star``; the m-th seed balances them to a zero sum exactly."""
+    trial = theta.proposal_clone()
+    trial.log_s_init = np.append(free_star, -float(free_star.sum()))
+    return trial
 
 
 def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState,
@@ -1372,22 +1360,21 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
     and gradient of each draw visited are computed once: every point, the
     current one included, is one ``seasonal_forward`` pass and one
     ``seasonal_gradient`` pass.  SGT fixes lam = 0, so beta reaches neither
-    the forecast nor the scale: its conditional is its Beta prior, drawn
-    exactly (in the open unit interval), and the trend path follows it.
-    The current point's pass also forms the residuals that
-    ``update_rho_gamma_grouped`` leaves stale, and the kernel copies them
-    into the state's paths, whose l, b, log s and sigma2hat are current; a
-    current draw that the pass refuses raises ``NumericalError``.
+    the forecast nor the scale, and the paths hold no trend: its
+    conditional is its Beta prior, drawn exactly (in the open unit
+    interval), and nothing is refreshed after it.  The current point's
+    pass also forms the residuals that ``update_rho_gamma_grouped`` leaves
+    stale, and the kernel copies them into the state's paths, whose l,
+    log s and g are current; a current draw that the pass refuses raises
+    ``NumericalError``.
     """
     here = _seasonal_visit(state, state.theta)
     if here is None:
         raise NumericalError("the current seasonal draw gives no finite likelihood")
     state.paths.e[:] = here.recursion.e
-    here = seasonal_weights_move(state, rng, smooth_step, adapting, target, here)
-    seasonal_seeds_move(state, rng, seas_step, adapting, target, here)
-    th = state.theta
-    th.beta = _open_unit(float(rng.beta(*SMOOTHING_PRIOR)))
-    recompute_trend_path(state.paths, th)
+    here = seasonal_move(state, rng, smooth_step, adapting, target, here, SGT_WEIGHTS, _weights_trial)
+    seasonal_move(state, rng, seas_step, adapting, target, here, SGT_SEEDS, _seeds_trial)
+    state.theta.beta = _open_unit(float(rng.beta(*SMOOTHING_PRIOR)))
 
 
 # ---------------------------------------------------------------------------

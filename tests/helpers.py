@@ -1,5 +1,7 @@
 """Shared fixtures for sampler tests: small chain states with known data."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from lsgt.model import (
@@ -76,28 +78,64 @@ def _reference(y, theta, prior):
         theta.log_s_init, prior.model_kind == SEASONAL)
 
 
-def reference_paths(y, theta, prior):
-    """``oracles.reference_recursion`` at ``theta`` as ``StatePaths``, or None where it fails.
+@dataclass
+class ReferencePaths(StatePaths):
+    """``StatePaths`` that also keep the reference's variances sigma2hat = chi2 * g, aligned with y[1:]."""
 
-    It fails where it meets an arithmetic error or leaves any of l, b,
-    log_s, yhat or sigma2hat not finite.  The clamp count is the number of
-    levels l[:-1] below ``LEVEL_FLOOR``, which the next step floors.
+    sigma2hat: np.ndarray | None = None
+
+
+def reference_paths(y, theta, prior):
+    """``oracles.reference_recursion`` at ``theta`` as ``ReferencePaths``, or None where it fails.
+
+    Like the program's paths, a seasonal fit's have no trend (``b`` is
+    None).  It fails where it meets an arithmetic error or leaves any of
+    l, log_s, yhat, sigma2hat or a non-seasonal fit's b not finite.  The
+    clamp count is the number of levels l[:-1] below ``LEVEL_FLOOR``, which
+    the next step floors.
     """
     try:
-        l, b, log_s, yhat, sig2, e = _reference(y, theta, prior)
+        l, b, log_s, yhat, g, sig2, e = _reference(y, theta, prior)
     except (ArithmeticError, ValueError):
         return None
-    if not np.isfinite(np.concatenate([l, b, log_s, yhat, sig2])).all():
+    trend = None if prior.model_kind == SEASONAL else np.array(b)
+    checked = [l, log_s, yhat, sig2] + ([] if trend is None else [trend])
+    if not np.isfinite(np.concatenate(checked)).all():
         return None
-    paths = StatePaths(l=np.array(l), b=np.array(b), log_s=np.array(log_s),
-                       sigma2hat=np.array(sig2), e=np.array(e))
+    paths = ReferencePaths(l=np.array(l), b=trend, log_s=np.array(log_s), g=np.array(g), e=np.array(e),
+                           sigma2hat=np.array(sig2))
     paths.clamp_events = int((paths.l[:-1] < LEVEL_FLOOR).sum())
     return paths
+
+
+PATH_FIELDS = ("l", "b", "log_s", "g", "e")
+
+
+def assert_paths_equal(paths, chi2, want, fields=PATH_FIELDS, where=None):
+    """Assert that the ``fields`` of ``paths`` equal those of the reference ``want`` bit for bit.
+
+    A trend that the reference does not keep must be missing (None) too.
+    With the scale g, the variances chi2 * g that every reader forms must
+    equal the reference's sigma2hat.
+    """
+    for name in fields:
+        got, ref = getattr(paths, name), getattr(want, name)
+        if ref is None:
+            assert got is None, (where, name)
+        else:
+            assert got.tolist() == ref.tolist(), (where, name)
+    if "g" in fields:
+        assert (chi2 * paths.g).tolist() == want.sigma2hat.tolist(), (where, "sigma2hat")
 
 
 def reference_yhat(y, theta, prior):
     """The one-step forecasts of ``oracles.reference_recursion`` at ``theta``, aligned with y[1:]."""
     return np.array(_reference(y, theta, prior)[3])
+
+
+def reference_trend(y, theta, prior):
+    """The trend path of ``oracles.reference_recursion`` at ``theta``, which a seasonal fit does not keep."""
+    return np.array(_reference(y, theta, prior)[1])
 
 
 def forward_gradient(y, theta):

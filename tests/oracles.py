@@ -33,9 +33,10 @@ def reference_recursion(y, alpha, beta, zeta, gamma, rho, lam, chi2, phi, tau,
                         b1, log_s_init, seasonal):
     """Straight-line scalar implementation of the state recursions.
 
-    Returns the lists (l, b, log_s, yhat, sigma2hat, e).  It checks
-    nothing: a non-finite value runs on, and an arithmetic error raises.
-    ``helpers.reference_paths`` turns the result into ``StatePaths``.
+    Returns the lists (l, b, log_s, yhat, g, sigma2hat, e), where
+    sigma2hat = chi2 * g.  It checks nothing: a non-finite value runs on,
+    and an arithmetic error raises.  ``helpers.reference_paths`` turns the
+    result into ``StatePaths``.
     """
     y = list(map(float, y))
     T = len(y)
@@ -51,6 +52,7 @@ def reference_recursion(y, alpha, beta, zeta, gamma, rho, lam, chi2, phi, tau,
     l = [0.0] * T
     b = [0.0] * T
     yhat = [0.0] * (T - 1)
+    g = [0.0] * (T - 1)
     sig2 = [0.0] * (T - 1)
     e = [0.0] * (T - 1)
     l[0] = l0
@@ -62,13 +64,14 @@ def reference_recursion(y, alpha, beta, zeta, gamma, rho, lam, chi2, phi, tau,
         if lp < LEVEL_FLOOR:
             lp = LEVEL_FLOOR
         yhat[t - 1] = (l[t - 1] + gamma * lp ** rho + lam * b[t - 1]) * a_t
-        sig2[t - 1] = chi2 * (phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau))
+        g[t - 1] = phi ** 2 + (1.0 - phi) ** 2 * lp ** (2.0 * tau)
+        sig2[t - 1] = chi2 * g[t - 1]
         l[t] = alpha * (y[t] / a_t) + (1.0 - alpha) * l[t - 1]
         b[t] = beta * (l[t] - l[t - 1]) + (1.0 - beta) * b[t - 1]
         if seasonal and t >= m:
             log_s[t] = zeta * math.log(y[t] / l[t]) + (1.0 - zeta) * log_s[t - m]
         e[t - 1] = y[t] - yhat[t - 1]
-    return l, b, log_s, yhat, sig2, e
+    return l, b, log_s, yhat, g, sig2, e
 
 
 def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, log_s_init):
@@ -83,7 +86,7 @@ def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, 
     y = list(map(float, y))
     T = len(y)
     m = len(log_s_init)
-    l, _, log_s, _, sig2, e = reference_recursion(
+    l, _, log_s, _, _, sig2, e = reference_recursion(
         y, alpha, 0.5, zeta, gamma, rho, 0.0, chi2, phi, tau, 0.0, log_s_init, True)
     directions = [(1.0, 0.0, None), (0.0, 1.0, None)] + [(0.0, 0.0, i) for i in range(m - 1)]
     grad = []
@@ -121,7 +124,7 @@ def reference_seasonal_gradient(y, alpha, zeta, gamma, rho, chi2, phi, tau, nu, 
 
 
 def negative_log_likelihood(paths, nu: float) -> float:
-    """Student-t negative log likelihood of the residuals of ``paths``.
+    """Student-t negative log likelihood of the residuals of the reference ``paths`` and their sigma2hat.
 
     Includes the df-dependent normalising constants (the df is itself
     sampled, so they cannot be dropped).  Returns +inf instead of raising

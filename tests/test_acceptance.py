@@ -28,7 +28,6 @@ from lsgt.model import (
     LEVEL_FLOOR,
     PriorConfig,
     SeasonalPrior,
-    effective_lam,
 )
 from lsgt.metrics import coverage_flags, mase, msis, smape
 from lsgt.rng import RngStream
@@ -158,7 +157,7 @@ def test_criterion_2_conjugate_correctness():
     # t-mixture variance at one step (nu=6: shape 3.5)
     j = 2
     shape, scale_vec = omega2_conditional(state)
-    e_j, s2_j, nu = float(e[j]), float(state.paths.sigma2hat[j]), th.nu
+    e_j, s2_j, nu = float(e[j]), th.chi2 * float(state.paths.g[j]), th.nu
     _assert_ig_matches(
         lambda w: -0.5 * math.log(w) - e_j ** 2 / (2.0 * s2_j * w)
         - (0.5 * nu + 1.0) * math.log(w) - nu / (2.0 * w),
@@ -166,17 +165,15 @@ def test_criterion_2_conjugate_correctness():
     )
 
     # trend coefficients: conjugate normals against direct integration
-    lam_eff = effective_lam(th, state.prior)
-    sig2 = th.omega2 * state.paths.sigma2hat
+    sig2 = th.omega2 * (th.chi2 * state.paths.g)
     yy = state.y[1:]
 
     x_g = lp ** th.rho
-    c_g = state.paths.l[:-1] + lam_eff * state.paths.b[:-1]
-    a_app = state.a_app
+    c_g = state.paths.l[:-1] + th.lam * state.paths.b[:-1]
     pv_g = th.xi_gamma2 * state.s_gamma ** 2
     mu, var = gamma_conditional(state)
     mean_q, var_q = quad_moments_real(
-        lambda w: float(np.sum(-(yy - (w * x_g + c_g) * a_app) ** 2 / (2.0 * sig2)))
+        lambda w: float(np.sum(-(yy - (w * x_g + c_g)) ** 2 / (2.0 * sig2)))
         - w ** 2 / (2.0 * pv_g)
     )
     assert mean_q == pytest.approx(mu, rel=rel, abs=1e-9)

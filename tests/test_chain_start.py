@@ -1,8 +1,9 @@
 """A chain's start: the paths of its variant's fused pass at the first draw.
 
 Non-seasonal chains start from the collapsed pass (``smoothing_marginal``)
-with the forecast formed from the draw's (gamma, lam); seasonal chains from
-``seasonal_forward``.  Both must equal the reference recursion bit for bit.
+with the residuals formed from the draw's (gamma, lam); seasonal chains from
+``seasonal_forward``, with no trend path.  Both must equal the reference
+recursion bit for bit.
 A start that the pass refuses fails its chain with a typed error, which
 ``fit`` records per chain and the benchmark records per series.
 """
@@ -19,17 +20,14 @@ from lsgt.rng import RngStream
 from lsgt.sampler import ChainState, SamplerConfig, fit, make_grids
 from lsgt.synth import default_params, generate_series
 
-from .helpers import TEST_NU_GRID_SIZE, make_prior, random_state, reference_paths
+from .helpers import TEST_NU_GRID_SIZE, assert_paths_equal, make_prior, random_state, reference_paths
 from .test_sampler import draws_equal
-
-PATH_FIELDS = ("l", "b", "log_s", "sigma2hat", "e")
 
 
 def assert_start_is_the_reference(state):
     want = reference_paths(state.y, state.theta, state.prior)
     assert want is not None
-    for name in PATH_FIELDS:
-        assert np.array_equal(getattr(state.paths, name), getattr(want, name)), name
+    assert_paths_equal(state.paths, state.theta.chi2, want)
     assert state.paths.clamp_events == state.clamp_events == want.clamp_events
     return want.clamp_events
 

@@ -14,7 +14,7 @@ import pytest
 from scipy.stats import kstest
 
 from lsgt import sampler
-from lsgt.model import LEVEL_FLOOR, effective_lam
+from lsgt.model import LEVEL_FLOOR
 from lsgt.sampler import (
     ChainState,
     b1_conditional,
@@ -34,7 +34,7 @@ from lsgt.sampler import (
 )
 from lsgt.dists import sample_inverse_gamma
 
-from .helpers import make_prior, random_state, reference_paths, reference_yhat
+from .helpers import assert_paths_equal, make_prior, random_state, reference_paths, reference_yhat
 from .oracles import ig_moments, ig_reciprocal_moments, quad_moments_positive, quad_moments_real
 
 REL = 1e-3
@@ -120,7 +120,7 @@ def test_chi2_shape1_reduction_is_exponential(rng):
     shape, scale = chi2_conditional(state)
     assert shape == 1.0 and scale == pytest.approx(1.0)
     draws = np.array([update_chi2(state, rng) for _ in range(30_000)])
-    # chi2 updates recompute sigma2hat but e stays fixed, so draws are iid
+    # chi2 updates refresh nothing and e stays fixed, so draws are iid
     p = kstest(1.0 / draws, "expon").pvalue
     assert p > 0.01
 
@@ -134,7 +134,7 @@ def test_omega2_conditional_matches_quadrature(rng):
     th = state.theta
     j = 3
     e = float(state.paths.e[j])
-    s2 = float(state.paths.sigma2hat[j])
+    s2 = th.chi2 * float(state.paths.g[j])
     nu = th.nu
 
     def log_density(w):
@@ -163,7 +163,8 @@ def test_omega2_larger_residual_stochastically_larger(rng):
     state = random_state(rng, T=30)
     e = np.linspace(0.0, 10.0, state.T - 1)
     state.paths.e = e
-    state.paths.sigma2hat = np.ones(state.T - 1)
+    state.theta.chi2 = 1.0
+    state.paths.g = np.ones(state.T - 1)
     _, scale = omega2_conditional(state)
     assert np.all(np.diff(scale) > 0)
     draws = np.stack([update_omega2(state, rng) for _ in range(2000)])
@@ -222,14 +223,13 @@ def test_gamma_conditional_matches_quadrature(rng):
     th = state.theta
     lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
     x = lp ** th.rho
-    s = state.a_app
-    c = state.paths.l[:-1] + effective_lam(th, state.prior) * state.paths.b[:-1]
-    sig2 = th.omega2 * state.paths.sigma2hat
+    c = state.paths.l[:-1] + th.lam * state.paths.b[:-1]
+    sig2 = th.omega2 * (th.chi2 * state.paths.g)
     prior_var = th.xi_gamma2 * state.s_gamma ** 2
     yy = state.y[1:]
 
     def log_density(g):
-        resid = yy - (g * x + c) * s
+        resid = yy - (g * x + c)
         return float(np.sum(-resid ** 2 / (2.0 * sig2))) - g ** 2 / (2.0 * prior_var)
 
     mu, var = gamma_conditional(state)
@@ -261,7 +261,7 @@ def test_lambda_conditional_matches_quadrature(rng, level):
     lp = np.maximum(state.paths.l[:-1], LEVEL_FLOOR)
     x = state.paths.b[:-1]
     c = state.paths.l[:-1] + th.gamma * lp ** th.rho
-    sig2 = th.omega2 * state.paths.sigma2hat
+    sig2 = th.omega2 * (th.chi2 * state.paths.g)
     prior_var = th.xi_lambda2 * state.s_lambda ** 2
     yy = state.y[1:]
 
@@ -282,7 +282,7 @@ def test_b1_conditional_matches_quadrature(rng, level):
     x = th.lam * np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
     # remainder terms: everything in yhat that does not involve b1
     c = reference_yhat(state.y, th, state.prior) - x * th.b1
-    sig2 = th.omega2 * state.paths.sigma2hat
+    sig2 = th.omega2 * (th.chi2 * state.paths.g)
     prior_var = th.xi_b1_2 * state.s_b1 ** 2
     yy = state.y[1:]
 
@@ -335,9 +335,7 @@ def test_update_lambda_b1_draws_fresh_conditionals_and_leaves_exact_paths(rng, m
         update_lambda_b1(state, rng)
         assert len(seen) == 2 * sampler.TREND_REPEATS
         assert th.lam != lam0 and th.b1 != b10
-        full = reference_paths(state.y, th, state.prior)
-        for name in ("l", "b", "e", "sigma2hat"):
-            np.testing.assert_array_equal(getattr(state.paths, name), getattr(full, name))
+        assert_paths_equal(state.paths, th.chi2, reference_paths(state.y, th, state.prior))
 
 
 def test_b1_design_collapses_when_beta_one(rng):

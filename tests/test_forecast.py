@@ -1,15 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lsgt.data import TimeSeries
 from lsgt.errors import ForecastError
 from lsgt.forecast import simulate_paths
-from lsgt.model import NON_SEASONAL, SEASONAL, ParameterDraw, PriorConfig
+from lsgt.model import NON_SEASONAL, SEASONAL, EndState, ParameterDraw, PriorConfig
 from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, fit
 from lsgt.synth import default_params, generate_series
 
-from .helpers import make_prior, posterior_samples
+from .helpers import make_prior, posterior_samples, reference_trend
 
 
 def make_draw(T, m=1, **overrides):
@@ -132,6 +134,22 @@ def test_forecast_from_end_states_equals_rerunning_the_recursion(m):
     assert a.quantiles.keys() == b.quantiles.keys()
     for q in a.quantiles:
         assert a.quantiles[q].tobytes() == b.quantiles[q].tobytes()
+
+    if m > 1:
+        # a seasonal fit keeps no trend path, and its end states carry a trend
+        # of 0; lam = 0 multiplies the trend away, so a forecast rolled on from
+        # the reference recursion's trend has the same bytes
+        assert all(end.b == 0.0 for end in fitted.ends)
+        trended = replace(fitted, ends=[
+            EndState(T=end.T, l=end.l, log_s=end.log_s,
+                     b=float(reference_trend(series.values, theta, fitted.prior)[-1]))
+            for theta, end in zip(fitted.draws, fitted.ends)])
+        assert all(end.b != 0.0 for end in trended.ends)
+        c = simulate_paths(trended, series, h=h, rng=RngStream(5, 0).generator(), seed=5)
+        assert a.point.tobytes() == c.point.tobytes()
+        assert a.mean.tobytes() == c.mean.tobytes()
+        for q in a.quantiles:
+            assert a.quantiles[q].tobytes() == c.quantiles[q].tobytes()
 
     shorter = TimeSeries(id="e", values=full.values[:-1], m=m, h=h)
     with pytest.raises(ForecastError):

@@ -9,7 +9,7 @@ from scipy.stats import t as t_dist
 
 from lsgt.dists import sample_categorical
 from lsgt.errors import DegenerateSeriesError
-from lsgt.model import LEVEL_FLOOR, effective_lam
+from lsgt.model import LEVEL_FLOOR
 from lsgt.sampler import (
     _categorical_from_nll,
     _gamma_pair,
@@ -92,10 +92,15 @@ def _broadcast_tables(state):
     th, paths, grids = state.theta, state.paths, state.grids
     lp = np.maximum(paths.l[:-1], LEVEL_FLOOR)
     e2 = paths.e ** 2
-    s2 = paths.sigma2hat
+    s2 = reference_paths(state.y, th, state.prior).sigma2hat
     nu = grids.nu[:, None]
-    c = paths.l[:-1] + effective_lam(th, state.prior) * paths.b[:-1]
-    s = state.a_app
+    if state.seasonal:
+        # step t applies the factor of step t - m, or a seed for t < m
+        c = paths.l[:-1]
+        s = np.exp(np.concatenate([paths.log_s[1:state.m], paths.log_s[:state.T - state.m]]))
+    else:
+        c = paths.l[:-1] + th.lam * paths.b[:-1]
+        s = np.ones(state.T - 1)
     sigma2 = th.omega2 * s2
     resid = (state.y[1:] - c * s) * s / sigma2
     weight = s ** 2 / sigma2
@@ -150,7 +155,7 @@ def test_nu_collapsed_nll_is_student_t_density(rng):
     # Student-t negative log density of the standardised residuals
     state = random_state(rng, T=15)
     grid = state.grids.nu
-    z = state.paths.e / np.sqrt(state.paths.sigma2hat)
+    z = state.paths.e / np.sqrt(state.theta.chi2 * state.paths.g)
     got = nu_collapsed_nll(state)
     for j, nu in enumerate(grid):
         expected = -float(np.sum(t_dist.logpdf(z, df=nu)))
@@ -161,7 +166,7 @@ def test_nu_concentrates_at_normal_limit(rng):
     # exactly Gaussian-shaped residuals at large T: posterior mass piles at the top
     state = random_state(rng, T=400)
     n = state.T - 1
-    state.paths.e = norm.ppf((np.arange(n) + 0.5) / n) * np.sqrt(state.paths.sigma2hat)
+    state.paths.e = norm.ppf((np.arange(n) + 0.5) / n) * np.sqrt(state.theta.chi2 * state.paths.g)
     nll = nu_collapsed_nll(state)
     assert int(np.argmin(nll)) == len(state.grids.nu) - 1
     draws = [update_nu_collapsed(state, rng) for _ in range(50)]
@@ -173,14 +178,13 @@ def _log_marginal_over_gamma(state, rho):
     by quadrature, for the conditionally Gaussian model given the mixture."""
     th = state.theta
     x = np.maximum(state.paths.l[:-1], LEVEL_FLOOR) ** rho
-    c = state.paths.l[:-1] + effective_lam(th, state.prior) * state.paths.b[:-1]
-    s = state.a_app
-    sig2 = th.omega2 * state.paths.sigma2hat
+    c = state.paths.l[:-1] + th.lam * state.paths.b[:-1]
+    sig2 = th.omega2 * (th.chi2 * state.paths.g)
     prior_var = th.xi_gamma2 * state.s_gamma ** 2
     yy = state.y[1:]
 
     def log_f(g):
-        resid = yy - (g * x + c) * s
+        resid = yy - (g * x + c)
         return float(np.sum(-resid ** 2 / (2.0 * sig2))) - g ** 2 / (2.0 * prior_var)
 
     mode = optimize.minimize_scalar(lambda g: -log_f(g)).x
@@ -247,4 +251,4 @@ def test_tau_phi_updates_keep_state_consistent(rng):
     update_tau_grid(state, rng)
     update_phi_grid(state, rng)
     full = reference_paths(state.y, state.theta, state.prior)
-    assert state.paths.sigma2hat.tolist() == full.sigma2hat.tolist()
+    assert (state.theta.chi2 * state.paths.g).tolist() == full.sigma2hat.tolist()

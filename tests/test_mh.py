@@ -20,23 +20,26 @@ from scipy.stats import kstest
 from lsgt.errors import NumericalError
 from lsgt.model import SMOOTHING_PRIOR
 from lsgt.sampler import (
+    SGT_SEEDS,
+    SGT_WEIGHTS,
     StepSizeState,
     _seasonal_target,
     _seasonal_visit,
-    seasonal_seeds_move,
-    seasonal_weights_move,
+    _seeds_trial,
+    _weights_trial,
+    seasonal_move,
     update_smoothing_seasonal,
 )
 
-from .helpers import random_state, reference_paths
+from .helpers import assert_paths_equal, random_state, reference_paths
 from .oracles import negative_log_likelihood, seasonal_gradient_from_paths
 
 
-def only(move):
+def only(coords, trial_at):
     """One SGT move as a kernel of its own: (state, rng, step, adapting, target) -> accepted."""
     def update(state, rng, step, adapting, target):
         here = _seasonal_visit(state, state.theta)
-        return move(state, rng, step, adapting, target, here) is not here
+        return seasonal_move(state, rng, step, adapting, target, here, coords, trial_at) is not here
     return update
 
 
@@ -76,7 +79,7 @@ def test_smoothing_mh_matches_quadrature_posterior(rng):
     mean_alpha = simpson(weights * simpson(post, x=x, axis=1), x=x) / z_norm
     mean_zeta = simpson(weights * simpson(post, x=x, axis=0), x=x) / z_norm
 
-    kept, step = run_mh_chain(state, rng, only(seasonal_weights_move), 3000, 60_000, ["alpha", "zeta"])
+    kept, step = run_mh_chain(state, rng, only(SGT_WEIGHTS, _weights_trial), 3000, 60_000, ["alpha", "zeta"])
     assert 0.2 < (step.accepted / step.proposals) < 0.9
     assert np.mean(kept[:, 0]) == pytest.approx(mean_alpha, abs=0.02)
     assert np.mean(kept[:, 1]) == pytest.approx(mean_zeta, abs=0.02)
@@ -100,7 +103,7 @@ def test_seasonal_mh_matches_quadrature_posterior(rng):
     mean_q = simpson(grid * post, x=grid) / z
     sd_q = math.sqrt(simpson(grid ** 2 * post, x=grid) / z - mean_q ** 2)
 
-    kept, step = run_mh_chain(state, rng, only(seasonal_seeds_move), 3000, 60_000, ["seed0"])
+    kept, step = run_mh_chain(state, rng, only(SGT_SEEDS, _seeds_trial), 3000, 60_000, ["seed0"])
     assert 0.2 < (step.accepted / step.proposals) < 0.95
     assert np.mean(kept[:, 0]) == pytest.approx(mean_q, abs=max(0.02, 0.1 * sd_q))
     # the balancing seed always mirrors the free one
@@ -170,9 +173,7 @@ def test_seasonal_kernel_leaves_paths_equal_to_the_recursion(rng):
     steps = [StepSizeState(log_eps=math.log(eps)) for eps in (0.3, 0.03)]
     for _ in range(20):
         update_smoothing_seasonal(state, rng, *steps, False, 0.55)
-        fresh = reference_paths(state.y, state.theta, state.prior)
-        for name in ("l", "b", "log_s", "e", "sigma2hat"):
-            assert np.array_equal(getattr(state.paths, name), getattr(fresh, name)), name
+        assert_paths_equal(state.paths, state.theta.chi2, reference_paths(state.y, state.theta, state.prior))
     assert min(steps[0].accepted, steps[1].accepted) > 0
 
 
@@ -251,8 +252,7 @@ def test_seasonal_forward_pass_equals_the_reference(rng):
             assert np.array_equal(got.grad, want.grad)
             assert np.array_equal(-got.grad[2:], seasonal_gradient_from_paths(state.y, trial, paths)[2:])
             fused = got.recursion.paths()
-            for name in ("l", "b", "log_s", "sigma2hat", "e"):
-                assert np.array_equal(getattr(fused, name), getattr(paths, name)), name
+            assert_paths_equal(fused, trial.chi2, paths)
             assert fused.clamp_events == paths.clamp_events
             clamped += fused.clamp_events
     assert clamped > 0

@@ -14,9 +14,8 @@ from lsgt.model import (
     ParameterDraw,
     PriorConfig,
     SeasonalPrior,
-    recompute_sigma2,
-    recompute_trend_path,
-    recompute_yhat,
+    recompute_scale,
+    recompute_trend_and_residuals,
 )
 from lsgt.synth import default_params, generate_series
 
@@ -87,16 +86,19 @@ def test_incremental_refreshes_match_full_recursion(rng):
         paths = reference_paths(y, theta, cfg)
 
         theta.gamma, theta.rho, theta.lam = -0.2, 0.8, 0.1
-        theta.b1 = -0.4
+        theta.b1, theta.beta = -0.4, 0.6
         theta.chi2, theta.phi, theta.tau = 2.0, 0.3, 0.9
-        recompute_trend_path(paths, theta)
-        if not seasonal:   # a seasonal fit's residuals come from its forward pass
-            recompute_yhat(y, paths, theta)
-        recompute_sigma2(paths, theta)
-        full = reference_paths(y, theta, cfg)
-        assert paths.b.tolist() == full.b.tolist()
-        assert paths.sigma2hat.tolist() == full.sigma2hat.tolist()
+        # a seasonal fit keeps no trend, and its residuals come from its forward pass
         if not seasonal:
+            recompute_trend_and_residuals(y, paths, theta)
+        recompute_scale(paths, theta)   # the new chi2 needs no refresh
+        full = reference_paths(y, theta, cfg)
+        assert paths.g.tolist() == full.g.tolist()
+        assert (theta.chi2 * paths.g).tolist() == full.sigma2hat.tolist()
+        if seasonal:
+            assert paths.b is None
+        else:
+            assert paths.b.tolist() == full.b.tolist()
             assert paths.e.tolist() == full.e.tolist()
         if y.max() < LEVEL_FLOOR:
             assert full.clamp_events == T - 1
@@ -114,7 +116,7 @@ def test_overflowing_forecast_is_a_numerical_error(gamma):
     before = paths.e.tolist()
     theta.gamma = gamma
     with pytest.raises(NumericalError):
-        recompute_yhat(y, paths, theta)
+        recompute_trend_and_residuals(y, paths, theta)
     assert paths.e.tolist() == before
 
 

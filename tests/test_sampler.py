@@ -13,7 +13,7 @@ from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
 from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, sbc_rank
 
-from .helpers import TEST_NU_GRID_SIZE, make_prior, random_state, reference_paths
+from .helpers import TEST_NU_GRID_SIZE, assert_paths_equal, make_prior, random_state, reference_paths
 
 
 def synthetic_series(seed=11, T=40, m=1, seasonal=False, **param_overrides):
@@ -294,89 +294,112 @@ def test_sweep_calls_kernels_in_docstring_order(monkeypatch, seasonal, hetero, s
     assert [name for name in documented if name in order] == order
 
 
-# kernels that read e, with the paths they read; update_phi_grid reads the
-# sigma2hat that update_tau_grid leaves stale, and refreshes it itself
-E_READERS = ["update_omega2", "update_chi2", "update_tau_grid", "update_phi_grid",
-                "update_nu_collapsed"]
+# the kernels that read the paths, with the fields they read: e is stale
+# where update_rho_gamma_grouped and update_lambda_b1 run, and neither reads
+# it; update_phi_grid reads l and e but not the g that update_tau_grid leaves
+# stale, and refreshes g itself
+PATH_READERS = {
+    "update_omega2": ("e", "g"),
+    "update_chi2": ("l", "e"),
+    "update_rho_gamma_grouped": ("l", "b", "log_s", "g"),
+    "update_lambda_b1": ("l", "b", "g"),
+    "update_tau_grid": ("l", "e"),
+    "update_phi_grid": ("l", "e"),
+    "update_nu_collapsed": ("e", "g"),
+}
 
 
-@pytest.mark.parametrize("seasonal, hetero", [(False, True), (False, False), (True, True)],
-                         ids=["lgt_hetero", "lgt_homo", "sgt"])
+@pytest.mark.parametrize("seasonal, hetero", [(False, True), (False, False), (True, True), (True, False)],
+                         ids=["lgt_hetero", "lgt_homo", "sgt", "sgt_homo"])
 def test_every_reader_of_yhat_and_e_finds_the_current_draws_paths(monkeypatch, seasonal, hetero):
-    # the smoothing block and the trend-power grid leave e stale, and one
-    # refresh per sweep serves every kernel that reads it: at each such
-    # kernel's entry the paths are the reference recursion's at the draw
+    # every path is refreshed once per sweep, by the kernel whose draw moves
+    # it, and serves every kernel that reads it: at each such kernel's entry
+    # the fields it reads are the reference recursion's at the draw, a
+    # seasonal fit keeps no trend, and chi2 * g is the reference's sigma2hat
     seen = []
 
     def checking(name, kernel):
         def wrapper(state, *args, **kwargs):
             want = reference_paths(state.y, state.theta, state.prior)
-            fields = ["l", "b", "log_s", "e"]
-            if name != "update_phi_grid":
-                fields.append("sigma2hat")
-            for field in fields:
-                assert getattr(state.paths, field).tolist() == getattr(want, field).tolist(), (name, field)
+            assert_paths_equal(state.paths, state.theta.chi2, want, PATH_READERS[name], where=name)
             seen.append(name)
             return kernel(state, *args, **kwargs)
         return wrapper
 
-    for name in E_READERS:
+    for name in PATH_READERS:
         monkeypatch.setattr(sampler, name, checking(name, getattr(sampler, name)))
     m = 4 if seasonal else 1
     series, _ = synthetic_series(seasonal=seasonal, m=m, T=44)
     prior = make_prior(seasonal=seasonal, hetero=hetero)
     fit(series, prior, small_cfg(iterations=30, burn_in=15, chains=1))
-    want = {"update_omega2", "update_chi2", "update_nu_collapsed"}
+    want = {"update_omega2", "update_chi2", "update_rho_gamma_grouped", "update_nu_collapsed"}
+    want |= set() if seasonal else {"update_lambda_b1"}
     want |= {"update_tau_grid", "update_phi_grid"} if hetero else set()
     assert set(seen) == want
     assert seen.count("update_omega2") == 30
 
 
-def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
-    # the independence step reads values only: of the collapsed points a sweep
-    # visits, the one the MALA step starts from and the MALA proposal form a
-    # gradient; e is refreshed once, by update_lambda_b1
-    state = random_state(rng, T=30)
-    counts = dict.fromkeys(("_value_and_gradient", "recompute_yhat"), 0)
+def count_calls(monkeypatch, names, counts, refused=None):
+    """Count the calls of the sampler's ``names`` and of every refresh loop (``recompute_*``) it calls.
 
-    def counted(name, f):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return f(*args, **kwargs)
-        return wrapper
-
-    for name in counts:
-        monkeypatch.setattr(sampler, name, counted(name, getattr(sampler, name)))
-    smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
-    seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
-    for it in range(20):
-        counts.update(dict.fromkeys(counts, 0))
-        sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
-        assert counts == {"_value_and_gradient": 2, "recompute_yhat": 1}
-
-
-def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch, rng):
-    # the current draw and each of the two MALA proposals are one forward
-    # pass; every pass that is not refused is followed by one reverse pass,
-    # and the current draw's pass refreshes e, so recompute_yhat never runs
-    state = random_state(rng, T=30, seasonal=True, m=4)
-    counts = dict.fromkeys(("seasonal_forward", "refused", "seasonal_gradient", "recompute_yhat"), 0)
+    A call of ``refused`` that returns None also counts as "refused".
+    """
+    refreshes = [name for name in vars(sampler) if name.startswith("recompute_")]
+    assert refreshes, "the sampler calls no refresh loop"
 
     def counted(name, f):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             out = f(*args, **kwargs)
-            counts["refused"] += name == "seasonal_forward" and out is None
+            counts["refused"] += name == refused and out is None
             return out
         return wrapper
 
-    for name in ("seasonal_forward", "seasonal_gradient", "recompute_yhat"):
+    for name in list(names) + refreshes:
+        counts[name] = 0
         monkeypatch.setattr(sampler, name, counted(name, getattr(sampler, name)))
-    smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
-    seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
-    for it in range(20):
-        counts.update(dict.fromkeys(counts, 0))
-        sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
-        assert counts["seasonal_forward"] == 3
-        assert counts["seasonal_gradient"] == counts["seasonal_forward"] - counts["refused"]
-        assert counts["recompute_yhat"] == 0
+    counts["refused"] = 0
+    return refreshes
+
+
+def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
+    # the independence step reads values only: of the collapsed points a sweep
+    # visits, the one the MALA step starts from and the MALA proposal form a
+    # gradient; b and e are refreshed once, together, by update_lambda_b1,
+    # chi2's draw refreshes nothing and g is refreshed once, after the
+    # variance grids: 2 refresh loops per sweep, 1 when homoscedastic
+    counts = {}
+    refreshes = count_calls(monkeypatch, ["_value_and_gradient"], counts)
+    for hetero in (True, False):
+        state = random_state(rng, T=30, hetero=hetero)
+        smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
+        seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
+        for it in range(20):
+            counts.update(dict.fromkeys(counts, 0))
+            sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
+            assert counts["_value_and_gradient"] == 2
+            assert counts["recompute_trend_and_residuals"] == 1
+            assert counts["recompute_scale"] == hetero
+            assert sum(counts[name] for name in refreshes) == 1 + hetero
+
+
+def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch, rng):
+    # the current draw and each of the two MALA proposals are one forward
+    # pass; every pass that is not refused is followed by one reverse pass,
+    # and the current draw's pass refreshes e; the paths keep no trend, so
+    # the only refresh loop is g's, after the variance grids: 1 per sweep,
+    # none when homoscedastic
+    counts = {}
+    refreshes = count_calls(monkeypatch, ["seasonal_forward", "seasonal_gradient"], counts,
+                            refused="seasonal_forward")
+    for hetero in (True, False):
+        state = random_state(rng, T=30, seasonal=True, m=4, hetero=hetero)
+        smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
+        seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
+        for it in range(20):
+            counts.update(dict.fromkeys(counts, 0))
+            sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
+            assert counts["seasonal_forward"] == 3
+            assert counts["seasonal_gradient"] == counts["seasonal_forward"] - counts["refused"]
+            assert sum(counts[name] for name in refreshes) == counts["recompute_scale"] == hetero
+            assert state.paths.b is None

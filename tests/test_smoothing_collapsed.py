@@ -221,7 +221,7 @@ def test_fused_pass_equals_recursion_then_passes(rng):
             assert got.log_target == value
             assert np.array_equal(got.grad, grad)
             fused = got.paths()
-            for name in ("l", "b", "sigma2hat", "log_s"):
+            for name in ("l", "b", "g", "log_s"):
                 assert np.array_equal(getattr(fused, name), getattr(paths, name)), name
             assert got.clamp_events == paths.clamp_events
             clamped += got.clamp_events
@@ -238,7 +238,7 @@ def test_value_only_pass_then_gradient_equals_fused_pass(rng):
             lazy = smoothing_marginal(state, alpha, beta, gradient=False)
             assert lazy.grad is None
             assert lazy.log_target == fused.log_target
-            for name in ("gamma_mean", "gamma_prec", "lam_mean", "lam_prec", "slope", "l", "b", "sigma2hat"):
+            for name in ("gamma_mean", "gamma_prec", "lam_mean", "lam_prec", "slope", "l", "b", "g"):
                 assert getattr(lazy, name) == getattr(fused, name), name
             assert np.array_equal(lazy.gradient(), fused.grad)
             assert lazy.gradient() is lazy.grad
