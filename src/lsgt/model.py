@@ -356,9 +356,10 @@ def applied_factors(log_s: np.ndarray, m: int) -> np.ndarray:
 def recompute_trend_and_residuals(y, paths: StatePaths, theta: ParameterDraw) -> None:
     """Refresh b and the residuals e of a non-seasonal fit in place, in one loop.
 
-    They follow a change of b1, beta, gamma, rho or lam; l is unchanged.  A residual whose square is not finite (a forecast that
-    overflowed, or one far enough off) raises ``NumericalError``, and the
-    paths are left as they were.
+    They follow a change of b1, beta, gamma, rho or lam; l is unchanged.
+    A residual whose square is not finite (a forecast that overflowed, or
+    one far enough off) raises ``NumericalError``, and the paths are left
+    as they were.
     """
     beta, gamma, rho, lam = theta.beta, theta.gamma, theta.rho, theta.lam
     keep_b = 1.0 - beta

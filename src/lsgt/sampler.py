@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -1308,32 +1309,6 @@ def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None
     return _seasonal_target(state, trial, forward.nll, grad, forward)
 
 
-SGT_WEIGHTS = slice(0, 2)     # (logit alpha, logit zeta) in a seasonal point
-SGT_SEEDS = slice(2, None)    # the m-1 free seed log factors
-
-
-def seasonal_move(state: ChainState, rng, step: StepSizeState, adapting: bool, target: float,
-                  here: MalaPoint, coords: slice, trial_at) -> MalaPoint:
-    """MALA on the coordinates ``coords`` of an SGT point from ``here``, the current draw's point.
-
-    ``trial_at(theta, x_star)`` returns ``theta`` with those coordinates at
-    ``x_star``, or None outside the support.  The state takes the draw and
-    the paths of the point reached.
-    """
-    th = state.theta
-    x = np.concatenate([_logits(th.alpha, th.zeta), th.log_s_init[: th.m - 1]])[coords]
-
-    def visit(x_star):
-        trial = trial_at(th, x_star)
-        return None if trial is None else _seasonal_visit(state, trial)
-
-    reached = _mala_move(rng, step, adapting, target, here, x, visit, coords)
-    if reached is not here:
-        state.theta = reached.theta
-        state.set_paths(reached.recursion.paths())
-    return reached
-
-
 def _weights_trial(theta: ParameterDraw, x_star: np.ndarray) -> ParameterDraw | None:
     """``theta`` with (alpha, zeta) at the logits ``x_star``; None where a weight rounds to 0 or 1."""
     w = _unit_weights(x_star)
@@ -1349,6 +1324,43 @@ def _seeds_trial(theta: ParameterDraw, free_star: np.ndarray) -> ParameterDraw:
     trial = theta.proposal_clone()
     trial.log_s_init = np.append(free_star, -float(free_star.sum()))
     return trial
+
+
+@dataclass(frozen=True)
+class SeasonalBlock:
+    """The coordinates of an SGT point that one MALA move draws.
+
+    ``coords`` is their slice of the point's gradient, ``start(theta)``
+    their values at ``theta``, and ``trial(theta, x_star)`` is ``theta``
+    with them at ``x_star``, or None outside the support.
+    """
+
+    coords: slice
+    start: Callable[[ParameterDraw], np.ndarray]
+    trial: Callable[[ParameterDraw, np.ndarray], ParameterDraw | None]
+
+
+SGT_WEIGHTS = SeasonalBlock(slice(0, 2), lambda th: _logits(th.alpha, th.zeta), _weights_trial)
+SGT_SEEDS = SeasonalBlock(slice(2, None), lambda th: th.log_s_init[: th.m - 1], _seeds_trial)
+
+
+def seasonal_move(state: ChainState, rng, step: StepSizeState, adapting: bool, target: float,
+                  here: MalaPoint, block: SeasonalBlock) -> MalaPoint:
+    """MALA on the coordinates of ``block`` in an SGT point from ``here``, the current draw's point.
+
+    The state takes the draw and the paths of the point reached.
+    """
+    th = state.theta
+
+    def visit(x_star):
+        trial = block.trial(th, x_star)
+        return None if trial is None else _seasonal_visit(state, trial)
+
+    reached = _mala_move(rng, step, adapting, target, here, block.start(th), visit, block.coords)
+    if reached is not here:
+        state.theta = reached.theta
+        state.set_paths(reached.recursion.paths())
+    return reached
 
 
 def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState,
@@ -1372,8 +1384,8 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
     if here is None:
         raise NumericalError("the current seasonal draw gives no finite likelihood")
     state.paths.e[:] = here.recursion.e
-    here = seasonal_move(state, rng, smooth_step, adapting, target, here, SGT_WEIGHTS, _weights_trial)
-    seasonal_move(state, rng, seas_step, adapting, target, here, SGT_SEEDS, _seeds_trial)
+    here = seasonal_move(state, rng, smooth_step, adapting, target, here, SGT_WEIGHTS)
+    seasonal_move(state, rng, seas_step, adapting, target, here, SGT_SEEDS)
     state.theta.beta = _open_unit(float(rng.beta(*SMOOTHING_PRIOR)))
 
 

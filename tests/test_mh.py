@@ -25,8 +25,6 @@ from lsgt.sampler import (
     StepSizeState,
     _seasonal_target,
     _seasonal_visit,
-    _seeds_trial,
-    _weights_trial,
     seasonal_move,
     update_smoothing_seasonal,
 )
@@ -35,11 +33,11 @@ from .helpers import assert_paths_equal, random_state, reference_paths
 from .oracles import negative_log_likelihood, seasonal_gradient_from_paths
 
 
-def only(coords, trial_at):
+def only(block):
     """One SGT move as a kernel of its own: (state, rng, step, adapting, target) -> accepted."""
     def update(state, rng, step, adapting, target):
         here = _seasonal_visit(state, state.theta)
-        return seasonal_move(state, rng, step, adapting, target, here, coords, trial_at) is not here
+        return seasonal_move(state, rng, step, adapting, target, here, block) is not here
     return update
 
 
@@ -79,7 +77,7 @@ def test_smoothing_mh_matches_quadrature_posterior(rng):
     mean_alpha = simpson(weights * simpson(post, x=x, axis=1), x=x) / z_norm
     mean_zeta = simpson(weights * simpson(post, x=x, axis=0), x=x) / z_norm
 
-    kept, step = run_mh_chain(state, rng, only(SGT_WEIGHTS, _weights_trial), 3000, 60_000, ["alpha", "zeta"])
+    kept, step = run_mh_chain(state, rng, only(SGT_WEIGHTS), 3000, 60_000, ["alpha", "zeta"])
     assert 0.2 < (step.accepted / step.proposals) < 0.9
     assert np.mean(kept[:, 0]) == pytest.approx(mean_alpha, abs=0.02)
     assert np.mean(kept[:, 1]) == pytest.approx(mean_zeta, abs=0.02)
@@ -103,7 +101,7 @@ def test_seasonal_mh_matches_quadrature_posterior(rng):
     mean_q = simpson(grid * post, x=grid) / z
     sd_q = math.sqrt(simpson(grid ** 2 * post, x=grid) / z - mean_q ** 2)
 
-    kept, step = run_mh_chain(state, rng, only(SGT_SEEDS, _seeds_trial), 3000, 60_000, ["seed0"])
+    kept, step = run_mh_chain(state, rng, only(SGT_SEEDS), 3000, 60_000, ["seed0"])
     assert 0.2 < (step.accepted / step.proposals) < 0.95
     assert np.mean(kept[:, 0]) == pytest.approx(mean_q, abs=max(0.02, 0.1 * sd_q))
     # the balancing seed always mirrors the free one

@@ -13,7 +13,7 @@ from lsgt.rng import RngStream
 from lsgt.sampler import SamplerConfig, effective_prior, fit
 from lsgt.synth import default_params, generate_series, rank_uniformity_pvalue, sbc_rank
 
-from .helpers import TEST_NU_GRID_SIZE, assert_paths_equal, make_prior, random_state, reference_paths
+from .helpers import PATH_FIELDS, TEST_NU_GRID_SIZE, assert_paths_equal, make_prior, random_state, reference_paths
 
 
 def synthetic_series(seed=11, T=40, m=1, seasonal=False, **param_overrides):
@@ -294,18 +294,18 @@ def test_sweep_calls_kernels_in_docstring_order(monkeypatch, seasonal, hetero, s
     assert [name for name in documented if name in order] == order
 
 
-# the kernels that read the paths, with the fields they read: e is stale
-# where update_rho_gamma_grouped and update_lambda_b1 run, and neither reads
-# it; update_phi_grid reads l and e but not the g that update_tau_grid leaves
-# stale, and refreshes g itself
-PATH_READERS = {
-    "update_omega2": ("e", "g"),
-    "update_chi2": ("l", "e"),
-    "update_rho_gamma_grouped": ("l", "b", "log_s", "g"),
-    "update_lambda_b1": ("l", "b", "g"),
-    "update_tau_grid": ("l", "e"),
-    "update_phi_grid": ("l", "e"),
-    "update_nu_collapsed": ("e", "g"),
+# the kernels that read the paths, with the fields left stale at their
+# entry: e where update_rho_gamma_grouped and update_lambda_b1 run, and
+# neither reads it; g where update_phi_grid runs, which reads the l and e
+# but not the g that update_tau_grid leaves stale, and refreshes g itself
+STALE_FIELDS = {
+    "update_omega2": (),
+    "update_chi2": (),
+    "update_rho_gamma_grouped": ("e",),
+    "update_lambda_b1": ("e",),
+    "update_tau_grid": (),
+    "update_phi_grid": ("g",),
+    "update_nu_collapsed": (),
 }
 
 
@@ -314,19 +314,21 @@ PATH_READERS = {
 def test_every_reader_of_yhat_and_e_finds_the_current_draws_paths(monkeypatch, seasonal, hetero):
     # every path is refreshed once per sweep, by the kernel whose draw moves
     # it, and serves every kernel that reads it: at each such kernel's entry
-    # the fields it reads are the reference recursion's at the draw, a
-    # seasonal fit keeps no trend, and chi2 * g is the reference's sigma2hat
+    # every field but the stale ones is the reference recursion's at the
+    # draw, a seasonal fit keeps no trend, and chi2 * g is the reference's
+    # sigma2hat
     seen = []
 
     def checking(name, kernel):
         def wrapper(state, *args, **kwargs):
             want = reference_paths(state.y, state.theta, state.prior)
-            assert_paths_equal(state.paths, state.theta.chi2, want, PATH_READERS[name], where=name)
+            fields = [f for f in PATH_FIELDS if f not in STALE_FIELDS[name]]
+            assert_paths_equal(state.paths, state.theta.chi2, want, fields, where=name)
             seen.append(name)
             return kernel(state, *args, **kwargs)
         return wrapper
 
-    for name in PATH_READERS:
+    for name in STALE_FIELDS:
         monkeypatch.setattr(sampler, name, checking(name, getattr(sampler, name)))
     m = 4 if seasonal else 1
     series, _ = synthetic_series(seasonal=seasonal, m=m, T=44)
