@@ -76,6 +76,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--quantiles", help="comma-separated levels, e.g. 0.05,0.5,0.95")
 
 
+def _int_option(opts: dict, key: str, default: int | None = None) -> int:
+    """``opts[key]`` as an int; a boolean or a number that is not whole raises ValueError."""
+    value = opts.get(key, default)
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{key} = {value!r} is not a whole number")
+    return int(value)
+
+
 def _merged_options(args: argparse.Namespace) -> dict:
     opts: dict = {}
     if getattr(args, "config", None):
@@ -97,13 +105,13 @@ def _run_config(opts: dict) -> RunConfig:
             model_kind=MODEL_NAMES[opts.get("model", "lgt")],
             variance_mode=VARIANCE_NAMES[opts.get("variance", "hetero")],
             seasonal_prior=opts.get("seasonal_prior", "horseshoe"),
-            seed=int(opts.get("seed", 0)),
-            workers=int(opts.get("workers", 1)),
-            chains=int(opts.get("chains", 2)),
+            seed=_int_option(opts, "seed", 0),
+            workers=_int_option(opts, "workers", 1),
+            chains=_int_option(opts, "chains", 2),
         )
         for key, field in (("iters", "iterations"), ("burnin", "burn_in"), ("first_n", "first_n")):
             if key in opts:
-                kwargs[field] = int(opts[key])
+                kwargs[field] = _int_option(opts, key)
         if "quantiles" in opts:
             kwargs["quantile_levels"] = tuple(float(q) for q in str(opts["quantiles"]).split(","))
         return RunConfig(**kwargs)
@@ -170,17 +178,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     opts = _merged_options(args)
     try:
         model_kind = MODEL_NAMES[opts.get("model", "lgt")]
-        m = int(opts.get("m", 4 if model_kind == SEASONAL else 1))
-        T = int(opts.get("length", 60))
-        h = int(opts.get("horizon", 6))
-        n_series = int(opts.get("n_series", 1))
-        seed = int(opts.get("seed", 0))
+        m = _int_option(opts, "m", 4 if model_kind == SEASONAL else 1)
+        T = _int_option(opts, "length", 60)
+        h = _int_option(opts, "horizon", 6)
+        n_series = _int_option(opts, "n_series", 1)
+        seed = _int_option(opts, "seed", 0)
     except (KeyError, ValueError) as exc:
         raise LsgtError(f"invalid option: {exc}") from exc
     out_path = opts.get("out", "synthetic.json")
 
     params = default_params(m=m, model_kind=model_kind, T=T)
-    for spec in opts.get("param", []) or []:
+    specs = opts.get("param") or []
+    if not isinstance(specs, list):  # a config file's one `param = name=value` line
+        specs = [str(specs)]
+    for spec in specs:
         name, _, value = spec.partition("=")
         if not isinstance(getattr(params, name, None), float):
             raise LsgtError(f"--param {spec!r}: {name!r} is not a scalar generator parameter")

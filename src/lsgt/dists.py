@@ -35,7 +35,6 @@ __all__ = [
     "log_ndtr",
     "log_ndtr_diff",
     "t_log_normaliser",
-    "symmetric_kl_t",
     "NuGrid",
     "build_nu_grid",
 ]
@@ -45,30 +44,26 @@ __all__ = [
 # Sampling wrappers
 # ---------------------------------------------------------------------------
 
-def sample_inverse_gamma(rng, shape, scale, size=None):
+def sample_inverse_gamma(rng, shape, scale):
     """Draw from IG(shape, scale); the reciprocal is Gamma(shape, rate=scale).
 
     ``shape`` is a scalar; ``scale`` may be an array for a batch of
     independent draws.  A batch is drawn as
-    ``standard_gamma(shape, size) * (1 / scale)``: numpy's
+    ``standard_gamma(shape, scale.shape) * (1 / scale)``: numpy's
     ``Generator.gamma(k, theta)`` is ``theta * standard_gamma(k)`` draw for
     draw, so the values and the generator's state after them are those of
     ``gamma(shape, 1 / scale)``, without its two-parameter broadcast.
     """
-    if size is None and isinstance(shape, (float, int)) and isinstance(scale, (float, int)):
+    if isinstance(shape, (float, int)) and isinstance(scale, (float, int)):
         if not (shape > 0 and scale > 0 and math.isfinite(shape) and math.isfinite(scale)):
             raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
         return 1.0 / rng.gamma(shape, 1.0 / scale)
     shape = float(shape)
     scale_arr = np.asarray(scale, dtype=float)
-    if size is None and scale_arr.ndim > 0:
-        size = scale_arr.shape
     if not (shape > 0 and math.isfinite(shape) and _positive_finite(scale_arr)):
         raise ValueError(f"inverse-gamma requires positive finite shape/scale, got {shape}, {scale}")
-    out = 1.0 / (rng.standard_gamma(shape, size) * (1.0 / scale_arr))
-    if size is None and np.ndim(out) == 0:
-        return float(out)
-    return out
+    out = 1.0 / (rng.standard_gamma(shape, scale_arr.shape or None) * (1.0 / scale_arr))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def _positive_finite(arr: np.ndarray) -> bool:
@@ -76,11 +71,10 @@ def _positive_finite(arr: np.ndarray) -> bool:
     return arr.size == 0 or (arr.min() > 0 and arr.max() < math.inf)
 
 
-def sample_normal(rng, mean, variance, size=None):
+def sample_normal(rng, mean: float, variance: float) -> float:
     if not (variance > 0 and math.isfinite(variance) and math.isfinite(mean)):
         raise ValueError(f"normal requires finite mean and positive variance, got {mean}, {variance}")
-    out = rng.normal(mean, math.sqrt(variance), size=size)
-    return float(out) if size is None else out
+    return float(rng.normal(mean, math.sqrt(variance)))
 
 
 def sample_categorical(rng, weights) -> int:
@@ -184,7 +178,7 @@ def sample_truncated_normal(rng, mean, variance, lo, hi):
 # Symmetric KL divergence between unit Student-t densities
 # ---------------------------------------------------------------------------
 
-KL_NODES = 1200        # Gauss-Legendre nodes of symmetric_kl_t and the grid gaps
+KL_NODES = 1200        # Gauss-Legendre nodes of the grid gaps
 KL_CHECK_TOL = 2e-5    # largest relative change allowed at half the nodes
 NEWTON_STEPS = 20      # bound on the Newton steps of _gauss_nodes; 3 to 4 suffice
 
@@ -279,18 +273,6 @@ def _checked(a: np.ndarray, b: np.ndarray, fine: np.ndarray) -> np.ndarray:
     return fine
 
 
-def symmetric_kl_t(nu1: float, nu2: float) -> float:
-    """KL(p||q) + KL(q||p) between unit Student-t densities.
-
-    Raises ``QuadratureError`` when halving the node count moves the result
-    by more than ``KL_CHECK_TOL`` relative.
-    """
-    if not (nu1 > 0 and nu2 > 0):
-        raise ValueError(f"degrees of freedom must be positive, got {nu1}, {nu2}")
-    a, b = np.array([nu1], dtype=float), np.array([nu2], dtype=float)
-    return float(_checked(a, b, _skl(a, b, KL_NODES))[0])
-
-
 # ---------------------------------------------------------------------------
 # Candidate grids
 # ---------------------------------------------------------------------------
@@ -316,9 +298,9 @@ def build_nu_grid(nu_l: float, nu_u: float, q: int) -> NuGrid:
     interpolated linearly in log df; both ends stay put.  The gaps are equal
     exactly at the fixed point, and the passes stop once their spread is
     within ``GRID_TOL`` of their mean (11 passes for the default grid).
-    Every final gap must pass the half-resolution check of
-    ``symmetric_kl_t`` (else ``QuadratureError``), and gaps that do not
-    equalise within ``GRID_PASSES`` passes raise ``GridConstructionError``.
+    Every final gap must pass the half-resolution check of ``_checked``
+    (else ``QuadratureError``), and gaps that do not equalise within
+    ``GRID_PASSES`` passes raise ``GridConstructionError``.
     Results are cached per process, and forked workers inherit the cache.
     """
     if not (0 < nu_l < nu_u):

@@ -92,9 +92,6 @@ class SeasonalPrior:
             return cls("cauchy", float(text.split(":", 1)[1]))
         raise ValueError(f"cannot parse seasonal prior {text!r}")
 
-    def spec(self) -> str:
-        return self.kind if self.kind == "horseshoe" else f"cauchy:{self.scale}"
-
 
 @dataclass(frozen=True)
 class PriorConfig:
@@ -288,10 +285,6 @@ class EndState:
     log_s: np.ndarray
 
 
-def effective_lam(theta: ParameterDraw, cfg: PriorConfig) -> float:
-    return 0.0 if cfg.model_kind == SEASONAL else theta.lam
-
-
 def initial_level(y, model_kind: str, log_s_init) -> float:
     """Level seed: the first observation, deseasonalised by its seed factor."""
     if model_kind != SEASONAL:
@@ -318,7 +311,7 @@ def simulate(rng, theta: ParameterDraw, cfg: PriorConfig, l: float, b: float,
     gamma, rho, nu = theta.gamma, theta.rho, theta.nu
     chi2 = theta.chi2
     phi2, q2, p2 = theta.phi ** 2, (1.0 - theta.phi) ** 2, 2.0 * theta.tau
-    lam = effective_lam(theta, cfg)
+    lam = 0.0 if seasonal else theta.lam
     log_s = log_s.tolist()
     out = []
     try:

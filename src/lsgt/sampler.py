@@ -361,16 +361,6 @@ def update_omega2(state: ChainState, rng) -> np.ndarray:
     return state.theta.omega2
 
 
-def gamma_conditional(state: ChainState) -> tuple[float, float]:
-    """Conjugate normal (mean, variance) of the global trend coefficient.
-
-    The arithmetic of ``update_rho_gamma_grouped``'s draw, at the current
-    trend power.
-    """
-    x, resid, weight, prior_var = _gamma_regression(state, np.array([[state.theta.rho]]))
-    return normal_moments(*_gamma_pair(x[0], resid, weight), prior_var)
-
-
 def xi_conditional(value: float, scale: float) -> tuple[float, float]:
     """(shape, scale) of a Cauchy-mixture latent given its coefficient."""
     return 1.0, value ** 2 / (2.0 * scale ** 2) + 0.5
@@ -426,18 +416,6 @@ class TrendBlock:
     def b1_moments(self, lam: float, prior_variance: float) -> tuple[float, float]:
         """Conjugate normal (mean, variance) of b1 given lam: design lam * d, residual r - lam * f."""
         return normal_moments(lam * lam * self.wdd, lam * (self.wdr - lam * self.wfd), prior_variance)
-
-
-def lambda_conditional(state: ChainState) -> tuple[float, float]:
-    """Conjugate normal (mean, variance) of the local trend coefficient."""
-    th = state.theta
-    return TrendBlock.of(state).lambda_moments(th.b1, th.xi_lambda2 * state.s_lambda ** 2)
-
-
-def b1_conditional(state: ChainState) -> tuple[float, float]:
-    """Conjugate normal (mean, variance) of the initial local trend."""
-    th = state.theta
-    return TrendBlock.of(state).b1_moments(th.lam, th.xi_b1_2 * state.s_b1 ** 2)
 
 
 def update_lambda_b1(state: ChainState, rng) -> tuple[float, float, float, float]:
@@ -595,10 +573,14 @@ def _rho_nll(x: np.ndarray, resid: np.ndarray, weight: np.ndarray, prior_var: fl
              penalty: np.ndarray) -> np.ndarray:
     """The trend-power grid's nll from ``_gamma_regression``'s terms and the power's prior ``penalty``.
 
-    Every candidate's precision and score is one matrix-vector product;
-    their last bits may differ from ``_gamma_pair``'s, which only gamma's
-    draw reads.  A prior variance that underflowed to 0 raises
-    ``NumericalError``.
+    The negative log posterior of the trend power with the trend
+    coefficient integrated out analytically, given the t-mixture
+    variances: per candidate, the coefficient's conjugate normal integrates
+    to a log marginal of mu^2/(2 var) + log(var)/2, up to terms that do not
+    involve the power.  Every candidate's precision and score is one
+    matrix-vector product; their last bits may differ from
+    ``_gamma_pair``'s, which only gamma's draw reads.  A prior variance
+    that underflowed to 0 raises ``NumericalError``.
     """
     if not prior_var > 0:
         raise NumericalError(f"trend-coefficient prior variance {prior_var} must be positive")
@@ -610,26 +592,16 @@ def _rho_nll(x: np.ndarray, resid: np.ndarray, weight: np.ndarray, prior_var: fl
         return -mu_c ** 2 / (2.0 * var_c) - 0.5 * np.log(var_c) + penalty
 
 
-def rho_marginal_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    """Negative log posterior of the trend power with the trend coefficient
-    integrated out analytically (conditional on the t-mixture variances).
-
-    The trend power and coefficient sit on a sharp ridge; sampling the pair
-    as a group breaks the ridge walk.  Per candidate the coefficient's
-    conjugate normal integrates to mu^2/(2 var) + log(var)/2 up to terms
-    that do not involve the power.
-    """
-    return _rho_nll(*_gamma_regression(state, candidates[:, None]), np.log(candidates ** 2 + 1.0))
-
-
 def update_rho_gamma_grouped(state: ChainState, rng) -> tuple[float, float, float]:
     """Grouped draw of (trend power, trend coefficient), then the coefficient's Cauchy latent.
 
-    The grid's table of the coefficient's regressors is formed once: its
-    matrix-vector products give the power's marginal, and the chosen
-    candidate's row sums give the coefficient's conjugate normal.  e is
-    left stale: no kernel reads it before ``update_lambda_b1``
-    (non-seasonal) or ``update_smoothing_seasonal`` refreshes it.
+    The trend power and coefficient sit on a sharp ridge; sampling the pair
+    as a group breaks the ridge walk.  The grid's table of the
+    coefficient's regressors is formed once: its matrix-vector products
+    give the power's marginal (``_rho_nll``), and the chosen candidate's
+    row sums give the coefficient's conjugate normal.  e is left stale: no
+    kernel reads it before ``update_lambda_b1`` (non-seasonal) or
+    ``update_smoothing_seasonal`` refreshes it.
     """
     th = state.theta
     grids = state.grids
@@ -677,15 +649,6 @@ def _phi_nll(state: ChainState, phi_sq: np.ndarray, phi_keep_sq: np.ndarray) -> 
         table += phi_sq
         table *= th.chi2
         return _variance_grid_nll(state, table)
-
-
-def tau_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    return _tau_nll(state, 2.0 * candidates[:, None])
-
-
-def phi_grid_nll(state: ChainState, candidates: np.ndarray) -> np.ndarray:
-    col = candidates[:, None]
-    return _phi_nll(state, col ** 2, (1.0 - col) ** 2)
 
 
 def update_tau_grid(state: ChainState, rng) -> float:

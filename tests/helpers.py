@@ -14,7 +14,6 @@ from lsgt.model import (
     PriorConfig,
     SeasonalPrior,
     StatePaths,
-    effective_lam,
 )
 from lsgt.sampler import ChainState, PosteriorSamples, make_grids, seasonal_forward, seasonal_gradient
 
@@ -72,10 +71,11 @@ def random_state(rng, T=9, seasonal=False, m=1, hetero=True, prior=None, **theta
 
 
 def _reference(y, theta, prior):
+    seasonal = prior.model_kind == SEASONAL
     return reference_recursion(
         y, theta.alpha, theta.beta, theta.zeta, theta.gamma, theta.rho,
-        effective_lam(theta, prior), theta.chi2, theta.phi, theta.tau, theta.b1,
-        theta.log_s_init, prior.model_kind == SEASONAL)
+        0.0 if seasonal else theta.lam, theta.chi2, theta.phi, theta.tau, theta.b1,
+        theta.log_s_init, seasonal)
 
 
 @dataclass

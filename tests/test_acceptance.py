@@ -33,14 +33,15 @@ from lsgt.metrics import coverage_flags, mase, msis, smape
 from lsgt.rng import RngStream
 from lsgt.sampler import (
     SamplerConfig,
-    b1_conditional,
+    TrendBlock,
+    _gamma_pair,
+    _gamma_regression,
     chi2_conditional,
     delta2_conditional,
     eta_delta_conditional,
     eta_s_conditional,
     fit,
-    gamma_conditional,
-    lambda_conditional,
+    normal_moments,
     omega2_conditional,
     psi2_conditional,
 )
@@ -171,7 +172,8 @@ def test_criterion_2_conjugate_correctness():
     x_g = lp ** th.rho
     c_g = state.paths.l[:-1] + th.lam * state.paths.b[:-1]
     pv_g = th.xi_gamma2 * state.s_gamma ** 2
-    mu, var = gamma_conditional(state)
+    x_rho, resid, weight, pv_k = _gamma_regression(state, np.array([[th.rho]]))
+    mu, var = normal_moments(*_gamma_pair(x_rho[0], resid, weight), pv_k)
     mean_q, var_q = quad_moments_real(
         lambda w: float(np.sum(-(yy - (w * x_g + c_g)) ** 2 / (2.0 * sig2)))
         - w ** 2 / (2.0 * pv_g)
@@ -182,7 +184,8 @@ def test_criterion_2_conjugate_correctness():
     x_l = state.paths.b[:-1]
     c_l = state.paths.l[:-1] + th.gamma * lp ** th.rho
     pv_l = th.xi_lambda2 * state.s_lambda ** 2
-    mu, var = lambda_conditional(state)
+    block = TrendBlock.of(state)
+    mu, var = block.lambda_moments(th.b1, pv_l)
     mean_q, var_q = quad_moments_real(
         lambda w: float(np.sum(-(yy - (w * x_l + c_l)) ** 2 / (2.0 * sig2)))
         - w ** 2 / (2.0 * pv_l)
@@ -193,7 +196,7 @@ def test_criterion_2_conjugate_correctness():
     x_b = th.lam * np.power(1.0 - th.beta, np.arange(state.T - 1, dtype=float))
     c_b = reference_yhat(state.y, th, state.prior) - x_b * th.b1
     pv_b = th.xi_b1_2 * state.s_b1 ** 2
-    mu, var = b1_conditional(state)
+    mu, var = block.b1_moments(th.lam, pv_b)
     mean_q, var_q = quad_moments_real(
         lambda w: float(np.sum(-(yy - (w * x_b + c_b)) ** 2 / (2.0 * sig2)))
         - w ** 2 / (2.0 * pv_b)
@@ -252,14 +255,14 @@ def test_criterion_3_scale_mixtures():
     n = 100_000
     for i, nu in enumerate((2.0, 5.0, 30.0)):
         rng = RngStream(3003, i).generator()
-        w = sample_inverse_gamma(rng, nu / 2.0, nu / 2.0, size=n)
+        w = sample_inverse_gamma(rng, nu / 2.0, np.full(n, nu / 2.0))
         x = rng.normal(0.0, np.sqrt(w))
         p = kstest(x, lambda v: t_dist.cdf(v, nu)).pvalue
         assert p > 0.01, f"t mixture KS failed for nu={nu}: p={p}"
 
     rng = RngStream(3003, 99).generator()
     a = 2.5
-    eta = sample_inverse_gamma(rng, 0.5, 1.0 / a ** 2, size=n)
+    eta = sample_inverse_gamma(rng, 0.5, np.full(n, 1.0 / a ** 2))
     y2 = sample_inverse_gamma(rng, 0.5, 1.0 / eta)
     p = kstest(np.sqrt(y2), lambda v: halfcauchy.cdf(v, scale=a)).pvalue
     assert p > 0.01, f"half-Cauchy nested mixture KS failed: p={p}"

@@ -17,13 +17,13 @@ from lsgt import sampler
 from lsgt.model import LEVEL_FLOOR
 from lsgt.sampler import (
     ChainState,
-    b1_conditional,
+    TrendBlock,
+    _gamma_pair,
+    _gamma_regression,
     chi2_conditional,
     delta2_conditional,
     eta_delta_conditional,
     eta_s_conditional,
-    gamma_conditional,
-    lambda_conditional,
     normal_moments,
     omega2_conditional,
     psi2_conditional,
@@ -232,7 +232,8 @@ def test_gamma_conditional_matches_quadrature(rng):
         resid = yy - (g * x + c)
         return float(np.sum(-resid ** 2 / (2.0 * sig2))) - g ** 2 / (2.0 * prior_var)
 
-    mu, var = gamma_conditional(state)
+    x_rho, resid, weight, prior_var_k = _gamma_regression(state, np.array([[th.rho]]))
+    mu, var = normal_moments(*_gamma_pair(x_rho[0], resid, weight), prior_var_k)
     mean_q, var_q = quad_moments_real(log_density)
     assert mean_q == pytest.approx(mu, rel=REL, abs=1e-9)
     assert var_q == pytest.approx(var, rel=REL)
@@ -269,7 +270,7 @@ def test_lambda_conditional_matches_quadrature(rng, level):
         resid = yy - (w * x + c)
         return float(np.sum(-resid ** 2 / (2.0 * sig2))) - w ** 2 / (2.0 * prior_var)
 
-    mu, var = lambda_conditional(state)
+    mu, var = TrendBlock.of(state).lambda_moments(th.b1, prior_var)
     mean_q, var_q = quad_moments_real(log_density)
     assert mean_q == pytest.approx(mu, rel=REL, abs=1e-9)
     assert var_q == pytest.approx(var, rel=REL)
@@ -290,7 +291,7 @@ def test_b1_conditional_matches_quadrature(rng, level):
         resid = yy - (x * b + c)
         return float(np.sum(-resid ** 2 / (2.0 * sig2))) - b ** 2 / (2.0 * prior_var)
 
-    mu, var = b1_conditional(state)
+    mu, var = TrendBlock.of(state).b1_moments(th.lam, prior_var)
     mean_q, var_q = quad_moments_real(log_density)
     assert mean_q == pytest.approx(mu, rel=REL, abs=1e-9)
     assert var_q == pytest.approx(var, rel=REL)

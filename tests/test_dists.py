@@ -14,7 +14,9 @@ from lsgt.dists import (
     KL_NODES,
     NARROW_INTERVAL,
     TRUNCATION_TRIES,
+    _checked,
     _gauss_nodes,
+    _skl,
     _t_log_density_vec,
     build_nu_grid,
     log_ndtr,
@@ -23,7 +25,6 @@ from lsgt.dists import (
     sample_inverse_gamma,
     sample_normal,
     sample_truncated_normal,
-    symmetric_kl_t,
     t_log_normaliser,
 )
 from lsgt.errors import GridConstructionError, QuadratureError
@@ -44,17 +45,17 @@ def test_rng_streams_reproducible():
 
 def test_inverse_gamma_shape1_is_reciprocal_exponential(rng):
     beta = 2.5
-    x = sample_inverse_gamma(rng, 1.0, beta, size=N)
+    x = sample_inverse_gamma(rng, 1.0, np.full(N, beta))
     # 1/x ~ Exp(rate beta), mean 1/beta
     assert np.mean(1.0 / x) == pytest.approx(1.0 / beta, rel=0.01)
 
 
 def test_inverse_gamma_moments(rng):
-    x = sample_inverse_gamma(rng, 3.0, 2.0, size=N)
+    x = sample_inverse_gamma(rng, 3.0, np.full(N, 2.0))
     assert np.mean(x) == pytest.approx(2.0 / (3.0 - 1.0), rel=0.01)
     # variance checked at shape 5: the empirical variance of shallower
     # shapes has no finite fourth moment behind it
-    x = sample_inverse_gamma(rng, 5.0, 4.0, size=N)
+    x = sample_inverse_gamma(rng, 5.0, np.full(N, 4.0))
     assert np.var(x) == pytest.approx(16.0 / (16.0 * 3.0), rel=0.01)
 
 
@@ -75,20 +76,24 @@ def test_inverse_gamma_batch_is_the_two_parameter_gamma_draw_for_draw(k):
     # a scalar-shape batch goes through standard_gamma; its values and the
     # generator's state after it are those of gamma(k, 1 / scale)
     gen = np.random.default_rng(29)
-    cases = [(gen.uniform(0.01, 50.0, size=n), None) for n in (1, 12, 125)] + [(2.5, 40)]
-    for i, (s, size) in enumerate(cases):
+    cases = [gen.uniform(0.01, 50.0, size=n) for n in (1, 12, 125)] + [np.full(40, 2.5)]
+    for i, s in enumerate(cases):
         a, b = np.random.default_rng(i), np.random.default_rng(i)
-        got = sample_inverse_gamma(a, k, s, size=size)
-        want = 1.0 / b.gamma(k, 1.0 / np.asarray(s), size=size)
+        got = sample_inverse_gamma(a, k, s)
+        want = 1.0 / b.gamma(k, 1.0 / s)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
         assert a.random() == b.random()
 
 
-def test_normal_moments(rng):
-    x = sample_normal(rng, 0.0, 1.0, size=N)
-    assert abs(np.mean(x)) < 3e-3
-    assert np.var(x) == pytest.approx(1.0, rel=0.01)
+def test_normal_moments():
+    # a normal draw is numpy's, draw for draw, with the generator left in the same state
+    for i, (m, v) in enumerate([(0.0, 1.0), (-3.5, 0.04), (1e6, 2.5e3), (2.0, 1e-12)]):
+        a, b = np.random.default_rng(i), np.random.default_rng(i)
+        got = sample_normal(a, m, v)
+        assert type(got) is float
+        assert got == b.normal(m, math.sqrt(v))
+        assert a.random() == b.random()
 
 
 def test_categorical_degenerate(rng):
@@ -176,7 +181,7 @@ def test_log_ndtr_diff_either_side_of_the_narrow_switch():
             assert log_ndtr_diff(a, b) == pytest.approx(want, rel=1e-12, abs=1e-14), (m, ratio)
 
 
-# the unit t density is the integrand of symmetric_kl_t and so of the nu grid
+# the unit t density is the integrand of the symmetric KL and so of the nu grid
 def test_t_log_density_matches_scipy(rng):
     for _ in range(50):
         x = rng.normal(0, 5, size=4)
@@ -220,7 +225,7 @@ def test_t_log_density_cauchy_case():
 def test_t_scale_mixture_identity(rng):
     # x | w ~ N(mu, sigma^2 w), w ~ IG(nu/2, nu/2)  marginally t(nu, mu, sigma)
     nu, mu, sigma = 4.0, 1.0, 2.0
-    w = sample_inverse_gamma(rng, nu / 2, nu / 2, size=100_000)
+    w = sample_inverse_gamma(rng, nu / 2, np.full(100_000, nu / 2))
     x = rng.normal(mu, sigma * np.sqrt(w))
     p = kstest(x, lambda v: t_dist.cdf(v, nu, loc=mu, scale=sigma)).pvalue
     assert p > 0.01
@@ -228,16 +233,18 @@ def test_t_scale_mixture_identity(rng):
 
 def test_half_cauchy_nested_ig(rng):
     a = 1.5
-    eta = sample_inverse_gamma(rng, 0.5, 1.0 / a ** 2, size=100_000)
+    eta = sample_inverse_gamma(rng, 0.5, np.full(100_000, 1.0 / a ** 2))
     y2 = sample_inverse_gamma(rng, 0.5, 1.0 / eta)
     p = kstest(np.sqrt(y2), lambda v: halfcauchy.cdf(v, scale=a)).pvalue
     assert p > 0.01
 
 
 def test_symmetric_kl_properties():
-    assert symmetric_kl_t(3.0, 3.0) == 0.0
-    assert symmetric_kl_t(2.0, 7.0) == symmetric_kl_t(7.0, 2.0)
-    assert symmetric_kl_t(2.0, 4.0) > 0.0
+    a, b = np.array([3.0, 2.0, 7.0, 2.0]), np.array([3.0, 7.0, 2.0, 4.0])
+    same, fwd, back, pos = _checked(a, b, _skl(a, b, KL_NODES))
+    assert same == 0.0
+    assert fwd == back
+    assert pos > 0.0
 
 
 def test_symmetric_kl_against_quad():
@@ -245,15 +252,18 @@ def test_symmetric_kl_against_quad():
         f = lambda x: t_dist.pdf(x, n1) * (t_dist.logpdf(x, n1) - t_dist.logpdf(x, n2))
         return quad(f, -np.inf, np.inf, limit=400)[0]
 
-    for pair in ((2.0, 4.0), (1.6, 30.0), (10.0, 1000.0)):
-        ref = kl_quad(*pair) + kl_quad(*reversed(pair))
-        assert symmetric_kl_t(*pair) == pytest.approx(ref, rel=1e-6)
+    a, b = np.array([2.0, 1.6, 10.0]), np.array([4.0, 30.0, 1000.0])
+    got = _checked(a, b, _skl(a, b, KL_NODES))
+    for n1, n2, kl in zip(a, b, got):
+        ref = kl_quad(n1, n2) + kl_quad(n2, n1)
+        assert kl == pytest.approx(ref, rel=1e-6)
 
 
 @pytest.mark.slow
 def test_symmetric_kl_against_monte_carlo():
     ref = mc_symmetric_kl_t(2.0, 4.0, n=10_000_000)
-    assert symmetric_kl_t(2.0, 4.0) == pytest.approx(ref, rel=0.02)
+    a, b = np.array([2.0]), np.array([4.0])
+    assert _checked(a, b, _skl(a, b, KL_NODES))[0] == pytest.approx(ref, rel=0.02)
 
 
 def test_nu_grid_trivial():
@@ -267,7 +277,7 @@ def test_nu_grid_ascending_and_equal_gaps():
         assert len(arr) == q
         assert np.all(np.diff(arr) > 0)
         assert arr[0] == 1.6 and arr[-1] == 1000.0
-        gaps = np.array([symmetric_kl_t(a, b) for a, b in zip(arr[:-1], arr[1:])])
+        gaps = _checked(arr[:-1], arr[1:], _skl(arr[:-1], arr[1:], KL_NODES))
         assert np.max(np.abs(gaps - gaps.mean())) / gaps.mean() < 1e-5
 
 

@@ -18,9 +18,6 @@ from lsgt.sampler import (
     _rho_nll,
     _tau_nll,
     nu_collapsed_nll,
-    phi_grid_nll,
-    rho_marginal_nll,
-    tau_grid_nll,
     update_nu_collapsed,
     update_phi_grid,
     update_tau_grid,
@@ -201,7 +198,7 @@ def test_rho_marginal_nll_matches_quadrature(rng):
     # trend coefficient integrated out, include the log(rho^2+1) penalty
     state = random_state(rng, T=12)
     cand = state.grids.rho[::9]
-    got = rho_marginal_nll(state, cand)
+    got = _rho_nll(*_gamma_regression(state, cand[:, None]), np.log(cand ** 2 + 1.0))
     expected = np.array([-_log_marginal_over_gamma(state, r) + math.log(r ** 2 + 1.0) for r in cand])
     np.testing.assert_allclose(got - got[0], expected - expected[0], rtol=1e-6, atol=1e-6)
 
@@ -210,7 +207,7 @@ def test_rho_penalty_regression_locked(rng):
     # frozen fixture: removing the penalty changes the implied weights
     state = random_state(rng, T=12)
     cand = state.grids.rho
-    nll = rho_marginal_nll(state, cand)
+    nll = _rho_nll(*_gamma_regression(state, cand[:, None]), np.log(cand ** 2 + 1.0))
     core = nll - np.log(cand ** 2 + 1.0)
     w_with = np.exp(-(nll - nll.min()))
     w_without = np.exp(-(core - core.min()))
@@ -223,7 +220,7 @@ def test_variance_grid_nll_matches_direct(rng):
     state = random_state(rng, T=12)
     th = state.theta
     cand = state.grids.tau[:5]
-    got = tau_grid_nll(state, cand)
+    got = _tau_nll(state, 2.0 * cand[:, None])
     lp = np.maximum(state.paths.l[:-1], 1e-10)
     for j, tau in enumerate(cand):
         s2 = th.chi2 * (th.phi ** 2 + (1.0 - th.phi) ** 2 * lp ** (2.0 * tau))
@@ -236,7 +233,8 @@ def test_variance_grid_nll_matches_direct(rng):
 
 def test_phi_one_candidate_gives_homoscedastic(rng):
     state = random_state(rng, T=12)
-    nll = phi_grid_nll(state, np.array([1.0]))
+    col = np.array([[1.0]])
+    nll = _phi_nll(state, col ** 2, (1.0 - col) ** 2)
     th = state.theta
     s2 = np.full(state.T - 1, th.chi2)
     expected = float(

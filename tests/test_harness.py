@@ -219,6 +219,36 @@ def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
     assert rc == 0
 
 
+def test_cli_simulate_param_line_in_config_file_is_one_override(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("param = gamma=2.0\n")
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "file.json")]) == 0
+    assert cli_main(["simulate", "--param", "gamma=2.0", "--out", str(tmp_path / "flag.json")]) == 0
+    assert cli_main(["simulate", "--out", str(tmp_path / "default.json")]) == 0
+    written = (tmp_path / "file.json").read_bytes()
+    assert written == (tmp_path / "flag.json").read_bytes()
+    assert written != (tmp_path / "default.json").read_bytes()
+
+
+# config-file lines that no flag can carry, as argparse refuses them: each
+# integer option must be whole and not a boolean
+CONFIG_FILES = {
+    "bad.cfg": "length = abc\n",
+    "seed_1.5.cfg": "seed = 1.5\n",
+    "chains_true.cfg": "chains = true\n",
+    "iters_100.9.cfg": "iters = 100.9\n",
+    "workers_true.cfg": "workers = true\n",
+    "first_n_1.5.cfg": "first_n = 1.5\n",
+    "m_4.5.cfg": "m = 4.5\n",
+    "length_36.5.cfg": "length = 36.5\n",
+    "horizon_true.cfg": "horizon = true\n",
+    "n_series_1.5.cfg": "n_series = 1.5\n",
+    "seed_true.cfg": "seed = true\n",
+}
+# a run short enough that a wrongly accepted value still ends quickly
+SMALL_RUN = ["--iters", "60", "--burnin", "30", "--chains", "1"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--param", "gamma=abc"],
     ["simulate", "--param", "gamma"],
@@ -237,6 +267,17 @@ def test_cli_simulate_rejects_unknown_or_array_param(tmp_path, capsys):
     ["simulate", "--length", "0"],
     ["simulate", "--length", "-3"],
     ["simulate", "--model", "sgt", "--m", "0"],
+    ["benchmark", "--config", "{tmp}/seed_1.5.cfg", *SMALL_RUN],
+    ["benchmark", "--config", "{tmp}/chains_true.cfg", "--iters", "60", "--burnin", "30"],
+    ["benchmark", "--config", "{tmp}/iters_100.9.cfg", "--burnin", "30", "--chains", "1"],
+    ["benchmark", "--config", "{tmp}/workers_true.cfg", *SMALL_RUN],
+    ["benchmark", "--config", "{tmp}/first_n_1.5.cfg", *SMALL_RUN],
+    ["fit", "--config", "{tmp}/seed_1.5.cfg", *SMALL_RUN],
+    ["simulate", "--model", "sgt", "--config", "{tmp}/m_4.5.cfg"],
+    ["simulate", "--config", "{tmp}/length_36.5.cfg"],
+    ["simulate", "--config", "{tmp}/horizon_true.cfg"],
+    ["simulate", "--config", "{tmp}/n_series_1.5.cfg"],
+    ["simulate", "--config", "{tmp}/seed_true.cfg"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     # a valid collection, so that only the option is at fault; `fit` gets an empty one
@@ -245,7 +286,8 @@ def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv)
         data.write_text("[]")
     else:
         write_collection(data, n=1)
-    (tmp_path / "bad.cfg").write_text("length = abc\n")
+    for name, text in CONFIG_FILES.items():
+        (tmp_path / name).write_text(text)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     if "--input" not in argv:
         argv += ["--input", str(data)]
