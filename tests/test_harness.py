@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from lsgt.cli import main as cli_main
-from lsgt.cli import _run_config, parse_config_file
+from lsgt.cli import _run_config, config_flags, parse_args
 from lsgt.data import TimeSeries, load_collection, serialize_collection
 from lsgt.harness import (
     MARKDOWN_COLUMNS,
@@ -152,14 +152,15 @@ def test_config_file_parsing(tmp_path):
         "model = lgt\n"
         "quantiles = 0.05,0.5,0.95\n"
     )
-    parsed = parse_config_file(cfg)
-    assert parsed == {"iters": 80, "burnin": 40, "seed": 11, "model": "lgt",
-                      "quantiles": "0.05,0.5,0.95"}
-    run_cfg = _run_config({"input": "x", **parsed})
+    assert config_flags(cfg) == ["--iters=80", "--burnin=40", "--seed=11", "--model=lgt",
+                                 "--quantiles=0.05,0.5,0.95"]
+    run_cfg = _run_config(parse_args(["benchmark", "--config", str(cfg), "--input", "x"]))
     assert (run_cfg.iterations, run_cfg.burn_in, run_cfg.seed) == (80, 40, 11)
     assert run_cfg.quantile_levels == (0.05, 0.5, 0.95)
-    # a single level reads back from the file as a number, not a string
-    assert _run_config({"input": "x", "quantiles": 0.5}).quantile_levels == (0.5,)
+    # a single level reads as a one-level tuple
+    cfg.write_text("quantiles = 0.5\n")
+    run_cfg = _run_config(parse_args(["benchmark", "--config", str(cfg), "--input", "x"]))
+    assert run_cfg.quantile_levels == (0.5,)
 
 
 def test_cli_simulate_and_benchmark(tmp_path, capsys):
@@ -230,8 +231,42 @@ def test_cli_simulate_param_line_in_config_file_is_one_override(tmp_path):
     assert written != (tmp_path / "default.json").read_bytes()
 
 
-# config-file lines that no flag can carry, as argparse refuses them: each
-# integer option must be whole and not a boolean
+def test_cli_simulate_param_lines_in_config_file_add_up(tmp_path):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("param = gamma=2.0\nparam = chi2=0.5\n")
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "file.json")]) == 0
+    assert cli_main(["simulate", "--param", "gamma=2.0", "--param", "chi2=0.5",
+                     "--out", str(tmp_path / "flags.json")]) == 0
+    assert cli_main(["simulate", "--param", "chi2=0.5", "--out", str(tmp_path / "last.json")]) == 0
+    written = (tmp_path / "file.json").read_bytes()
+    assert written == (tmp_path / "flags.json").read_bytes()
+    assert written != (tmp_path / "last.json").read_bytes()
+
+
+def test_cli_fit_series_id_from_config_file_is_text(tmp_path):
+    data = tmp_path / "one.json"
+    assert cli_main(["simulate", "--out", str(data), "--length", "36", "--horizon", "3"]) == 0
+    (series,) = load_collection(data)
+    serialize_collection([TimeSeries(id="007", values=series.values, m=series.m, h=series.h,
+                                     category=series.category)], data)
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"input = {data}\nseries_id = 007\n")
+    rc = cli_main(["fit", "--config", str(cfg), "--out", str(tmp_path / "fitout"),
+                   "--iters", "60", "--burnin", "30", "--chains", "1"])
+    assert rc == 0
+    assert json.loads((tmp_path / "fitout" / "fit_007.json").read_text())["id"] == "007"
+
+
+@pytest.mark.parametrize("command", ["fit", "benchmark"])
+def test_cli_missing_input_is_an_error(tmp_path, capsys, command):
+    rc = cli_main([command, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+# config-file lines that argparse refuses: each integer option must be whole
+# and not a boolean, and each key must name a flag
 CONFIG_FILES = {
     "bad.cfg": "length = abc\n",
     "seed_1.5.cfg": "seed = 1.5\n",
@@ -244,6 +279,7 @@ CONFIG_FILES = {
     "horizon_true.cfg": "horizon = true\n",
     "n_series_1.5.cfg": "n_series = 1.5\n",
     "seed_true.cfg": "seed = true\n",
+    "bogus.cfg": "bogus = 1\n",
 }
 # a run short enough that a wrongly accepted value still ends quickly
 SMALL_RUN = ["--iters", "60", "--burnin", "30", "--chains", "1"]
@@ -278,6 +314,8 @@ SMALL_RUN = ["--iters", "60", "--burnin", "30", "--chains", "1"]
     ["simulate", "--config", "{tmp}/horizon_true.cfg"],
     ["simulate", "--config", "{tmp}/n_series_1.5.cfg"],
     ["simulate", "--config", "{tmp}/seed_true.cfg"],
+    ["benchmark", "--config", "{tmp}/bogus.cfg", *SMALL_RUN],
+    ["benchmark", "--iters", "abc"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     # a valid collection, so that only the option is at fault; `fit` gets an empty one
