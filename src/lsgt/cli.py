@@ -1,17 +1,22 @@
 """Command-line entry point: fit, benchmark and simulate subcommands.
 
+Each subcommand takes only the flags it reads: ``fit`` and ``benchmark``
+share the flags of a run, and ``simulate`` shares ``--model`` and
+``--seed`` with them.
+
 Options may come from a config file of ``key = value`` lines (``--config``).
 Each line is read as the flag ``--key=value``, so a key is a flag name
 (``first_n`` and ``first-n`` both work) and repeated ``param`` lines add
 overrides.  The file's flags are parsed before the command line's, so
-command-line flags win.  A malformed option, an unknown key or a missing
-``--input`` prints ``error: ...`` and exits with status 1.  The ``LSGT_LOG``
-environment variable sets the log level.
+command-line flags win.  A malformed option, a flag or key the subcommand
+does not take, or a missing ``--input`` prints ``error: ...`` and exits
+with status 1.  The ``LSGT_LOG`` environment variable sets the log level.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -23,7 +28,7 @@ import numpy as np
 from .data import load_collection, serialize_collection
 from .errors import LsgtError
 from .harness import RunConfig, fit_and_forecast, run_benchmark
-from .model import NON_SEASONAL, SEASONAL, PriorConfig, SeasonalPrior
+from .model import NON_SEASONAL, SEASONAL, PriorConfig
 from .rng import RngStream
 from .synth import default_params, generate_series
 
@@ -66,38 +71,16 @@ def _quantile_levels(text: str) -> tuple[float, ...]:
     return tuple(float(q) for q in text.split(","))
 
 
-def _add_common_flags(p: argparse.ArgumentParser, input_required: bool = True) -> None:
-    p.add_argument("--input", required=input_required, help="collection file (csv or json)")
-    p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--model", choices=sorted(MODEL_NAMES), default="lgt")
-    p.add_argument("--variance", choices=sorted(VARIANCE_NAMES), default="hetero")
-    # the rest go to RunConfig as they are, under their field names
-    p.add_argument("--seasonal-prior", dest="seasonal_prior", default=RunConfig.seasonal_prior,
-                   help="horseshoe or cauchy:<scale>")
-    p.add_argument("--iters", type=int, dest="iterations", default=RunConfig.iterations)
-    p.add_argument("--burnin", type=int, dest="burn_in", default=RunConfig.burn_in)
-    p.add_argument("--chains", type=int, default=RunConfig.chains)
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
-    p.add_argument("--workers", type=int, default=RunConfig.workers)
-    p.add_argument("--first-n", type=int, dest="first_n")
-    p.add_argument("--quantiles", type=_quantile_levels, dest="quantile_levels",
-                   default=RunConfig.quantile_levels,
-                   help="comma-separated levels, e.g. 0.05,0.5,0.95")
-
-
-RUN_FLAGS = ("seasonal_prior", "iterations", "burn_in", "chains", "seed", "workers",
-             "first_n", "quantile_levels")
-
-
 def _run_config(args: argparse.Namespace) -> RunConfig:
-    """Build the run configuration; a setting RunConfig refuses raises LsgtError."""
+    """RunConfig of the parsed names that are its fields; a setting it refuses raises LsgtError."""
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
     try:
         return RunConfig(
             input_path=args.input,
             out_dir=args.out,
             model_kind=MODEL_NAMES[args.model],
             variance_mode=VARIANCE_NAMES[args.variance],
-            **{name: getattr(args, name) for name in RUN_FLAGS},
+            **{name: value for name, value in vars(args).items() if name in fields},
         )
     except ValueError as exc:
         raise LsgtError(f"invalid option: {exc}") from exc
@@ -166,7 +149,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         params.validate()
     except ValueError as exc:
         raise LsgtError(f"invalid generator parameter: {exc}") from None
-    prior = PriorConfig(model_kind=model_kind, seasonal_prior=SeasonalPrior())
+    prior = PriorConfig(model_kind=model_kind)
     collection = []
     for i in range(args.n_series):
         rng = RngStream(args.seed, stream=i).generator()
@@ -180,22 +163,40 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
-    """The parser of all subcommands; each takes the flags of ``config`` too."""
+    """The parser of all subcommands; each takes the flags of ``config`` and only those it reads."""
     parser = _Parser(prog="lsgt", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_fit = sub.add_parser("fit", parents=[config], help="fit a single series and forecast")
-    _add_common_flags(p_fit)
+    shared = _Parser(add_help=False, parents=[config])
+    shared.add_argument("--model", choices=sorted(MODEL_NAMES), default="lgt")
+    shared.add_argument("--seed", type=int, default=RunConfig.seed)
+
+    # the flags of a run, which fit and benchmark share; a dest that names a
+    # RunConfig field sets that field
+    run = _Parser(add_help=False, parents=[shared])
+    run.add_argument("--input", required=True, help="collection file (csv or json)")
+    run.add_argument("--out", default="out", help="output directory")
+    run.add_argument("--variance", choices=sorted(VARIANCE_NAMES), default="hetero")
+    run.add_argument("--seasonal-prior", dest="seasonal_prior", default=RunConfig.seasonal_prior,
+                     help="horseshoe or cauchy:<scale>")
+    run.add_argument("--iters", type=int, dest="iterations", default=RunConfig.iterations)
+    run.add_argument("--burnin", type=int, dest="burn_in", default=RunConfig.burn_in)
+    run.add_argument("--chains", type=int, default=RunConfig.chains)
+    run.add_argument("--quantiles", type=_quantile_levels, dest="quantile_levels",
+                     default=RunConfig.quantile_levels,
+                     help="comma-separated levels, e.g. 0.05,0.5,0.95")
+
+    p_fit = sub.add_parser("fit", parents=[run], help="fit a single series and forecast")
     p_fit.add_argument("--series-id", dest="series_id")
     p_fit.set_defaults(func=cmd_fit)
 
-    p_bench = sub.add_parser("benchmark", parents=[config],
-                             help="fit/forecast/evaluate a collection")
-    _add_common_flags(p_bench)
+    p_bench = sub.add_parser("benchmark", parents=[run], help="fit/forecast/evaluate a collection")
+    p_bench.add_argument("--workers", type=int, default=RunConfig.workers)
+    p_bench.add_argument("--first-n", type=int, dest="first_n")
     p_bench.set_defaults(func=cmd_benchmark)
 
-    p_sim = sub.add_parser("simulate", parents=[config], help="generate synthetic collections")
-    _add_common_flags(p_sim, input_required=False)
+    p_sim = sub.add_parser("simulate", parents=[shared], help="generate synthetic collections")
+    p_sim.add_argument("--out", default="synthetic.json", help="collection file to write")
     p_sim.add_argument("--n-series", type=int, dest="n_series", default=1)
     p_sim.add_argument("--length", type=int, default=60)
     p_sim.add_argument("--horizon", type=int, default=6)
@@ -203,7 +204,7 @@ def build_parser(config: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p_sim.add_argument("--category")
     p_sim.add_argument("--param", action="append", default=[],
                        help="override a generator parameter, e.g. --param gamma=2.0")
-    p_sim.set_defaults(func=cmd_simulate, out="synthetic.json")
+    p_sim.set_defaults(func=cmd_simulate)
     return parser
 
 

@@ -18,6 +18,7 @@ from .model import simulate
 from .sampler import PosteriorSamples
 
 DEFAULT_LEVELS = (0.01, 0.05, 0.5, 0.95, 0.99)
+PATHS_PER_DRAW = 2
 
 SIM_FLOOR = 1e-10
 RETRY_CAP = 20
@@ -31,7 +32,6 @@ class ForecastResult:
     mean: np.ndarray
     quantiles: dict[float, np.ndarray]
     n_paths: int
-    seed: int
     floor_events: int = 0
 
     def interval(self, level: float) -> tuple[np.ndarray, np.ndarray]:
@@ -48,26 +48,22 @@ def _positive(v):
     return v if v > 0.0 else None
 
 
-def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int,
-                   paths_per_draw: int = 2, rng=None, seed: int = 0,
+def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int, rng,
+                   paths_per_draw: int = PATHS_PER_DRAW,
                    levels=DEFAULT_LEVELS) -> ForecastResult:
     """Simulate h-step posterior-predictive paths for every retained draw.
 
-    Each path continues the draw's saved end state with
-    ``model.simulate``, drawing each next observation from its Student-t
-    predictive; end states that do not belong to a series of this length
-    raise ``ForecastError``.  The point forecast is the per-horizon median
-    over all draws and paths (the mean is reported alongside); quantiles
-    are empirical.
+    Every path draws on the one generator ``rng``.  Each continues the
+    draw's saved end state with ``model.simulate``, drawing each next
+    observation from its Student-t predictive; end states that do not
+    belong to a series of this length raise ``ForecastError``.  The point
+    forecast is the per-horizon median over all draws and paths (the mean
+    is reported alongside); quantiles are empirical.
     """
     if not samples.draws:
         raise ForecastError("no posterior draws to simulate from")
     if h < 1:
         raise ForecastError(f"horizon must be >= 1, got {h}")
-    if rng is None:
-        from .rng import RngStream
-
-        rng = RngStream(seed, stream=0).generator()
     levels = tuple(sorted(levels))
     if any(not 0.0 < q < 1.0 for q in levels):
         raise ForecastError(f"quantile levels must lie in (0,1), got {levels}")
@@ -107,6 +103,5 @@ def simulate_paths(samples: PosteriorSamples, series: TimeSeries, h: int,
         mean=sims.mean(axis=0),
         quantiles=quantiles,
         n_paths=total,
-        seed=seed,
         floor_events=floor_events,
     )

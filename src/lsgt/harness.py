@@ -3,7 +3,7 @@
 Per-series result records are fully deterministic given (seed, config) —
 wall-clock runtimes are kept out of them and reported only in the summary —
 so two runs with different worker counts emit byte-identical record files.
-Work is merged by series index, never by completion order.
+Outcomes are collected in input order, never in completion order.
 """
 
 from __future__ import annotations
@@ -20,16 +20,15 @@ import numpy as np
 from .data import TimeSeries, load_collection, split
 from .dists import build_nu_grid
 from .errors import LsgtError, MetricError
-from .forecast import simulate_paths
+from .forecast import DEFAULT_LEVELS, simulate_paths
 from .metrics import EvalRecord, coverage_flags, mase, msis, smape
-from .model import PriorConfig, SeasonalPrior
+from .model import HETEROSCEDASTIC, NON_SEASONAL, PriorConfig, SeasonalPrior
 from .rng import RngStream, derive_seed
 from .sampler import SamplerConfig, fit
 
 logger = logging.getLogger(__name__)
 
 FORECAST_STREAM = 1_000_000
-PATHS_PER_DRAW = 2
 
 # central intervals evaluated by MSIS: nominal -> (alpha, lower q, upper q)
 MSIS_INTERVALS = {"90": (0.1, 0.05, 0.95), "98": (0.02, 0.01, 0.99)}
@@ -41,17 +40,17 @@ class RunConfig:
 
     input_path: str
     out_dir: str
-    model_kind: str = "non_seasonal"
-    variance_mode: str = "heteroscedastic"
+    model_kind: str = NON_SEASONAL
+    variance_mode: str = HETEROSCEDASTIC
     seasonal_prior: str = "horseshoe"
-    iterations: int = 5000
-    burn_in: int = 2500
-    chains: int = 2
-    seed: int = 0
+    iterations: int = SamplerConfig.iterations
+    burn_in: int = SamplerConfig.burn_in
+    chains: int = SamplerConfig.chains
+    seed: int = SamplerConfig.seed
     workers: int = 1
     first_n: int | None = None
-    quantile_levels: tuple[float, ...] = (0.01, 0.05, 0.5, 0.95, 0.99)
-    nu_grid_size: int = 100
+    quantile_levels: tuple[float, ...] = DEFAULT_LEVELS
+    nu_grid_size: int = PriorConfig.nu_grid_size
 
     def __post_init__(self):
         if self.workers < 1:
@@ -137,8 +136,7 @@ def fit_and_forecast(series: TimeSeries, cfg: RunConfig, seed: int):
     """
     samples = fit(series, cfg.prior_config(), cfg.sampler_config(seed))
     result = simulate_paths(
-        samples, series, h=series.h, paths_per_draw=PATHS_PER_DRAW,
-        rng=RngStream(seed, stream=FORECAST_STREAM).generator(), seed=seed,
+        samples, series, h=series.h, rng=RngStream(seed, stream=FORECAST_STREAM).generator(),
         levels=cfg.quantile_levels,
     )
     forecast = {
@@ -151,7 +149,7 @@ def fit_and_forecast(series: TimeSeries, cfg: RunConfig, seed: int):
 
 def process_series(series: TimeSeries, index: int, cfg: RunConfig) -> dict:
     """Fit, forecast and evaluate one series.  Runs inside worker processes."""
-    out: dict = {"id": series.id, "index": index, "record": None, "eval": None, "error": None}
+    out: dict = {"id": series.id, "record": None, "eval": None, "error": None}
     try:
         parts = split(series)
         series_seed = derive_seed(cfg.seed, index)
@@ -246,7 +244,6 @@ def run_benchmark(cfg: RunConfig) -> RunSummary:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             futures = [pool.submit(process_series, s, i, cfg) for i, s in selected]
             outcomes = [f.result() for f in futures]
-    outcomes.sort(key=lambda o: o["index"])
 
     out_dir = Path(cfg.out_dir)
     records_dir = out_dir / "records"

@@ -165,7 +165,6 @@ class PosteriorSamples:
     ends: list[EndState]
     diagnostics: list[ChainDiagnostics]
     prior: PriorConfig
-    m: int
 
     def parameter_array(self, name: str) -> np.ndarray:
         return np.array([getattr(d, name) for d in self.draws])
@@ -1512,4 +1511,4 @@ def fit(series: TimeSeries, prior: PriorConfig, cfg: SamplerConfig) -> Posterior
         diagnostics.append(diag)
     if not draws:
         raise DegenerateSeriesError(f"series {series.id}: all chains failed")
-    return PosteriorSamples(draws=draws, ends=ends, diagnostics=diagnostics, prior=prior_eff, m=m_eff)
+    return PosteriorSamples(draws=draws, ends=ends, diagnostics=diagnostics, prior=prior_eff)

@@ -17,7 +17,9 @@ import numpy as np
 from .data import TimeSeries
 from .errors import ForecastError, SeriesValidationError
 from .model import (
+    B1_RANGE,
     HETEROSCEDASTIC,
+    LAM_RANGE,
     SEASONAL,
     SMOOTHING_PRIOR,
     ParameterDraw,
@@ -28,6 +30,10 @@ from .model import (
 from .sampler import Grids, make_grids
 
 Y_CAP = 1e12
+Y1 = 10.0                    # the first value of every simulated series, unless a caller sets it
+SERIES_ATTEMPTS = 200        # simulations of a series from fixed parameters before giving up
+PRIOR_PREDICTIVE_ATTEMPTS = 10000  # joint (parameters, series) draws of one calibration replication
+SBC_STEP_SIZE_INIT = 0.5     # initial MALA step size of each calibration fit
 
 
 def default_params(m: int = 1, model_kind: str = "non_seasonal", T: int = 0) -> ParameterDraw:
@@ -58,19 +64,19 @@ def _below_cap(v):
 
 
 def generate_series(rng, theta: ParameterDraw, cfg: PriorConfig, T: int,
-                    series_id: str = "synthetic", h: int = 1, y1: float = 10.0,
-                    category: str | None = None, max_attempts: int = 200) -> TimeSeries:
+                    series_id: str = "synthetic", h: int = 1, y1: float = Y1,
+                    category: str | None = None) -> TimeSeries:
     """Simulate a series of length T, every value in (0, Y_CAP), from fixed parameters."""
     m = theta.m if cfg.model_kind == SEASONAL else 1
     if T < 2 or m < 1:
         raise SeriesValidationError(f"cannot simulate length {T} with m={m}: need T >= 2, m >= 1",
                                     series_id=series_id)
     l1 = initial_level([y1], cfg.model_kind, theta.log_s_init)
-    for _ in range(max_attempts):
+    for _ in range(SERIES_ATTEMPTS):
         y = simulate(rng, theta, cfg, l1, theta.b1, theta.log_s_init, 1, T - 1, _below_cap)
         if y is not None:
             return TimeSeries(id=series_id, values=(y1, *y), m=m, h=h, category=category)
-    raise ForecastError(f"could not simulate a series in (0, {Y_CAP:g}) in {max_attempts} attempts")
+    raise ForecastError(f"could not simulate a series in (0, {Y_CAP:g}) in {SERIES_ATTEMPTS} attempts")
 
 
 def draw_generative_params(rng, prior: PriorConfig, grids: Grids, T: int,
@@ -94,14 +100,14 @@ def draw_generative_params(rng, prior: PriorConfig, grids: Grids, T: int,
         nu=float(rng.choice(grids.nu)),
         gamma=s_gamma * rng.standard_cauchy(),
         rho=float(rng.choice(grids.rho, p=rho_w / rho_w.sum())),
-        lam=_truncated_cauchy(rng, s_lambda, -100.0, 1.0),
+        lam=_truncated_cauchy(rng, s_lambda, *LAM_RANGE),
         alpha=float(rng.beta(*SMOOTHING_PRIOR)),
         beta=float(rng.beta(*SMOOTHING_PRIOR)),
         zeta=float(rng.beta(*SMOOTHING_PRIOR)),
         chi2=1.0 / rng.gamma(a0, 1.0 / b0),
         phi=float(rng.choice(grids.phi)) if prior.variance_mode == HETEROSCEDASTIC else 1.0,
         tau=float(rng.choice(grids.tau)) if prior.variance_mode == HETEROSCEDASTIC else 0.5,
-        b1=_truncated_cauchy(rng, s_b1, -100.0 + 1e-9, 1.0 - 1e-9),
+        b1=_truncated_cauchy(rng, s_b1, *B1_RANGE),
         log_s_init=np.zeros(1),
         omega2=np.ones(T - 1),
     )
@@ -117,15 +123,14 @@ def _truncated_cauchy(rng, scale: float, lo: float, hi: float) -> float:
 
 
 def prior_predictive_series(rng, prior: PriorConfig, grids: Grids, T: int,
-                            scales: tuple[float, float, float], y1: float = 10.0,
-                            max_attempts: int = 10000) -> tuple[TimeSeries, ParameterDraw]:
+                            scales: tuple[float, float, float]) -> tuple[TimeSeries, ParameterDraw]:
     """Draw (params, series) jointly, rejecting on the series values only."""
-    for _ in range(max_attempts):
+    for _ in range(PRIOR_PREDICTIVE_ATTEMPTS):
         theta = draw_generative_params(rng, prior, grids, T, scales)
-        l1 = initial_level([y1], prior.model_kind, theta.log_s_init)
+        l1 = initial_level([Y1], prior.model_kind, theta.log_s_init)
         y = simulate(rng, theta, prior, l1, theta.b1, theta.log_s_init, 1, T - 1, _below_cap)
         if y is not None:
-            return TimeSeries(id="sbc", values=(y1, *y), m=1, h=1), theta
+            return TimeSeries(id="sbc", values=(Y1, *y), m=1, h=1), theta
     raise ForecastError("prior-predictive rejection did not terminate")
 
 
@@ -135,7 +140,6 @@ def prior_predictive_series(rng, prior: PriorConfig, grids: Grids, T: int,
 
 def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
             prior: PriorConfig, thin: int = 10, burn_in: int | None = None,
-            step_size_init: float = 0.5,
             params: tuple[str, ...] = ("alpha", "gamma", "chi2")) -> dict[str, np.ndarray]:
     """Rank statistics of true parameters among their posterior draws.
 
@@ -161,7 +165,7 @@ def run_sbc(n_replications: int, T: int, iterations: int, seed: int,
         series, truth = prior_predictive_series(gen_rng, prior, grids, T, scales)
         samples = fit(series, prior, SamplerConfig(
             iterations=iterations, burn_in=burn_in, chains=1,
-            step_size_init=step_size_init,
+            step_size_init=SBC_STEP_SIZE_INIT,
             seed=derive_seed(seed, rep, 1),
         ))
         for p in params:

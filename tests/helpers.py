@@ -145,7 +145,7 @@ def forward_gradient(y, theta):
                                       forward.c_dla))
 
 
-def posterior_samples(draws, prior, y, m=1):
+def posterior_samples(draws, prior, y):
     """``PosteriorSamples`` of hand-made draws, each with the end state of its recursion over ``y``."""
     ends = [reference_paths(y, theta, prior).end_state(theta.m) for theta in draws]
-    return PosteriorSamples(draws=draws, ends=ends, diagnostics=[], prior=prior, m=m)
+    return PosteriorSamples(draws=draws, ends=ends, diagnostics=[], prior=prior)

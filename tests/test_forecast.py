@@ -24,8 +24,8 @@ def make_draw(T, m=1, **overrides):
     return ParameterDraw(**base)
 
 
-def make_samples(draws, series, prior=None, m=1):
-    return posterior_samples(draws, prior or make_prior(), series.values, m=m)
+def make_samples(draws, series, prior=None):
+    return posterior_samples(draws, prior or make_prior(), series.values)
 
 
 @pytest.fixture
@@ -37,12 +37,12 @@ def series():
 
 def test_deterministic_under_seed(series):
     samples = make_samples([make_draw(series.length) for _ in range(10)], series)
-    a = simulate_paths(samples, series, h=6, rng=RngStream(9, 0).generator(), seed=9)
-    b = simulate_paths(samples, series, h=6, rng=RngStream(9, 0).generator(), seed=9)
+    a = simulate_paths(samples, series, h=6, rng=RngStream(9, 0).generator())
+    b = simulate_paths(samples, series, h=6, rng=RngStream(9, 0).generator())
     assert np.array_equal(a.point, b.point)
     for q in a.quantiles:
         assert np.array_equal(a.quantiles[q], b.quantiles[q])
-    c = simulate_paths(samples, series, h=6, rng=RngStream(10, 0).generator(), seed=10)
+    c = simulate_paths(samples, series, h=6, rng=RngStream(10, 0).generator())
     assert not np.array_equal(a.point, c.point)
 
 
@@ -50,7 +50,7 @@ def test_quantile_monotonicity_and_interval_nesting(series, rng):
     draws = [make_draw(series.length, gamma=float(rng.normal(0, 0.3)),
                        chi2=float(np.exp(rng.normal(0, 0.5)))) for _ in range(40)]
     samples = make_samples(draws, series)
-    res = simulate_paths(samples, series, h=6, rng=RngStream(4, 0).generator(), seed=4)
+    res = simulate_paths(samples, series, h=6, rng=RngStream(4, 0).generator())
     levels = sorted(res.quantiles)
     for lo, hi in zip(levels[:-1], levels[1:]):
         assert np.all(res.quantiles[lo] <= res.quantiles[hi])
@@ -67,7 +67,7 @@ def test_noiseless_limit_collapses(series):
     draw = make_draw(series.length, chi2=1e-12, gamma=0.0, lam=0.0, phi=1.0)
     samples = make_samples([draw], series)
     res = simulate_paths(samples, series, h=4, paths_per_draw=3,
-                         rng=RngStream(5, 0).generator(), seed=5)
+                         rng=RngStream(5, 0).generator())
     level = series.values[-1] * draw.alpha + 0.0  # not the exact level; just sanity below
     assert np.max(res.quantiles[0.95] - res.quantiles[0.05]) < 1e-3
     assert np.allclose(res.point, res.mean, atol=1e-3)
@@ -80,10 +80,10 @@ def test_seasonal_m1_equals_non_seasonal_pipeline(series):
     # produce identical paths given identical draws and seeds
     draw_s = make_draw(series.length, m=1, lam=0.0, zeta=1e-300)
     draw_n = make_draw(series.length, m=1, lam=0.0, zeta=1e-300)
-    seas = simulate_paths(make_samples([draw_s], series, prior=make_prior(seasonal=True), m=1),
-                          series, h=5, rng=RngStream(6, 0).generator(), seed=6)
-    nons = simulate_paths(make_samples([draw_n], series, prior=make_prior(seasonal=False), m=1),
-                          series, h=5, rng=RngStream(6, 0).generator(), seed=6)
+    seas = simulate_paths(make_samples([draw_s], series, prior=make_prior(seasonal=True)),
+                          series, h=5, rng=RngStream(6, 0).generator())
+    nons = simulate_paths(make_samples([draw_n], series, prior=make_prior(seasonal=False)),
+                          series, h=5, rng=RngStream(6, 0).generator())
     assert np.array_equal(seas.point, nons.point)
     for q in seas.quantiles:
         assert np.array_equal(seas.quantiles[q], nons.quantiles[q])
@@ -97,7 +97,7 @@ def test_floor_policy_counts(series):
                      phi=0.0, tau=1.0, chi2=4.0, nu=2.0)
     samples = make_samples([draw], series)
     res = simulate_paths(samples, series, h=8, paths_per_draw=4,
-                         rng=RngStream(7, 0).generator(), seed=7)
+                         rng=RngStream(7, 0).generator())
     assert res.floor_events > 0
     assert res.n_paths == 4
     for q in res.quantiles.values():
@@ -105,14 +105,15 @@ def test_floor_policy_counts(series):
 
 
 def test_forecast_errors(series):
+    rng = RngStream(3, 0).generator()
     samples = make_samples([], series)
     with pytest.raises(ForecastError):
-        simulate_paths(samples, series, h=3)
+        simulate_paths(samples, series, h=3, rng=rng)
     samples = make_samples([make_draw(series.length)], series)
     with pytest.raises(ForecastError):
-        simulate_paths(samples, series, h=0)
+        simulate_paths(samples, series, h=0, rng=rng)
     with pytest.raises(ForecastError):
-        simulate_paths(samples, series, h=2, levels=(0.0, 0.5))
+        simulate_paths(samples, series, h=2, rng=rng, levels=(0.0, 0.5))
 
 
 @pytest.mark.parametrize("m", [1, 12], ids=["yearly", "monthly"])
@@ -126,9 +127,9 @@ def test_forecast_from_end_states_equals_rerunning_the_recursion(m):
                            prior, T, h=h)
     series = TimeSeries(id="e", values=full.values, m=m, h=h)
     fitted = fit(series, prior, SamplerConfig(iterations=40, burn_in=20, chains=2, seed=3))
-    rerun = make_samples(fitted.draws, series, prior=fitted.prior, m=fitted.m)
-    a = simulate_paths(fitted, series, h=h, rng=RngStream(5, 0).generator(), seed=5)
-    b = simulate_paths(rerun, series, h=h, rng=RngStream(5, 0).generator(), seed=5)
+    rerun = make_samples(fitted.draws, series, prior=fitted.prior)
+    a = simulate_paths(fitted, series, h=h, rng=RngStream(5, 0).generator())
+    b = simulate_paths(rerun, series, h=h, rng=RngStream(5, 0).generator())
     assert a.point.tobytes() == b.point.tobytes()
     assert a.mean.tobytes() == b.mean.tobytes()
     assert a.quantiles.keys() == b.quantiles.keys()
@@ -145,7 +146,7 @@ def test_forecast_from_end_states_equals_rerunning_the_recursion(m):
                      b=float(reference_trend(series.values, theta, fitted.prior)[-1]))
             for theta, end in zip(fitted.draws, fitted.ends)])
         assert all(end.b != 0.0 for end in trended.ends)
-        c = simulate_paths(trended, series, h=h, rng=RngStream(5, 0).generator(), seed=5)
+        c = simulate_paths(trended, series, h=h, rng=RngStream(5, 0).generator())
         assert a.point.tobytes() == c.point.tobytes()
         assert a.mean.tobytes() == c.mean.tobytes()
         for q in a.quantiles:
@@ -166,8 +167,8 @@ def test_seasonal_forecast_rolls_factors():
     values = base * np.exp(np.tile(seeds, T // m))
     series = TimeSeries(id="s", values=tuple(values), m=m, h=8)
     draw = make_draw(T, m=m, log_s_init=seeds, lam=0.0, zeta=0.2, chi2=1e-10, phi=1.0)
-    samples = make_samples([draw], series, prior=make_prior(seasonal=True), m=m)
-    res = simulate_paths(samples, series, h=8, rng=RngStream(9, 0).generator(), seed=9)
+    samples = make_samples([draw], series, prior=make_prior(seasonal=True))
+    res = simulate_paths(samples, series, h=8, rng=RngStream(9, 0).generator())
     # horizons a full period apart share the seasonal direction: their ratio
     # pattern repeats approximately
     r1 = res.point[:4] / np.mean(res.point[:4])
@@ -199,7 +200,7 @@ def test_interval_coverage_calibration():
         test = np.asarray(full.values[44:])
         samples = fit(train, prior, SamplerConfig(iterations=400, burn_in=200, chains=1, seed=rep))
         res = simulate_paths(samples, train, h=h, paths_per_draw=2,
-                             rng=RngStream(7000 + rep, 1).generator(), seed=rep)
+                             rng=RngStream(7000 + rep, 1).generator())
         lo, hi = res.interval(0.9)
         covered += int(np.sum((test >= lo) & (test <= hi)))
         total += h

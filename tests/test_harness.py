@@ -327,11 +327,49 @@ def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv)
     for name, text in CONFIG_FILES.items():
         (tmp_path / name).write_text(text)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-    if "--input" not in argv:
+    if argv[0] in ("fit", "benchmark") and "--input" not in argv:
         argv += ["--input", str(data)]
     rc = cli_main([*argv, "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "o").exists()
+
+
+# each subcommand refuses the flags of the others that it does not read
+REFUSED_FLAGS = [
+    ("fit", "--workers", "2"),
+    ("fit", "--first-n", "1"),
+    ("simulate", "--input", "{data}"),
+    ("simulate", "--variance", "homo"),
+    ("simulate", "--seasonal-prior", "horseshoe"),
+    ("simulate", "--iters", "60"),
+    ("simulate", "--burnin", "30"),
+    ("simulate", "--chains", "1"),
+    ("simulate", "--workers", "2"),
+    ("simulate", "--first-n", "1"),
+    ("simulate", "--quantiles", "0.5"),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command,flag,value", REFUSED_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag, _ in REFUSED_FLAGS])
+def test_cli_subcommand_refuses_a_flag_it_does_not_read(tmp_path, capsys, command, flag, value, source):
+    data = tmp_path / "d.json"
+    write_collection(data, n=1)
+    value = value.replace("{data}", str(data))
+    argv = [command, "--out", str(tmp_path / "o")]
+    if command == "fit":
+        argv += ["--input", str(data), *SMALL_RUN]
+    if source == "flag":
+        argv += [flag, value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag[2:].replace('-', '_')} = {value}\n")
+        argv += ["--config", str(cfg)]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
     assert not (tmp_path / "o").exists()
 
 

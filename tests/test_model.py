@@ -181,7 +181,7 @@ def test_simulators_continue_the_fitted_recursion(m):
         assert np.array_equal(y[1:], yhat + z[:T - 1] * np.sqrt(paths.sigma2hat))
 
         shocks = FixedShocks(z[T - 1:])
-        samples = posterior_samples([theta], cfg, y, m=m)
+        samples = posterior_samples([theta], cfg, y)
         path = simulate_paths(samples, series, h, paths_per_draw=1, rng=shocks).mean  # one path
         assert shocks.used == h
         y_ext = np.concatenate([y, path])
