@@ -5,8 +5,8 @@ share the flags of a run, and ``simulate`` shares ``--model`` and
 ``--seed`` with them.
 
 Options may come from a config file of ``key = value`` lines (``--config``).
-Each line is read as the flag ``--key=value``, so a key is a flag name
-(``first_n`` and ``first-n`` both work) and repeated ``param`` lines add
+Each line is read as the flag ``--key=value``, so a key is a flag's whole
+name (``first_n`` and ``first-n`` both work) and repeated ``param`` lines add
 overrides.  The file's flags are parsed before the command line's, so
 command-line flags win.  A malformed option, a flag or key the subcommand
 does not take, or a missing ``--input`` prints ``error: ...`` and exits
@@ -39,7 +39,10 @@ VARIANCE_NAMES = {"homo": "homoscedastic", "hetero": "heteroscedastic"}
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors raise LsgtError instead of exiting."""
+    """An argument parser that takes flags by their whole names only and raises LsgtError on errors."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise LsgtError(message)

@@ -8,10 +8,11 @@ One sweep (`sweep`) calls these kernels, in order:
    weights by an independence step from their priors and a MALA step in
    logit space, both on their marginal with both trend coefficients
    integrated out (each point visited is one forward pass that runs the
-   recursion and gathers the regression's sums, and two passes more; the
-   current point and the independence proposal skip the gradient, which
-   the point the MALA step starts from forms afterwards), then the local
-   coefficient from its truncated marginal and the global one given it;
+   recursion and gathers the regression's sums, and two passes more that
+   form its value), then the local coefficient from its truncated marginal
+   and the global one given it.  One rule forms the MALA gradients of both
+   variants (``MalaPoint``): each point forms its value, and a MALA step
+   that reads a gradient forms it once; the independence step reads none;
 4. `update_rho_gamma_grouped`: the trend power (grid, global coefficient
    integrated out, every candidate's precision and score a matrix-vector
    product), the global coefficient (conjugate normal, from the chosen
@@ -23,8 +24,8 @@ One sweep (`sweep`) calls these kernels, in order:
    and seasonal smoothing weights, then the m-1 free seed log seasonal
    factors (a MALA move each; every point visited, the current draw
    included, is one forward pass that runs the recursion, sums the
-   likelihood and forms the gradient's per-step coefficients, then one
-   reverse pass back, and paths are built only for the point a move
+   likelihood and keeps the gradient's per-step coefficients, its gradient
+   is one reverse pass back, and paths are built only for the point a move
    reaches), then the trend weight from its prior, and, under the
    horseshoe prior, `update_horseshoe`: the shrinkage hierarchy;
 6. for heteroscedastic fits `update_tau_grid` and `update_phi_grid`: the
@@ -260,7 +261,7 @@ class ChainState:
         if self.seasonal:
             start = seasonal_forward(y.tolist(), theta)
         else:
-            start = smoothing_marginal(self, theta.alpha, theta.beta, gradient=False)
+            start = smoothing_marginal(self, theta.alpha, theta.beta)
         if start is None or start.l is None:
             raise DegenerateSeriesError("the chain's starting draw gives no finite state paths")
         self.set_paths(start.paths())
@@ -274,13 +275,17 @@ class ChainState:
 
 @dataclass
 class StepSizeState:
-    """Robbins-Monro adaptation of an MH step size on the log scale.
+    """An MH step size on the log scale, in its phase: adapting, then fixed.
 
+    While ``adapting``, each step's acceptance probability moves the step
+    size toward ``MH_TARGET_ACCEPTANCE`` (Robbins-Monro); afterwards each
+    step's outcome is counted.  The chain ends adaptation at burn-in.
     ``log_eps_avg`` is the weighted average of the log-scale iterates, the
     averaged iterate of dual averaging (Hoffman and Gelman 2014, sec. 3.2).
     """
 
     log_eps: float
+    adapting: bool = True
     n_adapt: int = 0
     proposals: int = 0
     accepted: int = 0
@@ -290,22 +295,23 @@ class StepSizeState:
     def eps(self) -> float:
         return math.exp(self.log_eps)
 
-    def adapt(self, accept_prob: float, target: float) -> None:
-        self.n_adapt += 1
-        self.log_eps += self.n_adapt ** -0.6 * (accept_prob - target)
-        self.log_eps_avg += self.n_adapt ** -0.75 * (self.log_eps - self.log_eps_avg)
+    def observe(self, accept_prob: float, moved: bool) -> None:
+        """One step's acceptance probability and outcome: adapts the step size, or counts the outcome."""
+        if self.adapting:
+            self.n_adapt += 1
+            self.log_eps += self.n_adapt ** -0.6 * (accept_prob - MH_TARGET_ACCEPTANCE)
+            self.log_eps_avg += self.n_adapt ** -0.75 * (self.log_eps - self.log_eps_avg)
+        else:
+            self.proposals += 1
+            self.accepted += int(moved)
 
     def settle(self) -> None:
-        """End adaptation at the averaged iterate instead of the last one.
+        """Take the averaged iterate in place of the last one.
 
         The last iterate follows the acceptance of the final few dozen
         burn-in sweeps, so it fits whatever region the chain was in then.
         """
         self.log_eps = self.log_eps_avg
-
-    def record(self, accepted: bool) -> None:
-        self.proposals += 1
-        self.accepted += int(accepted)
 
     @property
     def rate(self) -> float | None:
@@ -707,58 +713,54 @@ class MalaPoint:
     """A draw that a MALA move stands at or proposes.
 
     ``log_target`` is the log density of the move's coordinates up to a
-    constant and ``grad`` the gradient that steers proposals from here; it
-    is None at an LGT point formed value-only (``smoothing_marginal``) until
-    a MALA step starts from it.
-    ``recursion`` is the forward pass the point was formed on: the collapsed
-    target (``SmoothingMarginal``) of an LGT point, or the ``SeasonalPass``
-    of an SGT point.  Its ``paths()`` are what the state takes when a move
-    reaches the point.
+    constant.  ``recursion`` is the forward pass the point was formed on:
+    the collapsed target (``SmoothingMarginal``) of an LGT point, or the
+    ``SeasonalPass`` of an SGT point.  Its ``paths()`` are what the state
+    takes when a move reaches the point, and its ``gradient()``, the
+    gradient of the log target that steers proposals from here, is formed
+    the first time a MALA step reads it, and once: a point that no MALA
+    step reads forms its value alone.
     """
 
     theta: ParameterDraw
     log_target: float
-    grad: np.ndarray | None
     recursion: SmoothingMarginal | SeasonalPass
 
 
 def _finite(point) -> bool:
-    return math.isfinite(point.log_target) and all(map(math.isfinite, point.grad.tolist()))
+    return math.isfinite(point.log_target) and all(map(math.isfinite, point.recursion.gradient().tolist()))
 
 
-def _mala_move(rng, step: StepSizeState, adapting: bool, target: float,
-               here: MalaPoint, x: np.ndarray, visit, coords=slice(None)) -> MalaPoint:
+def _mala_move(rng, step: StepSizeState, here: MalaPoint, x: np.ndarray, visit,
+               coords=slice(None)) -> MalaPoint:
     """One MALA step in the coordinates ``x``; returns the point the chain reaches.
 
     The proposal is N(x + eps^2/2 g, eps^2 I), with g the coordinates'
-    slice ``coords`` of ``here.grad``; ``visit(x_star)`` returns the point
-    proposed, or None outside the support.  The acceptance ratio includes
-    both proposal densities.  A non-finite target or gradient here means no
-    move, at the proposal a rejection; the noise is drawn either way.
-    While adapting, the step size moves toward ``target`` acceptance;
-    afterwards each outcome is recorded.
+    slice ``coords`` of the gradient here; ``visit(x_star)`` returns the
+    point proposed, or None outside the support.  The acceptance ratio
+    includes both proposal densities.  A non-finite target or gradient here
+    means no move, at the proposal a rejection; the noise is drawn either
+    way.  The step reads the gradient of each point with a finite target,
+    so each forms its gradient here, if no step has before.  The step size
+    observes the acceptance probability and the outcome.
     """
     eps = step.eps
     z = rng.standard_normal(x.shape[0])
     accept_prob = 0.0
     reached = here
     if _finite(here):
-        g = here.grad[coords]
+        g = here.recursion.gradient()[coords]
         x_star = x + 0.5 * eps * eps * g + eps * z
         there = visit(x_star)
         if there is not None and _finite(there):
             # _langevin_logq takes the gradient of the negative log target
             log_r = (there.log_target - here.log_target
-                     + _langevin_logq(x, x_star, -there.grad[coords], eps)
+                     + _langevin_logq(x, x_star, -there.recursion.gradient()[coords], eps)
                      - _langevin_logq(x_star, x, -g, eps))
             accept_prob = 1.0 if log_r >= 0 else math.exp(max(log_r, -745.0))
             if math.log(rng.random()) < log_r:
                 reached = there
-
-    if adapting:
-        step.adapt(accept_prob, target)
-    else:
-        step.record(reached is not here)
+    step.observe(accept_prob, reached is not here)
     return reached
 
 
@@ -766,20 +768,19 @@ def _mala_move(rng, step: StepSizeState, adapting: bool, target: float,
 class SmoothingMarginal:
     """The LGT smoothing-weight target with (gamma, lam) integrated out.
 
-    ``log_target`` and ``grad`` are the log density of (logit alpha, logit
-    beta) up to a constant and its gradient; the next five fields describe
-    the Gaussian posterior of (gamma, lam) given the weights: lam has
-    precision ``lam_prec`` around ``lam_mean`` before truncation, and gamma
-    given lam has precision ``gamma_prec`` around
-    ``gamma_mean - slope * (lam - lam_mean)``.  ``l``, ``b`` and the
-    scale ``g`` are the recursion at the weights, as lists, and
-    ``clamp_events`` its count of floored levels; they are None where the
-    recursion failed.  A value-only target leaves ``grad`` None and keeps
-    in ``pass3`` what ``gradient()`` forms it from.
+    ``log_target`` is the log density of (logit alpha, logit beta) up to a
+    constant; the next five fields describe the Gaussian posterior of
+    (gamma, lam) given the weights: lam has precision ``lam_prec`` around
+    ``lam_mean`` before truncation, and gamma given lam has precision
+    ``gamma_prec`` around ``gamma_mean - slope * (lam - lam_mean)``.  ``l``,
+    ``b`` and the scale ``g`` are the recursion at the weights, as lists,
+    and ``clamp_events`` its count of floored levels; they are None where
+    the recursion failed.  ``terms`` are the sums and lists the value was
+    formed on, from which ``gradient()`` forms the gradient once, when a
+    MALA step first reads it.
     """
 
     log_target: float
-    grad: np.ndarray | None
     gamma_mean: float
     gamma_prec: float
     lam_mean: float
@@ -789,17 +790,18 @@ class SmoothingMarginal:
     b: list | None = None
     g: list | None = None
     clamp_events: int = 0
-    pass3: tuple | None = None
+    terms: tuple | None = None
+    grad: np.ndarray | None = None
 
     def gradient(self) -> np.ndarray:
-        """``grad``, formed on first call from the lists that the value was formed on.
+        """The gradient of ``log_target``, formed on first call (``smoothing_gradient``) and kept.
 
-        It is bit for bit the gradient that the fused pass gives.  That pass
-        raises nothing once the value is formed: every division there is by
-        a positive number, and no power can overflow.
+        Only a target with a finite value has one.  Its pass raises nothing
+        once the value is formed: every division there is by a positive
+        number, and no power can overflow.
         """
         if self.grad is None:
-            self.grad = _value_and_gradient(*self.pass3)[1]
+            self.grad = smoothing_gradient(*self.terms)
         return self.grad
 
     def paths(self) -> StatePaths:
@@ -815,11 +817,10 @@ class SmoothingMarginal:
 
 def _refused_marginal() -> SmoothingMarginal:
     nan = math.nan
-    return SmoothingMarginal(nan, np.array([nan, nan]), nan, nan, nan, nan, nan)
+    return SmoothingMarginal(nan, nan, nan, nan, nan, nan)
 
 
-def smoothing_marginal(state: ChainState, alpha: float, beta: float,
-                       gradient: bool = True) -> SmoothingMarginal:
+def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> SmoothingMarginal:
     """Collapsed target of the LGT smoothing weights at (alpha, beta).
 
     Given the mixture variances, y[t] - l[t-1] = gamma * x_g[t] + lam * b[t-1]
@@ -832,28 +833,27 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float,
 
     One forward loop runs the recursion at (alpha, beta), with every other
     parameter at the state's draw, and collects the regression's columns
-    and sums as it goes; two more passes form the value and, where
-    ``gradient`` asks for it, the gradient (``_value_and_gradient``).
-    Without it, the third pass forms Q alone, and ``gradient()`` forms the
-    gradient later from the lists the first two passes kept.  This
-    loop is the program's LGT recursion, less the forecast, which depends on
-    the (gamma, lam) integrated out here; the tests hold its paths equal to
-    ``tests/oracles.reference_recursion`` bit for bit.
+    and sums as it goes; two more passes form the value, the third Q.  The
+    gradient is not formed here: ``SmoothingMarginal.gradient()`` forms it
+    (``smoothing_gradient``) from the lists these passes keep, where a MALA
+    step reads it.  This loop is the program's LGT recursion, less the
+    forecast, which depends on the (gamma, lam) integrated out here; the
+    tests hold its paths equal to ``tests/oracles.reference_recursion`` bit
+    for bit.
     The value is formed from direct residuals and the Schur complement
     S = sum w (x_lam - c x_g)^2 + d_lam + c^2 d_g (c = p12 / p11) rather
     than from p11 p22 - p12^2, which cancels to zero or below on levels of
-    order 1e8.  The gradient propagates forward sensitivities of l and b
-    through the envelope form of each term.  A non-finite level, trend or
-    scale, or an arithmetic error anywhere, gives a non-finite value with
-    no recursion; overflow in the last passes can also give a non-finite
-    value or gradient.  The caller must treat either as a zero density.
+    order 1e8.  A non-finite level, trend or scale, or an arithmetic error
+    anywhere, gives a non-finite value with no recursion; overflow in the
+    last passes can also give a non-finite value, and in the gradient's
+    pass a non-finite gradient.  The caller must treat either as a zero
+    density.
     """
     th = state.theta
     try:
         d_g = 1.0 / (th.xi_gamma2 * state.s_gamma ** 2)
         d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
-        return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist(),
-                                gradient)
+        return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist())
     except (ArithmeticError, ValueError):
         return _refused_marginal()
 
@@ -868,7 +868,7 @@ def _exp_or_inf(x: float) -> float:
     return math.exp(x) if x < 709.0 else math.inf
 
 
-def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradient) -> SmoothingMarginal:
+def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> SmoothingMarginal:
     rho, chi2 = th.rho, th.chi2
     phi2, q2, p2 = th.phi ** 2, (1.0 - th.phi) ** 2, 2.0 * th.tau
     keep_a, keep_b = 1.0 - alpha, 1.0 - beta
@@ -925,34 +925,29 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2, gradie
     z_lo, z_hi = (LAM_RANGE[0] - m2) * root_s, (LAM_RANGE[1] - m2) * root_s
     log_z = log_ndtr_diff(z_lo, z_hi)
 
-    # pass 3: residuals and Q, with the gradient or without it
-    pass3 = (th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z, xg, b, w, r, l, g)
-    if gradient:
-        Q, grad = _value_and_gradient(*pass3)
-        pass3 = None
-    else:
-        grad = None
-        Q = d_g * m1 * m1 + d_l * m2 * m2
-        for xt, bt, wt, rt in zip(xg, b, w, r):
-            et = rt - xt * m1 - bt * m2
-            Q += wt * et * et
+    # pass 3: the residuals and Q
+    Q = d_g * m1 * m1 + d_l * m2 * m2
+    for xt, bt, wt, rt in zip(xg, b, w, r):
+        et = rt - xt * m1 - bt * m2
+        Q += wt * et * et
     value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
              + _weights_log_prior(alpha, beta))
-    return SmoothingMarginal(log_target=value, grad=grad, gamma_mean=m1, gamma_prec=p11,
-                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, g=g,
-                             clamp_events=clamps, pass3=pass3)
+    return SmoothingMarginal(log_target=value, gamma_mean=m1, gamma_prec=p11,
+                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, g=g, clamp_events=clamps,
+                             terms=(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z, xg, b, w, r, l, g))
 
 
-def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi, log_z,
-                        xg, b, w, r, l, g) -> tuple[float, np.ndarray]:
-    """Pass 3 of ``_marginal_passes`` with the gradient: (Q, gradient in (logit alpha, logit beta)).
+def smoothing_gradient(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z,
+                       xg, b, w, r, l, g) -> np.ndarray:
+    """The gradient of the collapsed target in (logit alpha, logit beta), from ``_marginal_passes``' terms.
 
-    The gradient is a sum over steps of the coefficient of each per-step
-    quantity (r, x_g, x_lam, w) times its forward sensitivity; dl, dba, dbb
-    are d l[t-1]/d alpha, d b[t-1]/d alpha and d b[t-1]/d beta.  With
-    we = w e and wu = w u the coefficients are linear in we and wu, and the
-    k_* below collect their constant factors.  Q is formed in the order of
-    the value-only pass, and u as in pass 2, bit for bit.
+    It propagates forward sensitivities of l and b through the envelope
+    form of each term of the value: a sum over steps of the coefficient of
+    each per-step quantity (r, x_g, x_lam, w) times its forward
+    sensitivity; dl, dba, dbb are d l[t-1]/d alpha, d b[t-1]/d alpha and
+    d b[t-1]/d beta.  With we = w e and wu = w u the coefficients are
+    linear in we and wu, and the k_* below collect their constant factors.
+    u and e are formed as in passes 2 and 3, bit for bit.
     """
     rho, tau, chi2 = th.rho, th.tau, th.chi2
     het, tau_1 = 2.0 * tau * chi2 * (1.0 - th.phi) ** 2, 2.0 * tau - 1.0
@@ -970,7 +965,6 @@ def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi
     k_lam_e, k_lam_u = m2 + k1_s, 2.0 * k2 - inv_s - k1_s * m2
     k_xg_e, k_xg_u = m1 - c * k1_s, c * inv_s - k1_s * m1 - 2.0 * c * k2
     k_w_u = k2 - 0.5 * inv_s
-    Q = d_g * m1 * m1 + d_l * m2 * m2
     g_a = g_b = 0.0
     dl = dba = dbb = 0.0
     for xt, bt, wt, rt, lt, gt in zip(xg, b, w, r, l, g):
@@ -978,7 +972,6 @@ def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi
         et = rt - xt * m1 - bt * m2
         we = wt * et
         wu = wt * ut
-        Q += we * et
         c_lam = we * k_lam_e + wu * k_lam_u
         c_alpha = we - k1_s * wu                          # minus the coefficient of r
         if lt >= LEVEL_FLOOR:
@@ -996,8 +989,8 @@ def _value_and_gradient(th, alpha, beta, d_g, d_l, c, p11, S, m1, m2, z_lo, z_hi
         dl = dl_t
 
     pa, pb = SMOOTHING_PRIOR
-    return Q, np.array([g_a * alpha * keep_a + pa - (pa + pb) * alpha,
-                        g_b * beta * keep_b + pa - (pa + pb) * beta])
+    return np.array([g_a * alpha * keep_a + pa - (pa + pb) * alpha,
+                     g_b * beta * keep_b + pa - (pa + pb) * beta])
 
 
 def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
@@ -1021,8 +1014,7 @@ def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
     return there if log_u < log_r else here
 
 
-def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
-                               adapting: bool, target: float) -> bool:
+def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState) -> bool:
     """LGT smoothing weights with (gamma, lam) integrated out, then (lam, gamma).
 
     Given (alpha, beta, rho, b1) the one-step forecast is linear in
@@ -1039,29 +1031,27 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState,
     leaves, where a local step of one size crawls.  A non-finite target at
     the current weights means no move; at a proposal it means rejection.
     Every point, the current one included, is one ``smoothing_marginal``
-    pass.  The current point and the independence proposal are formed
-    value-only, since that step reads no gradient; the point the MALA step
-    starts from then forms its gradient, and each MALA proposal is formed
-    with its gradient in one pass.  e is left stale: no kernel reads it
-    before ``update_lambda_b1`` refreshes it.
+    pass, which forms its value.  The independence step reads no gradient;
+    the MALA step reads the gradient of the point it starts from and of its
+    proposal, and each forms it then, once.  e is left stale: no kernel
+    reads it before ``update_lambda_b1`` refreshes it.
     """
     th = state.theta
 
-    def point(alpha, beta, gradient=False):
+    def point(alpha, beta):
         trial = th.proposal_clone()
         trial.alpha, trial.beta = alpha, beta
-        marginal = smoothing_marginal(state, alpha, beta, gradient)
-        return MalaPoint(trial, marginal.log_target, marginal.grad, marginal)
+        marginal = smoothing_marginal(state, alpha, beta)
+        return MalaPoint(trial, marginal.log_target, marginal)
 
     def visit(x_star):
         w = _unit_weights(x_star)
-        return None if w is None else point(*w, gradient=True)
+        return None if w is None else point(*w)
 
     start = point(th.alpha, th.beta)
     here = _independence_move(rng, start, point)
-    here.grad = here.recursion.gradient()
     x = _logits(here.theta.alpha, here.theta.beta)
-    reached = _mala_move(rng, step, adapting, target, here, x, visit)
+    reached = _mala_move(rng, step, here, x, visit)
     marginal = reached.recursion
     if reached is not start:
         th.alpha, th.beta = reached.theta.alpha, reached.theta.beta
@@ -1083,35 +1073,16 @@ def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorCon
     return -float(np.log1p((seeds / sp.scale) ** 2).sum())
 
 
-def _seasonal_target(state: ChainState, theta: ParameterDraw, nll: float, grad_nll: list,
-                     recursion: SeasonalPass) -> MalaPoint:
-    """The SGT point at ``theta``, in (logit alpha, logit zeta, free seeds), from its forward pass.
-
-    ``nll`` and ``grad_nll`` are the negative log likelihood and its
-    gradient.  The log target adds the smoothing weights' Beta priors with
-    their logit Jacobian and the seasonal prior.  The gradient is that of
-    the log target without the seasonal prior, which enters the acceptance
-    ratio only: the seed proposals are steered by the likelihood alone.
-    """
-    grad = -np.asarray(grad_nll)
-    log_target = _seasonal_log_prior(theta.log_s_init, theta, state.prior) - nll
-    a, b = SMOOTHING_PRIOR
-    for i, w in enumerate((theta.alpha, theta.zeta)):
-        grad[i] = float(grad[i]) * w * (1.0 - w) + a - (a + b) * w
-        log_target += a * math.log(w) + b * math.log1p(-w)
-    return MalaPoint(theta, log_target, grad, recursion)
-
-
 @dataclass
 class SeasonalPass:
-    """The SGT recursion's paths as lists, with the likelihood and gradient coefficients formed alongside.
+    """The SGT recursion at ``theta``: its paths as lists, with the likelihood and gradient coefficients.
 
     There is no trend path: with lam = 0 nothing reads it.  ``nll`` is the
     Student-t negative log likelihood of the residuals; ``obs``, ``c_dl``
-    and ``c_dla`` are the per-step coefficients that ``seasonal_gradient``
-    reads.
+    and ``c_dla`` are the per-step coefficients that ``gradient()`` reads.
     """
 
+    theta: ParameterDraw
     l: list
     log_s: list
     g: list
@@ -1121,6 +1092,24 @@ class SeasonalPass:
     obs: list
     c_dl: list
     c_dla: list
+    grad: np.ndarray | None = None
+
+    def gradient(self) -> np.ndarray:
+        """The gradient of the point's log target without the seasonal prior, formed on first call and kept.
+
+        ``seasonal_gradient``'s reverse pass, then the smoothing weights'
+        logit Jacobian and Beta priors.  The seasonal prior enters the
+        acceptance ratio only: the seed proposals are steered by the
+        likelihood alone.
+        """
+        if self.grad is None:
+            th = self.theta
+            grad = -np.asarray(seasonal_gradient(th, self.l, self.log_s, self.obs, self.c_dl, self.c_dla))
+            a, b = SMOOTHING_PRIOR
+            for i, w in enumerate((th.alpha, th.zeta)):
+                grad[i] = float(grad[i]) * w * (1.0 - w) + a - (a + b) * w
+            self.grad = grad
+        return self.grad
 
     def paths(self) -> StatePaths:
         return StatePaths(l=np.array(self.l), b=None, log_s=np.array(self.log_s), g=np.array(self.g),
@@ -1210,7 +1199,7 @@ def seasonal_forward(y: list, theta: ParameterDraw) -> SeasonalPass | None:
     nll = acc + (T - 1) * t_log_normaliser(nu)
     if not math.isfinite(nll):
         return None
-    return SeasonalPass(l=l, log_s=log_s, g=g, e=e, clamp_events=clamps,
+    return SeasonalPass(theta=theta, l=l, log_s=log_s, g=g, e=e, clamp_events=clamps,
                         nll=nll, obs=obs, c_dl=c_dl, c_dla=c_dla)
 
 
@@ -1263,12 +1252,19 @@ def seasonal_gradient(theta: ParameterDraw, l, log_s, obs, c_dl, c_dla) -> list:
 
 
 def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None:
-    """The SGT point at ``trial``: one forward pass, then one reverse pass; None where refused."""
+    """The SGT point at ``trial`` in (logit alpha, logit zeta, free seeds): one forward pass; None if refused.
+
+    The log target adds to the log likelihood the smoothing weights' Beta
+    priors with their logit Jacobian and the seasonal prior.
+    """
     forward = seasonal_forward(state.y.tolist(), trial)
     if forward is None:
         return None
-    grad = seasonal_gradient(trial, forward.l, forward.log_s, forward.obs, forward.c_dl, forward.c_dla)
-    return _seasonal_target(state, trial, forward.nll, grad, forward)
+    log_target = _seasonal_log_prior(trial.log_s_init, trial, state.prior) - forward.nll
+    a, b = SMOOTHING_PRIOR
+    for w in (trial.alpha, trial.zeta):
+        log_target += a * math.log(w) + b * math.log1p(-w)
+    return MalaPoint(trial, log_target, forward)
 
 
 def _weights_trial(theta: ParameterDraw, x_star: np.ndarray) -> ParameterDraw | None:
@@ -1306,8 +1302,8 @@ SGT_WEIGHTS = SeasonalBlock(slice(0, 2), lambda th: _logits(th.alpha, th.zeta), 
 SGT_SEEDS = SeasonalBlock(slice(2, None), lambda th: th.log_s_init[: th.m - 1], _seeds_trial)
 
 
-def seasonal_move(state: ChainState, rng, step: StepSizeState, adapting: bool, target: float,
-                  here: MalaPoint, block: SeasonalBlock) -> MalaPoint:
+def seasonal_move(state: ChainState, rng, step: StepSizeState, here: MalaPoint,
+                  block: SeasonalBlock) -> MalaPoint:
     """MALA on the coordinates of ``block`` in an SGT point from ``here``, the current draw's point.
 
     The state takes the draw and the paths of the point reached.
@@ -1318,7 +1314,7 @@ def seasonal_move(state: ChainState, rng, step: StepSizeState, adapting: bool, t
         trial = block.trial(th, x_star)
         return None if trial is None else _seasonal_visit(state, trial)
 
-    reached = _mala_move(rng, step, adapting, target, here, block.start(th), visit, block.coords)
+    reached = _mala_move(rng, step, here, block.start(th), visit, block.coords)
     if reached is not here:
         state.theta = reached.theta
         state.set_paths(reached.recursion.paths())
@@ -1326,13 +1322,14 @@ def seasonal_move(state: ChainState, rng, step: StepSizeState, adapting: bool, t
 
 
 def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState,
-                              seas_step: StepSizeState, adapting: bool, target: float) -> None:
+                              seas_step: StepSizeState) -> None:
     """SGT smoothing weights, seed factors and trend weight.
 
     A MALA move on (logit alpha, logit zeta) from the current draw's point,
     then one on the free seeds from the point it reached, so the likelihood
     and gradient of each draw visited are computed once: every point, the
-    current one included, is one ``seasonal_forward`` pass and one
+    current one included, is one ``seasonal_forward`` pass, and a point
+    whose gradient a MALA step reads forms it then in one
     ``seasonal_gradient`` pass.  SGT fixes lam = 0, so beta reaches neither
     the forecast nor the scale, and the paths hold no trend: its
     conditional is its Beta prior, drawn exactly (in the open unit
@@ -1346,8 +1343,8 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
     if here is None:
         raise NumericalError("the current seasonal draw gives no finite likelihood")
     state.paths.e[:] = here.recursion.e
-    here = seasonal_move(state, rng, smooth_step, adapting, target, here, SGT_WEIGHTS)
-    seasonal_move(state, rng, seas_step, adapting, target, here, SGT_SEEDS)
+    here = seasonal_move(state, rng, smooth_step, here, SGT_WEIGHTS)
+    seasonal_move(state, rng, seas_step, here, SGT_SEEDS)
     state.theta.beta = _open_unit(float(rng.beta(*SMOOTHING_PRIOR)))
 
 
@@ -1397,8 +1394,7 @@ def initial_draw(y: np.ndarray, m: int, prior: PriorConfig, grids: Grids) -> Par
     )
 
 
-def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSizeState,
-          adapting: bool) -> None:
+def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSizeState) -> None:
     """One full Gibbs sweep, in the order of the module docstring.
 
     The t-mixture variances are refreshed before anything conditions on
@@ -1416,10 +1412,10 @@ def sweep(state: ChainState, rng, smooth_step: StepSizeState, seas_step: StepSiz
     update_omega2(state, rng)
     update_chi2(state, rng)
     if not state.seasonal:
-        update_smoothing_collapsed(state, rng, smooth_step, adapting, MH_TARGET_ACCEPTANCE)
+        update_smoothing_collapsed(state, rng, smooth_step)
     update_rho_gamma_grouped(state, rng)
     if state.seasonal:
-        update_smoothing_seasonal(state, rng, smooth_step, seas_step, adapting, MH_TARGET_ACCEPTANCE)
+        update_smoothing_seasonal(state, rng, smooth_step, seas_step)
         if state.prior.seasonal_prior.kind == "horseshoe":
             update_horseshoe(state, rng)
     else:
@@ -1440,14 +1436,15 @@ def _run_chain(y: np.ndarray, m: int, prior: PriorConfig, cfg: SamplerConfig,
     draws: list[ParameterDraw] = []
     ends: list[EndState] = []
     for it in range(cfg.iterations):
-        adapting = it < cfg.burn_in
-        if it == cfg.burn_in and not state.seasonal:
-            # the collapsed kernel's acceptance varies across its posterior
-            # (a weakly identified beta wanders into flat logit tails), so
-            # it freezes at the averaged step size; the seasonal moves
-            # still freeze at their last iterate
-            smooth_step.settle()
-        sweep(state, rng, smooth_step, seas_step, adapting)
+        if it == cfg.burn_in:
+            smooth_step.adapting = seas_step.adapting = False
+            if not state.seasonal:
+                # the collapsed kernel's acceptance varies across its
+                # posterior (a weakly identified beta wanders into flat logit
+                # tails), so it freezes at the averaged step size; the
+                # seasonal moves freeze at their last iterate
+                smooth_step.settle()
+        sweep(state, rng, smooth_step, seas_step)
         if it >= cfg.burn_in:
             draws.append(state.theta.copy())
             # the state's paths are the recursion at the kept draw, bit for bit

@@ -266,7 +266,7 @@ def test_cli_missing_input_is_an_error(tmp_path, capsys, command):
 
 
 # config-file lines that argparse refuses: each integer option must be whole
-# and not a boolean, and each key must name a flag
+# and not a boolean, and each key must name a flag by its whole name
 CONFIG_FILES = {
     "bad.cfg": "length = abc\n",
     "seed_1.5.cfg": "seed = 1.5\n",
@@ -280,6 +280,8 @@ CONFIG_FILES = {
     "n_series_1.5.cfg": "n_series = 1.5\n",
     "seed_true.cfg": "seed = true\n",
     "bogus.cfg": "bogus = 1\n",
+    "len.cfg": "len = 30\n",
+    "small_run.cfg": "iters = 60\nburnin = 30\nchains = 1\n",
 }
 # a run short enough that a wrongly accepted value still ends quickly
 SMALL_RUN = ["--iters", "60", "--burnin", "30", "--chains", "1"]
@@ -316,6 +318,10 @@ SMALL_RUN = ["--iters", "60", "--burnin", "30", "--chains", "1"]
     ["simulate", "--config", "{tmp}/seed_true.cfg"],
     ["benchmark", "--config", "{tmp}/bogus.cfg", *SMALL_RUN],
     ["benchmark", "--iters", "abc"],
+    # a prefix of a flag's name is not the flag
+    ["simulate", "--len", "30"],
+    ["simulate", "--config", "{tmp}/len.cfg"],
+    ["benchmark", "--conf", "{tmp}/small_run.cfg"],
 ], ids=lambda argv: " ".join(argv))
 def test_cli_malformed_input_is_an_error_not_a_traceback(tmp_path, capsys, argv):
     # a valid collection, so that only the option is at fault; `fit` gets an empty one

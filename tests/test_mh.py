@@ -23,7 +23,7 @@ from lsgt.sampler import (
     SGT_SEEDS,
     SGT_WEIGHTS,
     StepSizeState,
-    _seasonal_target,
+    _seasonal_log_prior,
     _seasonal_visit,
     seasonal_move,
     update_smoothing_seasonal,
@@ -34,20 +34,21 @@ from .oracles import negative_log_likelihood, seasonal_gradient_from_paths
 
 
 def only(block):
-    """One SGT move as a kernel of its own: (state, rng, step, adapting, target) -> accepted."""
-    def update(state, rng, step, adapting, target):
+    """One SGT move as a kernel of its own: (state, rng, step) -> accepted."""
+    def update(state, rng, step):
         here = _seasonal_visit(state, state.theta)
-        return seasonal_move(state, rng, step, adapting, target, here, block) is not here
+        return seasonal_move(state, rng, step, here, block) is not here
     return update
 
 
 def run_mh_chain(state, rng, update, n_adapt, n_keep, names):
     step = StepSizeState(log_eps=math.log(0.1))
     for _ in range(n_adapt):
-        update(state, rng, step, True, 0.55)
+        update(state, rng, step)
+    step.adapting = False
     kept = np.empty((n_keep, len(names)))
     for i in range(n_keep):
-        update(state, rng, step, False, 0.55)
+        update(state, rng, step)
         kept[i] = [getattr(state.theta, n) if n != "seed0" else state.theta.log_s_init[0]
                    for n in names]
     return kept, step
@@ -112,18 +113,21 @@ def test_mh_adapts_toward_target(rng):
     state = random_state(rng, T=25, seasonal=True, m=4)
     steps = [StepSizeState(log_eps=math.log(5.0)) for _ in range(2)]  # absurdly large start
     for _ in range(1500):
-        update_smoothing_seasonal(state, rng, *steps, True, 0.55)
+        update_smoothing_seasonal(state, rng, *steps)
+    for step in steps:
+        step.adapting = False
     for _ in range(2000):
-        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        update_smoothing_seasonal(state, rng, *steps)
     for step in steps:
         assert 0.35 <= step.rate <= 0.75
 
 
 def test_mh_rejects_non_finite_proposals(rng):
     state = random_state(rng, T=8, seasonal=True, m=2)
-    steps = [StepSizeState(log_eps=math.log(80.0)) for _ in range(2)]  # proposals fly to the boundary
+    # proposals fly to the boundary
+    steps = [StepSizeState(log_eps=math.log(80.0), adapting=False) for _ in range(2)]
     for _ in range(50):
-        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        update_smoothing_seasonal(state, rng, *steps)
     # extreme proposals saturate the sigmoid or overflow the recursion and
     # must be auto-rejected
     for step in steps:
@@ -133,10 +137,10 @@ def test_mh_rejects_non_finite_proposals(rng):
 
 def test_seasonal_kernel_draws_beta_from_its_prior(rng):
     state = random_state(rng, T=12, seasonal=True, m=2)
-    steps = [StepSizeState(log_eps=math.log(0.3)) for _ in range(2)]
+    steps = [StepSizeState(log_eps=math.log(0.3), adapting=False) for _ in range(2)]
     draws = []
     for _ in range(2000):
-        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        update_smoothing_seasonal(state, rng, *steps)
         draws.append(state.theta.beta)
     assert kstest(draws, beta_dist(*SMOOTHING_PRIOR).cdf).pvalue > 0.01
 
@@ -160,17 +164,17 @@ def test_seasonal_kernel_keeps_beta_inside_the_open_interval(rng, value):
     # a Beta(1, 0.5) draw rounds to 1.0 with probability about 1e-8, and to
     # 0.0 when its uniform is exactly 0; draws must stay in (0, 1)
     state = random_state(rng, T=12, seasonal=True, m=2)
-    steps = [StepSizeState(log_eps=math.log(0.3)) for _ in range(2)]
-    update_smoothing_seasonal(state, FixedBeta(rng, value), *steps, False, 0.55)
+    steps = [StepSizeState(log_eps=math.log(0.3), adapting=False) for _ in range(2)]
+    update_smoothing_seasonal(state, FixedBeta(rng, value), *steps)
     assert 0.0 < state.theta.beta < 1.0
     state.theta.validate()
 
 
 def test_seasonal_kernel_leaves_paths_equal_to_the_recursion(rng):
     state = random_state(rng, T=30, seasonal=True, m=4)
-    steps = [StepSizeState(log_eps=math.log(eps)) for eps in (0.3, 0.03)]
+    steps = [StepSizeState(log_eps=math.log(eps), adapting=False) for eps in (0.3, 0.03)]
     for _ in range(20):
-        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        update_smoothing_seasonal(state, rng, *steps)
         assert_paths_equal(state.paths, state.theta.chi2, reference_paths(state.y, state.theta, state.prior))
     assert min(steps[0].accepted, steps[1].accepted) > 0
 
@@ -182,9 +186,9 @@ def test_refused_current_seasonal_draw_is_a_numerical_error(rng):
     state = random_state(rng, T=12, seasonal=True, m=2)
     before = state.paths.e.tolist()
     state.theta.gamma = 1e308
-    steps = [StepSizeState(log_eps=math.log(0.3)) for _ in range(2)]
+    steps = [StepSizeState(log_eps=math.log(0.3), adapting=False) for _ in range(2)]
     with pytest.raises(NumericalError):
-        update_smoothing_seasonal(state, rng, *steps, False, 0.55)
+        update_smoothing_seasonal(state, rng, *steps)
     assert state.paths.e.tolist() == before
 
 
@@ -202,17 +206,28 @@ def _seasonal_trials(state, rng, n=5):
 
 
 def _reference_point(state, trial):
-    """The reference recursion, likelihood and gradient; (None, None) where a MALA move refuses the point."""
+    """The reference recursion's log target, gradient and paths; three Nones where a MALA move refuses the point.
+
+    The log target adds the seasonal prior, and the weights' Beta priors
+    with their logit Jacobian, to the log likelihood; the gradient is the
+    likelihood's, then the weights' terms: the seasonal prior steers no
+    proposal.
+    """
     paths = reference_paths(state.y, trial, state.prior)
     if paths is None:
-        return None, None
+        return None, None, None
     nll = negative_log_likelihood(paths, trial.nu)
     if not math.isfinite(nll):
-        return None, None
-    point = _seasonal_target(state, trial, nll, seasonal_gradient_from_paths(state.y, trial, paths), None)
-    if not (math.isfinite(point.log_target) and np.all(np.isfinite(point.grad))):
-        return None, None
-    return point, paths
+        return None, None, None
+    log_target = _seasonal_log_prior(trial.log_s_init, trial, state.prior) - nll
+    grad = -np.asarray(seasonal_gradient_from_paths(state.y, trial, paths))
+    a, b = SMOOTHING_PRIOR
+    for i, w in enumerate((trial.alpha, trial.zeta)):
+        log_target += a * math.log(w) + b * math.log1p(-w)
+        grad[i] = float(grad[i]) * w * (1.0 - w) + a - (a + b) * w
+    if not (math.isfinite(log_target) and np.all(np.isfinite(grad))):
+        return None, None, None
+    return log_target, grad, paths
 
 
 def _floored_seasonal_case(rng):
@@ -242,13 +257,15 @@ def test_seasonal_forward_pass_equals_the_reference(rng):
     clamped = 0
     for state, trials in cases:
         for trial in trials:
-            want, paths = _reference_point(state, trial)
-            assert want is not None
+            log_target, grad, paths = _reference_point(state, trial)
+            assert log_target is not None
             got = _seasonal_visit(state, trial)
             assert got.recursion.nll == negative_log_likelihood(paths, trial.nu)
-            assert got.log_target == want.log_target
-            assert np.array_equal(got.grad, want.grad)
-            assert np.array_equal(-got.grad[2:], seasonal_gradient_from_paths(state.y, trial, paths)[2:])
+            assert got.log_target == log_target
+            got_grad = got.recursion.gradient()
+            assert np.array_equal(got_grad, grad)
+            assert got.recursion.gradient() is got_grad
+            assert np.array_equal(-got_grad[2:], seasonal_gradient_from_paths(state.y, trial, paths)[2:])
             fused = got.recursion.paths()
             assert_paths_equal(fused, trial.chi2, paths)
             assert fused.clamp_events == paths.clamp_events
@@ -269,11 +286,11 @@ def test_seasonal_forward_pass_refuses_where_the_reference_does(rng, values, chi
         state.theta.chi2 = chi2
     refused = 0
     for trial in _seasonal_trials(state, rng, n=20):
-        want, _ = _reference_point(state, trial)
+        log_target, grad, _ = _reference_point(state, trial)
         got = _seasonal_visit(state, trial)
-        assert (got is None) == (want is None)
-        if want is not None:
-            assert got.log_target == want.log_target
-            assert np.array_equal(got.grad, want.grad)
-        refused += want is None
+        assert (got is None) == (log_target is None)
+        if log_target is not None:
+            assert got.log_target == log_target
+            assert np.array_equal(got.recursion.gradient(), grad)
+        refused += log_target is None
     assert refused

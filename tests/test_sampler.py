@@ -365,21 +365,26 @@ def count_calls(monkeypatch, names, counts, refused=None):
 
 
 def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
-    # the independence step reads values only: of the collapsed points a sweep
-    # visits, the one the MALA step starts from and the MALA proposal form a
-    # gradient; b and e are refreshed once, together, by update_lambda_b1,
-    # chi2's draw refreshes nothing and g is refreshed once, after the
-    # variance grids: 2 refresh loops per sweep, 1 when homoscedastic
+    # a sweep visits three collapsed points, each one pass that forms its
+    # value: the current point, the independence proposal and the MALA
+    # proposal; the independence step reads no gradient, so only the point
+    # the MALA step starts from and the MALA proposal form one; b and e are
+    # refreshed once, together, by update_lambda_b1, chi2's draw refreshes
+    # nothing and g is refreshed once, after the variance grids: 2 refresh
+    # loops per sweep, 1 when homoscedastic
     counts = {}
-    refreshes = count_calls(monkeypatch, ["_value_and_gradient"], counts)
+    refreshes = count_calls(monkeypatch, ["_marginal_passes", "smoothing_gradient"], counts)
     for hetero in (True, False):
         state = random_state(rng, T=30, hetero=hetero)
         smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
         seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
         for it in range(20):
             counts.update(dict.fromkeys(counts, 0))
-            sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
-            assert counts["_value_and_gradient"] == 2
+            if it == 10:
+                smooth_step.adapting = seas_step.adapting = False
+            sampler.sweep(state, rng, smooth_step, seas_step)
+            assert counts["_marginal_passes"] == 3
+            assert counts["smoothing_gradient"] == 2
             assert counts["recompute_trend_and_residuals"] == 1
             assert counts["recompute_scale"] == hetero
             assert sum(counts[name] for name in refreshes) == 1 + hetero
@@ -387,8 +392,10 @@ def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
 
 def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch, rng):
     # the current draw and each of the two MALA proposals are one forward
-    # pass; every pass that is not refused is followed by one reverse pass,
-    # and the current draw's pass refreshes e; the paths keep no trend, so
+    # pass; the MALA steps read the gradient of every point that is not
+    # refused, and each forms it in one reverse pass, once, although the
+    # point the weights' move reaches starts the seeds' move too; the
+    # current draw's pass refreshes e; the paths keep no trend, so
     # the only refresh loop is g's, after the variance grids: 1 per sweep,
     # none when homoscedastic
     counts = {}
@@ -400,7 +407,9 @@ def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch,
         seas_step = sampler.StepSizeState(log_eps=math.log(0.1))
         for it in range(20):
             counts.update(dict.fromkeys(counts, 0))
-            sampler.sweep(state, rng, smooth_step, seas_step, adapting=it < 10)
+            if it == 10:
+                smooth_step.adapting = seas_step.adapting = False
+            sampler.sweep(state, rng, smooth_step, seas_step)
             assert counts["seasonal_forward"] == 3
             assert counts["seasonal_gradient"] == counts["seasonal_forward"] - counts["refused"]
             assert sum(counts[name] for name in refreshes) == counts["recompute_scale"] == hetero

@@ -219,29 +219,14 @@ def test_fused_pass_equals_recursion_then_passes(rng):
             got = smoothing_marginal(state, alpha, beta)
             value, grad, paths = reference_marginal(state, alpha, beta)
             assert got.log_target == value
-            assert np.array_equal(got.grad, grad)
+            assert np.array_equal(got.gradient(), grad)
+            assert got.gradient() is got.gradient()
             fused = got.paths()
             for name in ("l", "b", "g", "log_s"):
                 assert np.array_equal(getattr(fused, name), getattr(paths, name)), name
             assert got.clamp_events == paths.clamp_events
             clamped += got.clamp_events
     assert clamped > 0
-
-
-def test_value_only_pass_then_gradient_equals_fused_pass(rng):
-    # the independence step's points are formed without their gradient; the
-    # one a MALA step starts from forms it afterwards, and it must be the
-    # gradient that the fused pass gives, bit for bit
-    for state, points in _fused_cases(rng):
-        for alpha, beta in [(state.theta.alpha, state.theta.beta)] + points:
-            fused = smoothing_marginal(state, alpha, beta)
-            lazy = smoothing_marginal(state, alpha, beta, gradient=False)
-            assert lazy.grad is None
-            assert lazy.log_target == fused.log_target
-            for name in ("gamma_mean", "gamma_prec", "lam_mean", "lam_prec", "slope", "l", "b", "g"):
-                assert getattr(lazy, name) == getattr(fused, name), name
-            assert np.array_equal(lazy.gradient(), fused.grad)
-            assert lazy.gradient() is lazy.grad
 
 
 @pytest.mark.parametrize("values", [
@@ -272,7 +257,7 @@ def test_log_density_matches_quadrature(seed, hetero):
 def _fd_check(state, points, h=1e-6, rel=1e-5):
     for alpha, beta in points:
         x = np.array([_logit(alpha), _logit(beta)])
-        grad = marginal_at(state, alpha, beta).grad
+        grad = marginal_at(state, alpha, beta).gradient()
         assert np.isfinite(grad).all()
         for i in range(2):
             up, down = x.copy(), x.copy()
@@ -332,7 +317,7 @@ def test_large_geometric_levels_give_finite_density():
     for alpha, beta in [(0.3, 0.3), (0.9, 0.9), (0.99, 0.05), (0.99, 0.99)]:
         target = marginal_at(state, alpha, beta)
         assert math.isfinite(target.log_target)
-        assert np.isfinite(target.grad).all()
+        assert np.isfinite(target.gradient()).all()
         assert target.lam_prec > 0.0 and target.gamma_prec > 0.0
 
 
@@ -387,12 +372,13 @@ def _quadrature_case(rng):
 
 def _check_kernel_draws(state, rng, step, want_mean, want_sd):
     for _ in range(3000):
-        update_smoothing_collapsed(state, rng, step, True, 0.55)
+        update_smoothing_collapsed(state, rng, step)
+    step.adapting = False
     n_keep = 40_000
     kept = np.empty((n_keep, 4))
     th = state.theta
     for i in range(n_keep):
-        update_smoothing_collapsed(state, rng, step, False, 0.55)
+        update_smoothing_collapsed(state, rng, step)
         kept[i] = th.alpha, th.beta, th.gamma, th.lam
     np.testing.assert_allclose(kept[:, :2].mean(axis=0), want_mean[:2], atol=0.02)
     for got, want, sd in zip(kept[:, 2:].mean(axis=0), want_mean[2:], want_sd[2:]):
@@ -415,5 +401,5 @@ def test_independence_step_alone_matches_quadrature_posterior(rng, monkeypatch):
     # from the weights' priors followed by the exact coefficient draws; a
     # step that never moved would fail the weights' spread
     state, want_mean, want_sd = _quadrature_case(rng)
-    monkeypatch.setattr(sampler, "_mala_move", lambda rng, step, adapting, target, here, x, visit: here)
+    monkeypatch.setattr(sampler, "_mala_move", lambda rng, step, here, x, visit: here)
     _check_kernel_draws(state, rng, StepSizeState(log_eps=math.log(0.1)), want_mean, want_sd)
