@@ -138,7 +138,10 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     model_kind = MODEL_NAMES[args.model]
-    m = (4 if model_kind == SEASONAL else 1) if args.m is None else args.m
+    seasonal = model_kind == SEASONAL
+    m = (4 if seasonal else 1) if args.m is None else args.m
+    if (m < 2) if seasonal else (m != 1):
+        raise LsgtError(f"--m {m}: the {args.model} model needs {'m >= 2' if seasonal else 'm = 1'}")
     params = default_params(m=m, model_kind=model_kind, T=args.length)
     for spec in args.param:
         name, _, value = spec.partition("=")

@@ -1,8 +1,8 @@
 """Random sampling helpers, the symmetric KL between t densities and the df grid.
 
-Everything the sampler draws from lives here: inverse-gamma, normal,
-truncated-normal and categorical draws (thin, validating wrappers over
-``numpy.random.Generator``), the Student-t log normaliser, a numerical
+Everything the sampler draws from, but its grid draw, lives here:
+inverse-gamma, normal and truncated-normal draws (thin, validating wrappers
+over ``numpy.random.Generator``), the Student-t log normaliser, a numerical
 symmetric KL divergence between unit Student-t densities, and the
 construction of a degrees-of-freedom grid whose consecutive candidates are
 equidistant in symmetric KL.  The grid starts log-spaced; each pass computes
@@ -30,7 +30,6 @@ from .errors import GridConstructionError, QuadratureError
 __all__ = [
     "sample_inverse_gamma",
     "sample_normal",
-    "sample_categorical",
     "sample_truncated_normal",
     "log_ndtr",
     "log_ndtr_diff",
@@ -75,23 +74,6 @@ def sample_normal(rng, mean: float, variance: float) -> float:
     if not (variance > 0 and math.isfinite(variance) and math.isfinite(mean)):
         raise ValueError(f"normal requires finite mean and positive variance, got {mean}, {variance}")
     return float(rng.normal(mean, math.sqrt(variance)))
-
-
-def sample_categorical(rng, weights) -> int:
-    """Index drawn with probability proportional to ``weights``."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise ValueError("weights must be a non-empty 1-d sequence")
-    if not w.min() >= 0:
-        raise ValueError("weights must be finite and non-negative")
-    cum = w.cumsum()
-    total = cum[-1]
-    if not total < math.inf:
-        raise ValueError("weights must be finite and non-negative")
-    if not total > 0:
-        raise ValueError("at least one weight must be positive")
-    u = rng.random() * total
-    return int(np.searchsorted(cum, u, side="right"))
 
 
 TRUNCATION_TRIES = 100

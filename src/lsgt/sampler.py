@@ -10,9 +10,10 @@ One sweep (`sweep`) calls these kernels, in order:
    integrated out (each point visited is one forward pass that runs the
    recursion and gathers the regression's sums, and two passes more that
    form its value), then the local coefficient from its truncated marginal
-   and the global one given it.  One rule forms the MALA gradients of both
-   variants (``MalaPoint``): each point forms its value, and a MALA step
-   that reads a gradient forms it once; the independence step reads none;
+   and the global one given it.  In both variants a MALA point is the pass
+   that formed it (``SmoothingMarginal``, ``SeasonalPass``): each point
+   forms its value, and a MALA step that reads a gradient forms it once;
+   the independence step reads none;
 4. `update_rho_gamma_grouped`: the trend power (grid, global coefficient
    integrated out, every candidate's precision and score a matrix-vector
    product), the global coefficient (conjugate normal, from the chosen
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -81,7 +81,6 @@ from .data import TimeSeries
 from .dists import (
     build_nu_grid,
     log_ndtr_diff,
-    sample_categorical,
     sample_inverse_gamma,
     sample_normal,
     sample_truncated_normal,
@@ -488,23 +487,22 @@ def update_horseshoe(state: ChainState, rng):
 def _categorical_from_nll(rng, nll: np.ndarray) -> int:
     """Draw a grid index with weights exp(-nll), log-sum-exp stabilised.
 
-    The usual case, a finite smallest nll, draws from the cumulative weights
-    exp(min - nll) directly: they lie in [0, 1] with at least one 1, and +inf
-    candidates weigh 0 without a warning, exactly as in the checked path
-    below.  Only a non-finite minimum (a NaN, a -inf or no finite candidate)
-    could form inf - inf, and it takes the checked path.
+    The draw reads the cumulative weights exp(min - nll): they lie in
+    [0, 1] with at least one 1, and +inf candidates weigh 0 without a
+    warning.  Where the smallest nll is not finite (a NaN or a -inf), every
+    non-finite candidate is taken as +inf first; where no candidate is
+    finite, the draw raises ``DegenerateSeriesError``.
     """
     nll = np.asarray(nll, dtype=float)
     low = nll.min()
-    if math.isfinite(low):
-        cum = np.exp(low - nll).cumsum()
-        return int(np.searchsorted(cum, rng.random() * float(cum[-1]), side="right"))
-    finite = np.isfinite(nll)
-    if not finite.any():
-        raise DegenerateSeriesError("all grid candidates have non-finite posterior")
-    w = np.zeros(nll.shape[0])
-    w[finite] = np.exp(-(nll[finite] - nll[finite].min()))
-    return sample_categorical(rng, w)
+    if not math.isfinite(low):
+        finite = np.isfinite(nll)
+        if not finite.any():
+            raise DegenerateSeriesError("all grid candidates have non-finite posterior")
+        nll = np.where(finite, nll, math.inf)
+        low = nll.min()
+    cum = np.exp(low - nll).cumsum()
+    return int(np.searchsorted(cum, rng.random() * float(cum[-1]), side="right"))
 
 
 def nu_collapsed_nll(state: ChainState) -> np.ndarray:
@@ -708,54 +706,41 @@ def _langevin_logq(dest: np.ndarray, src: np.ndarray, grad_src: np.ndarray, eps:
     return -0.5 * float(np.dot(d, d)) / (eps * eps)
 
 
-@dataclass
-class MalaPoint:
-    """A draw that a MALA move stands at or proposes.
-
-    ``log_target`` is the log density of the move's coordinates up to a
-    constant.  ``recursion`` is the forward pass the point was formed on:
-    the collapsed target (``SmoothingMarginal``) of an LGT point, or the
-    ``SeasonalPass`` of an SGT point.  Its ``paths()`` are what the state
-    takes when a move reaches the point, and its ``gradient()``, the
-    gradient of the log target that steers proposals from here, is formed
-    the first time a MALA step reads it, and once: a point that no MALA
-    step reads forms its value alone.
-    """
-
-    theta: ParameterDraw
-    log_target: float
-    recursion: SmoothingMarginal | SeasonalPass
+def _finite(point: SmoothingMarginal | SeasonalPass) -> bool:
+    return math.isfinite(point.log_target) and all(map(math.isfinite, point.gradient().tolist()))
 
 
-def _finite(point) -> bool:
-    return math.isfinite(point.log_target) and all(map(math.isfinite, point.recursion.gradient().tolist()))
-
-
-def _mala_move(rng, step: StepSizeState, here: MalaPoint, x: np.ndarray, visit,
-               coords=slice(None)) -> MalaPoint:
+def _mala_move(rng, step: StepSizeState, here: SmoothingMarginal | SeasonalPass, x: np.ndarray, visit,
+               coords=slice(None)) -> SmoothingMarginal | SeasonalPass:
     """One MALA step in the coordinates ``x``; returns the point the chain reaches.
 
-    The proposal is N(x + eps^2/2 g, eps^2 I), with g the coordinates'
-    slice ``coords`` of the gradient here; ``visit(x_star)`` returns the
-    point proposed, or None outside the support.  The acceptance ratio
-    includes both proposal densities.  A non-finite target or gradient here
-    means no move, at the proposal a rejection; the noise is drawn either
-    way.  The step reads the gradient of each point with a finite target,
-    so each forms its gradient here, if no step has before.  The step size
-    observes the acceptance probability and the outcome.
+    A point is the pass that formed it: the collapsed target
+    (``SmoothingMarginal``) of an LGT point, or the ``SeasonalPass`` of an
+    SGT point.  Its ``log_target`` is the log density of the move's
+    coordinates up to a constant, and its ``paths()`` are what the state
+    takes when a move reaches it.  The proposal is N(x + eps^2/2 g, eps^2 I),
+    with g the coordinates' slice ``coords`` of the gradient here;
+    ``visit(x_star)`` returns the point proposed, or None outside the
+    support.  The acceptance ratio includes both proposal densities.  A
+    non-finite target or gradient here means no move, at the proposal a
+    rejection; the noise is drawn either way.  The step reads the gradient
+    of each point with a finite target, so each forms its ``gradient()``
+    here, if no step has before: a point that no MALA step reads forms its
+    value alone.  The step size observes the acceptance probability and the
+    outcome.
     """
     eps = step.eps
     z = rng.standard_normal(x.shape[0])
     accept_prob = 0.0
     reached = here
     if _finite(here):
-        g = here.recursion.gradient()[coords]
+        g = here.gradient()[coords]
         x_star = x + 0.5 * eps * eps * g + eps * z
         there = visit(x_star)
         if there is not None and _finite(there):
             # _langevin_logq takes the gradient of the negative log target
             log_r = (there.log_target - here.log_target
-                     + _langevin_logq(x, x_star, -there.recursion.gradient()[coords], eps)
+                     + _langevin_logq(x, x_star, -there.gradient()[coords], eps)
                      - _langevin_logq(x_star, x, -g, eps))
             accept_prob = 1.0 if log_r >= 0 else math.exp(max(log_r, -745.0))
             if math.log(rng.random()) < log_r:
@@ -766,31 +751,42 @@ def _mala_move(rng, step: StepSizeState, here: MalaPoint, x: np.ndarray, visit,
 
 @dataclass
 class SmoothingMarginal:
-    """The LGT smoothing-weight target with (gamma, lam) integrated out.
+    """The LGT point at the smoothing weights (alpha, beta): their target with (gamma, lam) integrated out.
 
     ``log_target`` is the log density of (logit alpha, logit beta) up to a
-    constant; the next five fields describe the Gaussian posterior of
-    (gamma, lam) given the weights: lam has precision ``lam_prec`` around
-    ``lam_mean`` before truncation, and gamma given lam has precision
-    ``gamma_prec`` around ``gamma_mean - slope * (lam - lam_mean)``.  ``l``,
-    ``b`` and the scale ``g`` are the recursion at the weights, as lists,
-    and ``clamp_events`` its count of floored levels; they are None where
-    the recursion failed.  ``terms`` are the sums and lists the value was
-    formed on, from which ``gradient()`` forms the gradient once, when a
-    MALA step first reads it.
+    constant, NaN where the pass refused the weights; every later field is
+    then left at its default.  The next five fields describe the Gaussian
+    posterior of (gamma, lam) given the weights: lam has precision
+    ``lam_prec`` around ``lam_mean`` before truncation, and gamma given lam
+    has precision ``gamma_prec`` around
+    ``gamma_mean - slope * (lam - lam_mean)``.  ``theta`` is the draw that
+    holds every other parameter.  ``l``, ``b`` and the scale ``g`` are the
+    recursion at the weights, as lists, and ``clamp_events`` its count of
+    floored levels.  ``xg``, ``w`` and ``r`` are the regression's per-step
+    columns, and ``z_lo``, ``z_hi`` and ``log_z`` lam's standardised bounds
+    and the log of its mass between them: with the fields above they are
+    what ``gradient()`` reads, the first time a MALA step reads the point.
     """
 
+    alpha: float
+    beta: float
     log_target: float
-    gamma_mean: float
-    gamma_prec: float
-    lam_mean: float
-    lam_prec: float
-    slope: float
+    gamma_mean: float = math.nan
+    gamma_prec: float = math.nan
+    lam_mean: float = math.nan
+    lam_prec: float = math.nan
+    slope: float = math.nan
+    theta: ParameterDraw | None = None
     l: list | None = None
     b: list | None = None
     g: list | None = None
     clamp_events: int = 0
-    terms: tuple | None = None
+    xg: list | None = None
+    w: list | None = None
+    r: list | None = None
+    z_lo: float = math.nan
+    z_hi: float = math.nan
+    log_z: float = math.nan
     grad: np.ndarray | None = None
 
     def gradient(self) -> np.ndarray:
@@ -801,7 +797,7 @@ class SmoothingMarginal:
         number, and no power can overflow.
         """
         if self.grad is None:
-            self.grad = smoothing_gradient(*self.terms)
+            self.grad = smoothing_gradient(self)
         return self.grad
 
     def paths(self) -> StatePaths:
@@ -813,11 +809,6 @@ class SmoothingMarginal:
         n = len(self.g)
         return StatePaths(l=np.array(self.l), b=np.array(self.b), log_s=np.zeros(n + 1),
                           g=np.array(self.g), e=np.empty(n), clamp_events=self.clamp_events)
-
-
-def _refused_marginal() -> SmoothingMarginal:
-    nan = math.nan
-    return SmoothingMarginal(nan, nan, nan, nan, nan, nan)
 
 
 def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> SmoothingMarginal:
@@ -855,7 +846,7 @@ def smoothing_marginal(state: ChainState, alpha: float, beta: float) -> Smoothin
         d_l = 1.0 / (th.xi_lambda2 * state.s_lambda ** 2)
         return _marginal_passes(th, alpha, beta, d_g, d_l, state.y.tolist(), th.omega2.tolist())
     except (ArithmeticError, ValueError):
-        return _refused_marginal()
+        return SmoothingMarginal(alpha, beta, math.nan)
 
 
 def _weights_log_prior(alpha: float, beta: float) -> float:
@@ -892,7 +883,7 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
         l_t = alpha * yt + keep_a * l_prev
         b_t = beta * (l_t - l_prev) + keep_b * b_prev
         if not (isfinite(s2t) and isfinite(l_t) and isfinite(b_t)):
-            return _refused_marginal()
+            return SmoothingMarginal(alpha, beta, math.nan)
         var = om * s2t
         wt = 1.0 / var
         rt = yt - l_prev
@@ -932,14 +923,13 @@ def _marginal_passes(th: ParameterDraw, alpha, beta, d_g, d_l, y, omega2) -> Smo
         Q += wt * et * et
     value = (-0.5 * log_var - 0.5 * Q - 0.5 * math.log(p11) - 0.5 * math.log(S) + log_z
              + _weights_log_prior(alpha, beta))
-    return SmoothingMarginal(log_target=value, gamma_mean=m1, gamma_prec=p11,
-                             lam_mean=m2, lam_prec=S, slope=c, l=l, b=b, g=g, clamp_events=clamps,
-                             terms=(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z, xg, b, w, r, l, g))
+    return SmoothingMarginal(alpha, beta, value, gamma_mean=m1, gamma_prec=p11, lam_mean=m2, lam_prec=S,
+                             slope=c, theta=th, l=l, b=b, g=g, clamp_events=clamps, xg=xg, w=w, r=r,
+                             z_lo=z_lo, z_hi=z_hi, log_z=log_z)
 
 
-def smoothing_gradient(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z,
-                       xg, b, w, r, l, g) -> np.ndarray:
-    """The gradient of the collapsed target in (logit alpha, logit beta), from ``_marginal_passes``' terms.
+def smoothing_gradient(target: SmoothingMarginal) -> np.ndarray:
+    """The gradient of the collapsed ``target`` in (logit alpha, logit beta), from its passes' fields.
 
     It propagates forward sensitivities of l and b through the envelope
     form of each term of the value: a sum over steps of the coefficient of
@@ -949,6 +939,9 @@ def smoothing_gradient(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z,
     linear in we and wu, and the k_* below collect their constant factors.
     u and e are formed as in passes 2 and 3, bit for bit.
     """
+    th, alpha, beta = target.theta, target.alpha, target.beta
+    c, p11, S, m1, m2 = target.slope, target.gamma_prec, target.lam_prec, target.gamma_mean, target.lam_mean
+    z_lo, z_hi, log_z = target.z_lo, target.z_hi, target.log_z
     rho, tau, chi2 = th.rho, th.tau, th.chi2
     het, tau_1 = 2.0 * tau * chi2 * (1.0 - th.phi) ** 2, 2.0 * tau - 1.0
     keep_a, keep_b = 1.0 - alpha, 1.0 - beta
@@ -967,7 +960,7 @@ def smoothing_gradient(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z,
     k_w_u = k2 - 0.5 * inv_s
     g_a = g_b = 0.0
     dl = dba = dbb = 0.0
-    for xt, bt, wt, rt, lt, gt in zip(xg, b, w, r, l, g):
+    for xt, bt, wt, rt, lt, gt in zip(target.xg, target.b, target.w, target.r, target.l, target.g):
         ut = bt - c * xt
         et = rt - xt * m1 - bt * m2
         we = wt * et
@@ -993,24 +986,23 @@ def smoothing_gradient(th, alpha, beta, c, p11, S, m1, m2, z_lo, z_hi, log_z,
                      g_b * beta * keep_b + pa - (pa + pb) * beta])
 
 
-def _independence_move(rng, here: MalaPoint, visit_weights) -> MalaPoint:
+def _independence_move(rng, state: ChainState, here: SmoothingMarginal) -> SmoothingMarginal:
     """One independence Metropolis step on the LGT weights, proposed from their priors.
 
     The proposal density is the prior part of the collapsed target, so the
     acceptance ratio is the ratio of the integrated likelihoods (Tierney
-    1994), and the step reads no gradient.  ``visit_weights(alpha, beta)``
-    returns the point proposed; a non-finite target here means no move,
-    there a rejection.
+    1994), and the step reads no gradient.  A non-finite target here means
+    no move, at the proposal a rejection.
     """
     alpha, beta = rng.beta(*SMOOTHING_PRIOR, size=2).tolist()
     log_u = math.log(rng.random())
     if not math.isfinite(here.log_target):
         return here
-    there = visit_weights(_open_unit(alpha), _open_unit(beta))
+    there = smoothing_marginal(state, _open_unit(alpha), _open_unit(beta))
     if not math.isfinite(there.log_target):
         return here
-    log_r = ((there.log_target - _weights_log_prior(there.theta.alpha, there.theta.beta))
-             - (here.log_target - _weights_log_prior(here.theta.alpha, here.theta.beta)))
+    log_r = ((there.log_target - _weights_log_prior(there.alpha, there.beta))
+             - (here.log_target - _weights_log_prior(here.alpha, here.beta)))
     return there if log_u < log_r else here
 
 
@@ -1033,35 +1025,28 @@ def update_smoothing_collapsed(state: ChainState, rng, step: StepSizeState) -> b
     Every point, the current one included, is one ``smoothing_marginal``
     pass, which forms its value.  The independence step reads no gradient;
     the MALA step reads the gradient of the point it starts from and of its
-    proposal, and each forms it then, once.  e is left stale: no kernel
-    reads it before ``update_lambda_b1`` refreshes it.
+    proposal, and each forms it then, once.  The draw takes the weights of
+    the point reached.  e is left stale: no kernel reads it before
+    ``update_lambda_b1`` refreshes it.
     """
     th = state.theta
 
-    def point(alpha, beta):
-        trial = th.proposal_clone()
-        trial.alpha, trial.beta = alpha, beta
-        marginal = smoothing_marginal(state, alpha, beta)
-        return MalaPoint(trial, marginal.log_target, marginal)
-
     def visit(x_star):
         w = _unit_weights(x_star)
-        return None if w is None else point(*w)
+        return None if w is None else smoothing_marginal(state, *w)
 
-    start = point(th.alpha, th.beta)
-    here = _independence_move(rng, start, point)
-    x = _logits(here.theta.alpha, here.theta.beta)
-    reached = _mala_move(rng, step, here, x, visit)
-    marginal = reached.recursion
+    start = smoothing_marginal(state, th.alpha, th.beta)
+    here = _independence_move(rng, state, start)
+    reached = _mala_move(rng, step, here, _logits(here.alpha, here.beta), visit)
     if reached is not start:
-        th.alpha, th.beta = reached.theta.alpha, reached.theta.beta
-        state.set_paths(marginal.paths())
+        th.alpha, th.beta = reached.alpha, reached.beta
+        state.set_paths(reached.paths())
 
-    if math.isfinite(marginal.log_target):
-        th.lam, fell_back = sample_truncated_normal(rng, marginal.lam_mean, 1.0 / marginal.lam_prec, *LAM_RANGE)
+    if math.isfinite(reached.log_target):
+        th.lam, fell_back = sample_truncated_normal(rng, reached.lam_mean, 1.0 / reached.lam_prec, *LAM_RANGE)
         state.trunc_events += fell_back
-        th.gamma = sample_normal(rng, marginal.gamma_mean - marginal.slope * (th.lam - marginal.lam_mean),
-                                 1.0 / marginal.gamma_prec)
+        th.gamma = sample_normal(rng, reached.gamma_mean - reached.slope * (th.lam - reached.lam_mean),
+                                 1.0 / reached.gamma_prec)
     return reached is not start
 
 
@@ -1075,11 +1060,13 @@ def _seasonal_log_prior(seeds: np.ndarray, theta: ParameterDraw, prior: PriorCon
 
 @dataclass
 class SeasonalPass:
-    """The SGT recursion at ``theta``: its paths as lists, with the likelihood and gradient coefficients.
+    """The SGT point at ``theta``: the recursion's paths as lists, the likelihood and gradient coefficients.
 
     There is no trend path: with lam = 0 nothing reads it.  ``nll`` is the
     Student-t negative log likelihood of the residuals; ``obs``, ``c_dl``
     and ``c_dla`` are the per-step coefficients that ``gradient()`` reads.
+    ``log_target``, the log density of the point's coordinates up to a
+    constant, is set by ``_seasonal_visit``.
     """
 
     theta: ParameterDraw
@@ -1092,6 +1079,7 @@ class SeasonalPass:
     obs: list
     c_dl: list
     c_dla: list
+    log_target: float = math.nan
     grad: np.ndarray | None = None
 
     def gradient(self) -> np.ndarray:
@@ -1251,7 +1239,7 @@ def seasonal_gradient(theta: ParameterDraw, l, log_s, obs, c_dl, c_dla) -> list:
     return grad
 
 
-def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None:
+def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> SeasonalPass | None:
     """The SGT point at ``trial`` in (logit alpha, logit zeta, free seeds): one forward pass; None if refused.
 
     The log target adds to the log likelihood the smoothing weights' Beta
@@ -1264,61 +1252,46 @@ def _seasonal_visit(state: ChainState, trial: ParameterDraw) -> MalaPoint | None
     a, b = SMOOTHING_PRIOR
     for w in (trial.alpha, trial.zeta):
         log_target += a * math.log(w) + b * math.log1p(-w)
-    return MalaPoint(trial, log_target, forward)
+    forward.log_target = log_target
+    return forward
 
 
-def _weights_trial(theta: ParameterDraw, x_star: np.ndarray) -> ParameterDraw | None:
-    """``theta`` with (alpha, zeta) at the logits ``x_star``; None where a weight rounds to 0 or 1."""
-    w = _unit_weights(x_star)
-    if w is None:
-        return None
-    trial = theta.proposal_clone()
-    trial.alpha, trial.zeta = w
-    return trial
+def _take(state: ChainState, here: SeasonalPass, reached: SeasonalPass) -> SeasonalPass:
+    """The point a move from ``here`` reached; where it moved, the state takes its draw and paths."""
+    if reached is not here:
+        state.theta = reached.theta
+        state.set_paths(reached.paths())
+    return reached
 
 
-def _seeds_trial(theta: ParameterDraw, free_star: np.ndarray) -> ParameterDraw:
-    """``theta`` with the free seeds ``free_star``; the m-th seed balances them to a zero sum exactly."""
-    trial = theta.proposal_clone()
-    trial.log_s_init = np.append(free_star, -float(free_star.sum()))
-    return trial
-
-
-@dataclass(frozen=True)
-class SeasonalBlock:
-    """The coordinates of an SGT point that one MALA move draws.
-
-    ``coords`` is their slice of the point's gradient, ``start(theta)``
-    their values at ``theta``, and ``trial(theta, x_star)`` is ``theta``
-    with them at ``x_star``, or None outside the support.
-    """
-
-    coords: slice
-    start: Callable[[ParameterDraw], np.ndarray]
-    trial: Callable[[ParameterDraw, np.ndarray], ParameterDraw | None]
-
-
-SGT_WEIGHTS = SeasonalBlock(slice(0, 2), lambda th: _logits(th.alpha, th.zeta), _weights_trial)
-SGT_SEEDS = SeasonalBlock(slice(2, None), lambda th: th.log_s_init[: th.m - 1], _seeds_trial)
-
-
-def seasonal_move(state: ChainState, rng, step: StepSizeState, here: MalaPoint,
-                  block: SeasonalBlock) -> MalaPoint:
-    """MALA on the coordinates of ``block`` in an SGT point from ``here``, the current draw's point.
-
-    The state takes the draw and the paths of the point reached.
-    """
+def seasonal_weights_move(state: ChainState, rng, step: StepSizeState, here: SeasonalPass) -> SeasonalPass:
+    """MALA on (logit alpha, logit zeta) from ``here``, the current draw's point."""
     th = state.theta
 
     def visit(x_star):
-        trial = block.trial(th, x_star)
-        return None if trial is None else _seasonal_visit(state, trial)
+        w = _unit_weights(x_star)
+        if w is None:
+            return None
+        trial = th.proposal_clone()
+        trial.alpha, trial.zeta = w
+        return _seasonal_visit(state, trial)
 
-    reached = _mala_move(rng, step, here, block.start(th), visit, block.coords)
-    if reached is not here:
-        state.theta = reached.theta
-        state.set_paths(reached.recursion.paths())
-    return reached
+    return _take(state, here, _mala_move(rng, step, here, _logits(th.alpha, th.zeta), visit, slice(0, 2)))
+
+
+def seasonal_seeds_move(state: ChainState, rng, step: StepSizeState, here: SeasonalPass) -> SeasonalPass:
+    """MALA on the m-1 free seeds from ``here``, the current draw's point.
+
+    The m-th seed balances the free ones to a zero sum exactly.
+    """
+    th = state.theta
+
+    def visit(free_star):
+        trial = th.proposal_clone()
+        trial.log_s_init = np.append(free_star, -float(free_star.sum()))
+        return _seasonal_visit(state, trial)
+
+    return _take(state, here, _mala_move(rng, step, here, th.log_s_init[: th.m - 1], visit, slice(2, None)))
 
 
 def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState,
@@ -1342,9 +1315,9 @@ def update_smoothing_seasonal(state: ChainState, rng, smooth_step: StepSizeState
     here = _seasonal_visit(state, state.theta)
     if here is None:
         raise NumericalError("the current seasonal draw gives no finite likelihood")
-    state.paths.e[:] = here.recursion.e
-    here = seasonal_move(state, rng, smooth_step, here, SGT_WEIGHTS)
-    seasonal_move(state, rng, seas_step, here, SGT_SEEDS)
+    state.paths.e[:] = here.e
+    here = seasonal_weights_move(state, rng, smooth_step, here)
+    seasonal_seeds_move(state, rng, seas_step, here)
     state.theta.beta = _open_unit(float(rng.beta(*SMOOTHING_PRIOR)))
 
 

@@ -21,7 +21,6 @@ from lsgt.dists import (
     build_nu_grid,
     log_ndtr,
     log_ndtr_diff,
-    sample_categorical,
     sample_inverse_gamma,
     sample_normal,
     sample_truncated_normal,
@@ -29,6 +28,7 @@ from lsgt.dists import (
 )
 from lsgt.errors import GridConstructionError, QuadratureError
 from lsgt.rng import RngStream
+from lsgt.sampler import _categorical_from_nll
 
 from .oracles import mc_symmetric_kl_t
 
@@ -96,28 +96,23 @@ def test_normal_moments():
         assert a.random() == b.random()
 
 
+# the sampler's one categorical draw is the grid draw, with weights exp(-nll)
+
 def test_categorical_degenerate(rng):
-    assert all(sample_categorical(rng, [1.0, 0.0, 0.0]) == 0 for _ in range(100))
+    nll = np.array([0.0, math.inf, math.inf])
+    assert all(_categorical_from_nll(rng, nll) == 0 for _ in range(100))
 
 
 def test_categorical_frequencies(rng):
-    draws = np.array([sample_categorical(rng, [1.0, 2.0, 3.0]) for _ in range(300_000)])
+    nll = -np.log([1.0, 2.0, 3.0])
+    draws = np.array([_categorical_from_nll(rng, nll) for _ in range(300_000)])
     freq = np.bincount(draws, minlength=3) / draws.size
     np.testing.assert_allclose(freq, [1 / 6, 1 / 3, 1 / 2], atol=0.01)
 
 
 def test_categorical_symmetric(rng):
-    draws = np.array([sample_categorical(rng, [1.0, 1.0]) for _ in range(200_000)])
+    draws = np.array([_categorical_from_nll(rng, np.zeros(2)) for _ in range(200_000)])
     assert np.mean(draws == 0) == pytest.approx(0.5, abs=0.01)
-
-
-def test_categorical_invalid(rng):
-    with pytest.raises(ValueError):
-        sample_categorical(rng, [0.0, 0.0])
-    with pytest.raises(ValueError):
-        sample_categorical(rng, [1.0, float("nan")])
-    with pytest.raises(ValueError):
-        sample_categorical(rng, [])
 
 
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper_tail", "lower_tail"])

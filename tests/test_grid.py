@@ -7,7 +7,6 @@ from scipy import integrate, optimize
 from scipy.stats import norm
 from scipy.stats import t as t_dist
 
-from lsgt.dists import sample_categorical
 from lsgt.errors import DegenerateSeriesError
 from lsgt.model import LEVEL_FLOOR
 from lsgt.sampler import (
@@ -50,10 +49,16 @@ def test_grid_partial_non_finite_excluded(rng):
     assert draws == {0, 2}
 
 
+def _categorical(rng, w):
+    """The reference draw: an index with probability proportional to the weights ``w``."""
+    cum = np.cumsum(w)
+    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+
+
 def test_grid_draw_picks_the_index_of_the_checked_weights():
-    # from identical generator states, the direct draw from exp(min - nll)
-    # picks what sample_categorical picks from the weights exp(-(nll - min)),
-    # +inf candidates weighing 0 in both; that path runs without errstate,
+    # from identical generator states, the draw from exp(min - nll) picks
+    # what the reference draw picks from the weights exp(-(nll - min)),
+    # +inf candidates weighing 0 in both; the draw runs without errstate,
     # so it must warn about nothing
     gen = np.random.default_rng(17)
     for i in range(300):
@@ -65,10 +70,10 @@ def test_grid_draw_picks_the_index_of_the_checked_weights():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             idx = _categorical_from_nll(a, nll)
-        assert idx == sample_categorical(b, np.exp(-(nll - nll.min())))
+        assert idx == _categorical(b, np.exp(-(nll - nll.min())))
         assert a.random() == b.random()
-    # a -inf or NaN minimum takes the checked path: the weights of the
-    # finite candidates alone, every other candidate weighing 0
+    # with a -inf or NaN minimum, the weights are those of the finite
+    # candidates alone, every other candidate weighing 0
     for i in range(300):
         nll = gen.normal(0.0, 4.0, size=int(gen.integers(2, 120)))
         bad = gen.random(nll.size) < 0.3
@@ -80,7 +85,7 @@ def test_grid_draw_picks_the_index_of_the_checked_weights():
         w = np.zeros(nll.size)
         w[finite] = np.exp(-(nll[finite] - nll[finite].min()))
         a, b = np.random.default_rng(i), np.random.default_rng(i)
-        assert _categorical_from_nll(a, nll) == sample_categorical(b, w)
+        assert _categorical_from_nll(a, nll) == _categorical(b, w)
         assert a.random() == b.random()
 
 

@@ -305,6 +305,10 @@ SMALL_RUN = ["--iters", "60", "--burnin", "30", "--chains", "1"]
     ["simulate", "--length", "0"],
     ["simulate", "--length", "-3"],
     ["simulate", "--model", "sgt", "--m", "0"],
+    # an m that the model cannot take
+    ["simulate", "--m", "4"],
+    ["simulate", "--m", "-3"],
+    ["simulate", "--model", "sgt", "--m", "1"],
     ["benchmark", "--config", "{tmp}/seed_1.5.cfg", *SMALL_RUN],
     ["benchmark", "--config", "{tmp}/chains_true.cfg", "--iters", "60", "--burnin", "30"],
     ["benchmark", "--config", "{tmp}/iters_100.9.cfg", "--burnin", "30", "--chains", "1"],

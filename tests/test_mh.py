@@ -20,12 +20,11 @@ from scipy.stats import kstest
 from lsgt.errors import NumericalError
 from lsgt.model import SMOOTHING_PRIOR
 from lsgt.sampler import (
-    SGT_SEEDS,
-    SGT_WEIGHTS,
     StepSizeState,
     _seasonal_log_prior,
     _seasonal_visit,
-    seasonal_move,
+    seasonal_seeds_move,
+    seasonal_weights_move,
     update_smoothing_seasonal,
 )
 
@@ -33,11 +32,11 @@ from .helpers import assert_paths_equal, random_state, reference_paths
 from .oracles import negative_log_likelihood, seasonal_gradient_from_paths
 
 
-def only(block):
+def only(move):
     """One SGT move as a kernel of its own: (state, rng, step) -> accepted."""
     def update(state, rng, step):
         here = _seasonal_visit(state, state.theta)
-        return seasonal_move(state, rng, step, here, block) is not here
+        return move(state, rng, step, here) is not here
     return update
 
 
@@ -78,7 +77,7 @@ def test_smoothing_mh_matches_quadrature_posterior(rng):
     mean_alpha = simpson(weights * simpson(post, x=x, axis=1), x=x) / z_norm
     mean_zeta = simpson(weights * simpson(post, x=x, axis=0), x=x) / z_norm
 
-    kept, step = run_mh_chain(state, rng, only(SGT_WEIGHTS), 3000, 60_000, ["alpha", "zeta"])
+    kept, step = run_mh_chain(state, rng, only(seasonal_weights_move), 3000, 60_000, ["alpha", "zeta"])
     assert 0.2 < (step.accepted / step.proposals) < 0.9
     assert np.mean(kept[:, 0]) == pytest.approx(mean_alpha, abs=0.02)
     assert np.mean(kept[:, 1]) == pytest.approx(mean_zeta, abs=0.02)
@@ -102,7 +101,7 @@ def test_seasonal_mh_matches_quadrature_posterior(rng):
     mean_q = simpson(grid * post, x=grid) / z
     sd_q = math.sqrt(simpson(grid ** 2 * post, x=grid) / z - mean_q ** 2)
 
-    kept, step = run_mh_chain(state, rng, only(SGT_SEEDS), 3000, 60_000, ["seed0"])
+    kept, step = run_mh_chain(state, rng, only(seasonal_seeds_move), 3000, 60_000, ["seed0"])
     assert 0.2 < (step.accepted / step.proposals) < 0.95
     assert np.mean(kept[:, 0]) == pytest.approx(mean_q, abs=max(0.02, 0.1 * sd_q))
     # the balancing seed always mirrors the free one
@@ -260,13 +259,13 @@ def test_seasonal_forward_pass_equals_the_reference(rng):
             log_target, grad, paths = _reference_point(state, trial)
             assert log_target is not None
             got = _seasonal_visit(state, trial)
-            assert got.recursion.nll == negative_log_likelihood(paths, trial.nu)
+            assert got.nll == negative_log_likelihood(paths, trial.nu)
             assert got.log_target == log_target
-            got_grad = got.recursion.gradient()
+            got_grad = got.gradient()
             assert np.array_equal(got_grad, grad)
-            assert got.recursion.gradient() is got_grad
+            assert got.gradient() is got_grad
             assert np.array_equal(-got_grad[2:], seasonal_gradient_from_paths(state.y, trial, paths)[2:])
-            fused = got.recursion.paths()
+            fused = got.paths()
             assert_paths_equal(fused, trial.chi2, paths)
             assert fused.clamp_events == paths.clamp_events
             clamped += fused.clamp_events
@@ -291,6 +290,6 @@ def test_seasonal_forward_pass_refuses_where_the_reference_does(rng, values, chi
         assert (got is None) == (log_target is None)
         if log_target is not None:
             assert got.log_target == log_target
-            assert np.array_equal(got.recursion.gradient(), grad)
+            assert np.array_equal(got.gradient(), grad)
         refused += log_target is None
     assert refused

@@ -344,7 +344,8 @@ def test_every_reader_of_yhat_and_e_finds_the_current_draws_paths(monkeypatch, s
 def count_calls(monkeypatch, names, counts, refused=None):
     """Count the calls of the sampler's ``names`` and of every refresh loop (``recompute_*``) it calls.
 
-    A call of ``refused`` that returns None also counts as "refused".
+    A dotted name is a method of one of the sampler's classes.  A call of
+    ``refused`` that returns None also counts as "refused".
     """
     refreshes = [name for name in vars(sampler) if name.startswith("recompute_")]
     assert refreshes, "the sampler calls no refresh loop"
@@ -359,7 +360,9 @@ def count_calls(monkeypatch, names, counts, refused=None):
 
     for name in list(names) + refreshes:
         counts[name] = 0
-        monkeypatch.setattr(sampler, name, counted(name, getattr(sampler, name)))
+        owner, _, attr = name.rpartition(".")
+        where = getattr(sampler, owner) if owner else sampler
+        monkeypatch.setattr(where, attr, counted(name, getattr(where, attr)))
     counts["refused"] = 0
     return refreshes
 
@@ -368,12 +371,14 @@ def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
     # a sweep visits three collapsed points, each one pass that forms its
     # value: the current point, the independence proposal and the MALA
     # proposal; the independence step reads no gradient, so only the point
-    # the MALA step starts from and the MALA proposal form one; b and e are
-    # refreshed once, together, by update_lambda_b1, chi2's draw refreshes
-    # nothing and g is refreshed once, after the variance grids: 2 refresh
-    # loops per sweep, 1 when homoscedastic
+    # the MALA step starts from and the MALA proposal form one; a point is
+    # its pass, and no point clones the draw; b and e are refreshed once,
+    # together, by update_lambda_b1, chi2's draw refreshes nothing and g is
+    # refreshed once, after the variance grids: 2 refresh loops per sweep,
+    # 1 when homoscedastic
     counts = {}
-    refreshes = count_calls(monkeypatch, ["_marginal_passes", "smoothing_gradient"], counts)
+    refreshes = count_calls(monkeypatch, ["_marginal_passes", "smoothing_gradient",
+                                          "ParameterDraw.proposal_clone"], counts)
     for hetero in (True, False):
         state = random_state(rng, T=30, hetero=hetero)
         smooth_step = sampler.StepSizeState(log_eps=math.log(0.1))
@@ -385,6 +390,7 @@ def test_lgt_sweep_forms_two_gradients_and_one_forecast(monkeypatch, rng):
             sampler.sweep(state, rng, smooth_step, seas_step)
             assert counts["_marginal_passes"] == 3
             assert counts["smoothing_gradient"] == 2
+            assert counts["ParameterDraw.proposal_clone"] == 0
             assert counts["recompute_trend_and_residuals"] == 1
             assert counts["recompute_scale"] == hetero
             assert sum(counts[name] for name in refreshes) == 1 + hetero
@@ -394,12 +400,13 @@ def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch,
     # the current draw and each of the two MALA proposals are one forward
     # pass; the MALA steps read the gradient of every point that is not
     # refused, and each forms it in one reverse pass, once, although the
-    # point the weights' move reaches starts the seeds' move too; the
-    # current draw's pass refreshes e; the paths keep no trend, so
-    # the only refresh loop is g's, after the variance grids: 1 per sweep,
-    # none when homoscedastic
+    # point the weights' move reaches starts the seeds' move too; only a
+    # proposal clones the draw; the current draw's pass refreshes e; the
+    # paths keep no trend, so the only refresh loop is g's, after the
+    # variance grids: 1 per sweep, none when homoscedastic
     counts = {}
-    refreshes = count_calls(monkeypatch, ["seasonal_forward", "seasonal_gradient"], counts,
+    refreshes = count_calls(monkeypatch, ["seasonal_forward", "seasonal_gradient",
+                                          "ParameterDraw.proposal_clone"], counts,
                             refused="seasonal_forward")
     for hetero in (True, False):
         state = random_state(rng, T=30, seasonal=True, m=4, hetero=hetero)
@@ -412,5 +419,6 @@ def test_sgt_sweep_forms_one_forward_and_one_reverse_pass_per_point(monkeypatch,
             sampler.sweep(state, rng, smooth_step, seas_step)
             assert counts["seasonal_forward"] == 3
             assert counts["seasonal_gradient"] == counts["seasonal_forward"] - counts["refused"]
+            assert counts["ParameterDraw.proposal_clone"] == counts["seasonal_forward"] - 1
             assert sum(counts[name] for name in refreshes) == counts["recompute_scale"] == hetero
             assert state.paths.b is None
